@@ -29,8 +29,6 @@ struct StreamRun {
   size_t peak_memory_bytes = 0;
   size_t final_memory_bytes = 0;
   size_t evicted = 0;
-  size_t cache_hits = 0;
-  size_t cache_misses = 0;
 };
 
 StreamRun DriveStream(const harness::TrainedSystem& system,
@@ -52,8 +50,6 @@ StreamRun DriveStream(const harness::TrainedSystem& system,
   session.Flush();
   run.final_memory_bytes = session.MemoryUsage().total_bytes;
   run.evicted = session.pipeline().evicted_messages();
-  run.cache_hits = session.pipeline().embed_cache_hits();
-  run.cache_misses = session.pipeline().embed_cache_misses();
   return run;
 }
 
@@ -171,10 +167,9 @@ void WriteJson(const StreamRun& windowed, const StreamRun& unbounded,
                  "    \"peak_memory_bytes\": %zu,\n"
                  "    \"final_memory_bytes\": %zu,\n"
                  "    \"evicted_messages\": %zu,\n"
-                 "    \"cache_hits\": %zu,\n    \"cache_misses\": %zu,\n"
                  "    \"batch_seconds\": [",
                  name, run.peak_memory_bytes, run.final_memory_bytes,
-                 run.evicted, run.cache_hits, run.cache_misses);
+                 run.evicted);
     for (size_t i = 0; i < run.batch_seconds.size(); ++i) {
       std::fprintf(json, "%s%.6f", i > 0 ? ", " : "", run.batch_seconds[i]);
     }
@@ -224,11 +219,9 @@ int main() {
   std::printf("\nwindowed:  batch5 %.1fus  batch50 %.1fus  ratio %.2f  -> %s\n",
               early * 1e6, late * 1e6, ratio,
               bounded_ok ? "BOUNDED (<= 1.5x)" : "NOT bounded");
-  std::printf("  peak mem %.2f MB, final mem %.2f MB, %zu evicted, "
-              "%zu cache hits / %zu misses\n",
+  std::printf("  peak mem %.2f MB, final mem %.2f MB, %zu evicted\n",
               windowed.peak_memory_bytes / (1024.0 * 1024.0),
-              windowed.final_memory_bytes / (1024.0 * 1024.0), windowed.evicted,
-              windowed.cache_hits, windowed.cache_misses);
+              windowed.final_memory_bytes / (1024.0 * 1024.0), windowed.evicted);
   std::printf("unbounded: peak mem %.2f MB (%.1fx windowed peak)\n",
               unbounded.peak_memory_bytes / (1024.0 * 1024.0),
               windowed.peak_memory_bytes > 0

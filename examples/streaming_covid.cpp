@@ -101,10 +101,6 @@ int main(int argc, char** argv) {
               "%zu mention records\n",
               pipeline.tweet_base().size(), pipeline.trie().size(),
               pipeline.candidate_base().TotalMentions());
-  if (window > 0) {
-    std::printf("embed cache: %zu hits, %zu misses\n",
-                pipeline.embed_cache_hits(), pipeline.embed_cache_misses());
-  }
   std::printf("local time %.2fs, global time %.2fs (overhead %.1f%%)\n",
               pipeline.local_seconds(), pipeline.global_seconds(),
               pipeline.local_seconds() > 0

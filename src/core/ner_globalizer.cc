@@ -14,6 +14,16 @@
 
 namespace nerglob::core {
 
+namespace {
+
+/// Layout of a session checkpoint's pipeline records, written first in the
+/// kTagCheckpoint header. Version 2 stores no phrase embeddings: no
+/// per-mention embeddings, no per-surface embedding sums and no
+/// (message, span) embedding cache. Restore recomputes the embeddings from
+/// the checkpointed token embeddings. Version 1 files had no version field.
+constexpr uint32_t kCheckpointLayoutVersion = 2;
+
+}  // namespace
 
 const char* PipelineStageName(PipelineStage stage) {
   switch (stage) {
@@ -57,6 +67,7 @@ NerGlobalizer::NerGlobalizer(const ModelBundle* bundle,
 }
 
 Status NerGlobalizer::Checkpoint(io::TensorWriter* writer) const {
+  writer->PutU32(kCheckpointLayoutVersion);
   writer->PutString(bundle_fingerprint_);
   // The config is echoed so a checkpoint cannot be restored into a
   // pipeline that would interpret the state differently (other window,
@@ -73,6 +84,15 @@ Status NerGlobalizer::Checkpoint(io::TensorWriter* writer) const {
 
 Status NerGlobalizer::Restore(io::TensorReader* reader) {
   NERGLOB_RETURN_IF_ERROR(reader->NextRecord(io::kTagCheckpoint));
+  uint32_t layout = 0;
+  if (!reader->GetU32(&layout)) return reader->status();
+  if (layout != kCheckpointLayoutVersion) {
+    // A version-1 file starts with the fingerprint's u64 length instead, so
+    // it lands here too: its low half is never a current version.
+    return Status::FailedPrecondition(StrFormat(
+        "'%s': checkpoint layout version mismatch: expected %u, found %u",
+        reader->path().c_str(), kCheckpointLayoutVersion, layout));
+  }
   std::string fingerprint;
   float threshold = 0.0f;
   uint64_t max_span = 0, window = 0;
@@ -111,7 +131,7 @@ Status NerGlobalizer::Restore(io::TensorReader* reader) {
   // StreamState::Load is itself two-phase, so a corrupt state record
   // leaves this pipeline untouched; only the timing counters must wait
   // for it to succeed.
-  NERGLOB_RETURN_IF_ERROR(state_.Load(reader));
+  NERGLOB_RETURN_IF_ERROR(state_.Load(reader, *embedder_));
   local_seconds_ = local_s;
   global_seconds_ = global_s;
   return Status::OK();

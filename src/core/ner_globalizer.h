@@ -112,16 +112,18 @@ class NerGlobalizer {
   /// resolving entity/non-entity surface-form ambiguity per cluster.
   std::vector<std::vector<text::EntitySpan>> EmdGlobalizerPredictions() const;
 
-  /// Appends the complete session state (one kTagCheckpoint header record:
-  /// bundle fingerprint, config echo, timing counters — then the
-  /// StreamState records) to an open artifact. Restoring the result
-  /// reproduces Predictions() bit-identically at every PipelineStage.
+  /// Appends the session state (one kTagCheckpoint header record: layout
+  /// version, bundle fingerprint, config echo, timing counters — then the
+  /// StreamState records, which omit phrase embeddings) to an open
+  /// artifact. Restoring the result reproduces Predictions()
+  /// bit-identically at every PipelineStage.
   Status Checkpoint(io::TensorWriter* writer) const;
 
-  /// Restores a checkpoint written by Checkpoint. Fails (leaving the
-  /// current state untouched) if the checkpoint's bundle fingerprint or
-  /// pipeline config disagree with this pipeline's, or if any record is
-  /// corrupt, truncated, or version-mismatched.
+  /// Restores a checkpoint written by Checkpoint, recomputing every
+  /// mention's phrase embedding with this pipeline's embedder. Fails
+  /// (leaving the current state untouched) if the checkpoint's layout
+  /// version, bundle fingerprint or pipeline config disagree with this
+  /// pipeline's, or if any record is corrupt or truncated.
   Status Restore(io::TensorReader* reader);
 
   /// Message ids in stream order (aligned with Predictions()); the live
@@ -136,17 +138,12 @@ class NerGlobalizer {
   double global_seconds() const { return global_seconds_; }
 
   /// Approximate heap footprint of the stream state (TweetBase +
-  /// CandidateBase + CTrie + phrase-embedding cache). O(state size); call
-  /// per batch, not per message.
+  /// CandidateBase + CTrie). O(state size); call per batch, not per
+  /// message.
   PipelineMemoryUsage MemoryUsage() const { return state_.MemoryUsage(); }
 
   /// Messages evicted since construction (0 when unbounded).
   size_t evicted_messages() const { return state_.evicted_messages; }
-  /// Phrase-embedding cache hits/misses (windowed mode only; the cache is
-  /// disabled when window_messages == 0 because the unbounded pipeline
-  /// never re-extracts a span it has already embedded).
-  size_t embed_cache_hits() const { return state_.embed_cache_hits; }
-  size_t embed_cache_misses() const { return state_.embed_cache_misses; }
 
   const stream::TweetBase& tweet_base() const { return state_.tweet_base; }
   const stream::CandidateBase& candidate_base() const {

@@ -22,7 +22,8 @@ namespace {
 /// Scans `ids` against `trie`, appending new mention records (with local
 /// embeddings) to the CandidateBase. When `dedup` is set, spans already
 /// present in their surface's pool are skipped — the eviction rescan
-/// path, where live sentences are re-scanned after a surface prune.
+/// path, where live sentences are re-scanned after a surface prune. Every
+/// appended mention is embedded here, once; the pool holds the only copy.
 void ExtractMentionsInto(const ModelView& view, StreamState& state,
                          const NerGlobalizerConfig& config,
                          const std::vector<int64_t>& ids,
@@ -30,19 +31,13 @@ void ExtractMentionsInto(const ModelView& view, StreamState& state,
   if (trie.size() == 0) return;
   static const trace::TraceStage kStage("mention_extraction");
   trace::TraceSpan span(kStage);
-  // The embed cache only pays for itself when eviction can trigger
-  // re-extraction of already-embedded spans; unbounded streams never
-  // revisit a span, so they skip the cache (and its memory) entirely.
-  const bool use_cache = config.window_messages > 0;
 
   // Phase 1 (parallel): per-sentence trie scans and phrase embeddings are
-  // independent reads of the TweetBase (and read-only lookups of the embed
-  // cache), so they fan out over the thread pool. Found mentions land in a
-  // per-id slot, preserving sentence order.
+  // independent reads of the TweetBase, so they fan out over the thread
+  // pool. Found mentions land in a per-id slot, preserving sentence order.
   struct Found {
     std::string surface;
     stream::MentionRecord mention;
-    bool cache_hit = false;
   };
   std::vector<std::vector<Found>> found(ids.size());
   ParallelFor(0, ids.size(), /*grain=*/4, [&](size_t idx) {
@@ -67,52 +62,28 @@ void ExtractMentionsInto(const ModelView& view, StreamState& state,
                                                         span.end)) {
         continue;
       }
-      if (use_cache) {
-        auto it = state.embed_cache.find(SpanKey{id, span.begin, span.end});
-        if (it != state.embed_cache.end()) {
-          f.mention.local_embedding = it->second;
-          f.cache_hit = true;
-        }
-      }
-      if (!f.cache_hit) {
-        // Retained state: the embedding outlives this batch in the
-        // CandidateBase (and cache), so it owns heap storage; EmbedInto
-        // keeps every intermediate in the worker's scratch arena.
-        view.embedder->EmbedInto(record->token_embeddings, span.begin, emb_end,
-                                 &f.mention.local_embedding);
-      }
+      // Retained state: the embedding outlives this batch in the
+      // CandidateBase, so it owns heap storage; EmbedInto keeps every
+      // intermediate in the worker's scratch arena.
+      view.embedder->EmbedInto(record->token_embeddings, span.begin, emb_end,
+                               &f.mention.local_embedding);
       found[idx].push_back(std::move(f));
     }
   });
 
   // Phase 2 (serial merge, sentence order): AddMention assigns mention ids
   // by arrival, so merging in id order keeps the CandidateBase identical to
-  // a sequential pass for any thread count. Cache inserts also happen here
-  // so phase 1 only ever reads the cache map.
+  // a sequential pass for any thread count.
   std::unordered_set<std::string> touched;
   size_t mention_count = 0;
-  size_t hits = 0, misses = 0;
   for (std::vector<Found>& per_id : found) {
     mention_count += per_id.size();
     for (Found& f : per_id) {
-      if (use_cache) {
-        if (f.cache_hit) {
-          ++hits;
-        } else {
-          ++misses;
-          state.embed_cache.emplace(
-              SpanKey{f.mention.message_id, f.mention.begin_token,
-                      f.mention.end_token},
-              f.mention.local_embedding);
-        }
-      }
       state.candidate_base.AddMention(f.surface, std::move(f.mention));
       touched.insert(std::move(f.surface));
     }
   }
   for (const auto& surface : touched) state.dirty_surfaces.push_back(surface);
-  state.embed_cache_hits += hits;
-  state.embed_cache_misses += misses;
 
   if (metrics::Enabled()) {
     auto& registry = metrics::MetricsRegistry::Global();
@@ -122,17 +93,6 @@ void ExtractMentionsInto(const ModelView& view, StreamState& state,
         registry.GetCounter("pipeline.trie_scans_total");
     mentions->Increment(mention_count);
     scans->Increment(ids.size());
-    if (use_cache) {
-      // Same events as the per-session StreamState::embed_cache_hits/
-      // misses fields (which checkpoint with the session); these global
-      // counters make them visible to the Prometheus/JSON exporters.
-      static metrics::Counter* const cache_hits =
-          registry.GetCounter("stream.embed_cache.hits");
-      static metrics::Counter* const cache_misses =
-          registry.GetCounter("stream.embed_cache.misses");
-      cache_hits->Increment(hits);
-      cache_misses->Increment(misses);
-    }
   }
 }
 
@@ -431,20 +391,13 @@ void Evict(const ModelView& view, StreamState& state, StageContext& ctx) {
     state.local_type_votes.erase(surface);
   }
 
-  // 5. Retire the records themselves and their cache entries.
+  // 5. Retire the records themselves.
   state.tweet_base.EvictOldest(count);
-  for (auto it = state.embed_cache.begin(); it != state.embed_cache.end();) {
-    if (evicted.count(it->first.message_id) > 0) {
-      it = state.embed_cache.erase(it);
-    } else {
-      ++it;
-    }
-  }
   state.evicted_messages += count;
 
   // 6. Re-scan affected live sentences (dedup: only genuinely new spans
-  // are added; their embeddings come from the cache when possible), then
-  // rebuild every eviction-touched surface so candidates never dangle.
+  // are added and embedded), then rebuild every eviction-touched surface
+  // so candidates never dangle.
   ExtractMentionsInto(view, state, config, rescan_ids, state.trie,
                       /*dedup=*/true);
   for (const std::string& surface : changed) {

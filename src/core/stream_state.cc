@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "core/phrase_embedder.h"
 #include "io/tensor_io.h"
 #include "lm/encode_cache.h"
 
@@ -14,12 +15,8 @@ PipelineMemoryUsage StreamState::MemoryUsage() const {
   usage.tweet_base_bytes = tweet_base.MemoryUsageBytes();
   usage.candidate_base_bytes = candidate_base.MemoryUsageBytes();
   usage.trie_bytes = trie.MemoryUsageBytes();
-  usage.embed_cache_bytes = embed_cache.size() * sizeof(SpanKey);
-  for (const auto& [key, emb] : embed_cache) {
-    usage.embed_cache_bytes += emb.size() * sizeof(float) + sizeof(void*) * 2;
-  }
-  usage.total_bytes = usage.tweet_base_bytes + usage.candidate_base_bytes +
-                      usage.trie_bytes + usage.embed_cache_bytes;
+  usage.total_bytes =
+      usage.tweet_base_bytes + usage.candidate_base_bytes + usage.trie_bytes;
   // Shared across sessions, so reported beside (not inside) total_bytes.
   if (const lm::EncodeCache* cache = lm::EncodeCache::Global()) {
     usage.global_encode_cache_bytes = cache->MemoryUsageBytes();
@@ -60,26 +57,6 @@ Status StreamState::Save(io::TensorWriter* writer) const {
     writer->PutI64(count);
   }
 
-  std::vector<const std::pair<const SpanKey, Matrix>*> cache_entries;
-  cache_entries.reserve(embed_cache.size());
-  for (const auto& kv : embed_cache) cache_entries.push_back(&kv);
-  std::sort(cache_entries.begin(), cache_entries.end(),
-            [](const auto* a, const auto* b) {
-              const SpanKey& x = a->first;
-              const SpanKey& y = b->first;
-              if (x.message_id != y.message_id)
-                return x.message_id < y.message_id;
-              if (x.begin != y.begin) return x.begin < y.begin;
-              return x.end < y.end;
-            });
-  writer->PutU64(cache_entries.size());
-  for (const auto* kv : cache_entries) {
-    writer->PutI64(kv->first.message_id);
-    writer->PutU64(kv->first.begin);
-    writer->PutU64(kv->first.end);
-    writer->PutMatrix(kv->second);
-  }
-
   writer->PutU64(finalized.size());
   for (const FinalizedMessage& fm : finalized) {
     writer->PutI64(fm.message_id);
@@ -92,15 +69,13 @@ Status StreamState::Save(io::TensorWriter* writer) const {
   }
 
   writer->PutU64(evicted_messages);
-  writer->PutU64(embed_cache_hits);
-  writer->PutU64(embed_cache_misses);
   return writer->EndRecord(io::kTagPipelineState);
 }
 
-Status StreamState::Load(io::TensorReader* reader) {
+Status StreamState::Load(io::TensorReader* reader,
+                         const PhraseEmbedder& embedder) {
   StreamState restored;
   NERGLOB_RETURN_IF_ERROR(restored.tweet_base.Load(reader));
-  NERGLOB_RETURN_IF_ERROR(restored.candidate_base.Load(reader));
 
   auto fail = [&](const char* what) {
     return reader->status().ok()
@@ -109,6 +84,30 @@ Status StreamState::Load(io::TensorReader* reader) {
                                reader->path().c_str(), what))
                : reader->status();
   };
+
+  // The same span rule mention extraction applies: a mention must start
+  // inside its sentence's encoded prefix and is pooled over the part of
+  // the span the encoder kept. Validating here turns a crafted record into
+  // a typed error instead of a failed CHECK in the embedder.
+  const std::string& path = reader->path();
+  const stream::TweetBase& tweets = restored.tweet_base;
+  auto embed = [&](const stream::MentionRecord& m, Matrix* out) -> Status {
+    const stream::SentenceRecord* rec = tweets.Find(m.message_id);
+    if (rec == nullptr || m.begin_token >= m.end_token ||
+        m.end_token > rec->message.tokens.size() ||
+        m.begin_token >= rec->token_embeddings.rows() ||
+        rec->token_embeddings.cols() != embedder.dim()) {
+      return Status::InvalidArgument(StrFormat(
+          "'%s': corrupt candidate-base record (mention [%zu, %zu) of "
+          "message %lld has no embeddable span)",
+          path.c_str(), m.begin_token, m.end_token,
+          static_cast<long long>(m.message_id)));
+    }
+    embedder.EmbedInto(rec->token_embeddings, m.begin_token,
+                       std::min(m.end_token, rec->token_embeddings.rows()), out);
+    return Status::OK();
+  };
+  NERGLOB_RETURN_IF_ERROR(restored.candidate_base.Load(reader, embed));
 
   NERGLOB_RETURN_IF_ERROR(reader->NextRecord(io::kTagTrie));
   uint64_t num_forms = 0;
@@ -161,20 +160,6 @@ Status StreamState::Load(io::TensorReader* reader) {
                                   static_cast<int>(support));
   }
 
-  if (!reader->GetU64(&count)) return fail("cache count");
-  for (uint64_t i = 0; i < count; ++i) {
-    SpanKey key;
-    uint64_t begin = 0, end = 0;
-    Matrix emb;
-    if (!reader->GetI64(&key.message_id) || !reader->GetU64(&begin) ||
-        !reader->GetU64(&end) || !reader->GetMatrix(&emb)) {
-      return fail("cache entry");
-    }
-    key.begin = begin;
-    key.end = end;
-    restored.embed_cache.emplace(key, std::move(emb));
-  }
-
   if (!reader->GetU64(&count) || count > reader->RemainingInRecord()) {
     return fail("finalized count");
   }
@@ -200,14 +185,9 @@ Status StreamState::Load(io::TensorReader* reader) {
     }
   }
 
-  uint64_t evicted = 0, hits = 0, misses = 0;
-  if (!reader->GetU64(&evicted) || !reader->GetU64(&hits) ||
-      !reader->GetU64(&misses)) {
-    return fail("counters");
-  }
+  uint64_t evicted = 0;
+  if (!reader->GetU64(&evicted)) return fail("counters");
   restored.evicted_messages = static_cast<size_t>(evicted);
-  restored.embed_cache_hits = static_cast<size_t>(hits);
-  restored.embed_cache_misses = static_cast<size_t>(misses);
   NERGLOB_RETURN_IF_ERROR(reader->ExpectRecordEnd());
 
   *this = std::move(restored);

@@ -11,7 +11,6 @@
 #include "common/status.h"
 #include "stream/candidate_base.h"
 #include "stream/tweet_base.h"
-#include "tensor/matrix.h"
 #include "text/bio.h"
 #include "trie/candidate_trie.h"
 
@@ -21,6 +20,8 @@ class TensorReader;
 }  // namespace nerglob::io
 
 namespace nerglob::core {
+
+class PhraseEmbedder;
 
 /// A message that left the sliding window: its id and the final Global NER
 /// spans it had at eviction time (the checkpoint the streaming session
@@ -40,7 +41,6 @@ struct PipelineMemoryUsage {
   size_t tweet_base_bytes = 0;
   size_t candidate_base_bytes = 0;
   size_t trie_bytes = 0;
-  size_t embed_cache_bytes = 0;
   /// Footprint of the process-wide lm::EncodeCache (0 when disabled).
   /// Reported for the operator's whole-process picture but NOT summed
   /// into total_bytes: the cache is shared, so adding it to every
@@ -49,36 +49,18 @@ struct PipelineMemoryUsage {
   size_t total_bytes = 0;
 };
 
-/// Cache key for one embedded span: (message id, token span).
-struct SpanKey {
-  int64_t message_id = 0;
-  size_t begin = 0;
-  size_t end = 0;
-  friend bool operator==(const SpanKey& a, const SpanKey& b) {
-    return a.message_id == b.message_id && a.begin == b.begin && a.end == b.end;
-  }
-};
-struct SpanKeyHash {
-  size_t operator()(const SpanKey& k) const {
-    size_t h = std::hash<int64_t>()(k.message_id);
-    h = h * 1000003u ^ std::hash<size_t>()(k.begin);
-    h = h * 1000003u ^ std::hash<size_t>()(k.end);
-    return h;
-  }
-};
-
 /// All mutable state one stream session accumulates: the three stores
 /// (TweetBase, CTrie, CandidateBase), the incremental-refresh and eviction
-/// bookkeeping, the phrase-embedding cache, and the finalized-output
-/// buffer. The counterpart of the immutable ModelBundle in the
-/// model/session split — NerGlobalizer is a thin engine owning one
-/// StreamState and borrowing one const ModelBundle.
+/// bookkeeping, and the finalized-output buffer. The counterpart of the
+/// immutable ModelBundle in the model/session split — NerGlobalizer is a
+/// thin engine owning one StreamState and borrowing one const ModelBundle.
 ///
-/// Serializable: Save/Load checkpoint the complete state bit-identically
-/// (unordered containers are written in sorted key order; the restored
-/// CandidateBase keeps its incrementally-maintained embedding sums
-/// verbatim), so a restored session's Predictions() at every
-/// PipelineStage equal the uninterrupted run's.
+/// Serializable: Save writes only what cannot be recomputed (unordered
+/// containers in sorted key order). Mention phrase embeddings are a pure
+/// function of the TweetBase's token embeddings and the PhraseEmbedder, so
+/// Save omits them and Load recomputes them bit-identically; a restored
+/// session's Predictions() at every PipelineStage equal the uninterrupted
+/// run's.
 struct StreamState {
   stream::TweetBase tweet_base;
   trie::CandidateTrie trie;
@@ -94,27 +76,26 @@ struct StreamState {
   /// the CandidateBase — exactly the surfaces a from-scratch rebuild of the
   /// window would never have seeded.
   std::unordered_map<std::string, int> seed_support;
-  /// Memoized PhraseEmbedder outputs keyed by (message id, span); entries
-  /// live as long as their message. Only populated in windowed mode.
-  std::unordered_map<SpanKey, Matrix, SpanKeyHash> embed_cache;
   /// Predictions flushed by eviction, awaiting TakeFinalized().
   std::vector<FinalizedMessage> finalized;
 
   size_t evicted_messages = 0;
-  size_t embed_cache_hits = 0;
-  size_t embed_cache_misses = 0;
 
   /// Approximate heap footprint per store. O(state size).
   PipelineMemoryUsage MemoryUsage() const;
 
-  /// Appends the complete state as a sequence of checksummed records
-  /// (tweet base, candidate base, trie, pipeline bookkeeping).
+  /// Appends the state as a sequence of checksummed records (tweet base,
+  /// candidate base, trie, pipeline bookkeeping), without phrase
+  /// embeddings.
   Status Save(io::TensorWriter* writer) const;
 
-  /// Restores a state saved with Save. Two-phase: `*this` is replaced only
-  /// once every record validates, so a corrupt checkpoint leaves the
-  /// state untouched.
-  Status Load(io::TensorReader* reader);
+  /// Restores a state saved with Save, recomputing every mention's phrase
+  /// embedding with `embedder` from the restored token embeddings. A
+  /// mention that points outside its sentence, or at a message the
+  /// TweetBase does not hold, fails with InvalidArgument. Two-phase:
+  /// `*this` is replaced only once every record validates, so a corrupt
+  /// checkpoint leaves the state untouched.
+  Status Load(io::TensorReader* reader, const PhraseEmbedder& embedder);
 };
 
 }  // namespace nerglob::core

@@ -236,6 +236,9 @@ bool TensorReader::Take(void* bytes, size_t n) {
         path_.c_str(), n, payload_.size() - cursor_)));
     return false;
   }
+  // An empty read may come with a null destination (an empty matrix) or a
+  // null source (an empty payload); memcpy must not see either.
+  if (n == 0) return true;
   std::memcpy(bytes, payload_.data() + cursor_, n);
   cursor_ += n;
   return true;

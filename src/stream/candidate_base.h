@@ -2,6 +2,7 @@
 #define NERGLOB_STREAM_CANDIDATE_BASE_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -19,13 +20,22 @@ class TensorReader;
 namespace nerglob::stream {
 
 /// A reference to one mention of a surface form, with its local contextual
-/// phrase embedding (Sec. V-B output).
+/// phrase embedding (Sec. V-B output). The pool entry is the embedding's
+/// only copy in memory. It is a pure function of the message's token
+/// embeddings, so checkpoints omit it and Load recomputes it.
 struct MentionRecord {
   int64_t message_id = 0;
   size_t begin_token = 0;
   size_t end_token = 0;
   Matrix local_embedding;  ///< (1, d)
 };
+
+/// Recomputes a restored mention's local embedding into `out`, or returns a
+/// non-OK Status when the mention cannot be embedded (e.g. it points past
+/// its sentence). CandidateBase::Load calls it concurrently from pool
+/// threads, so it must be safe to call from several threads at once.
+using MentionEmbedder =
+    std::function<Status(const MentionRecord& mention, Matrix* out)>;
 
 /// One entity candidate = one cluster of mentions of a surface form
 /// (Sec. V-D: "every candidate cluster corresponds to a unique entity
@@ -41,8 +51,7 @@ struct CandidateEntry {
 
 /// CandidateBase: for each surface form, the growing pool of mention
 /// records plus the current cluster -> candidate partition. Pools are
-/// append-only between eviction rounds so global embeddings can be updated
-/// incrementally as new mentions arrive; windowed eviction
+/// append-only between eviction rounds; windowed eviction
 /// (RemoveMentionsOf / RemoveSurface) is the only operation that shrinks
 /// or reindexes a pool.
 ///
@@ -57,7 +66,7 @@ class CandidateBase {
   CandidateBase() = default;
 
   /// Appends a mention to the surface form's pool; returns its index.
-  /// Amortized O(d) (running-sum update).
+  /// Amortized O(1).
   size_t AddMention(const std::string& surface, MentionRecord mention);
 
   /// The mention pool for a surface form (empty if unknown). O(1).
@@ -83,10 +92,8 @@ class CandidateBase {
 
   /// Drops every mention whose message id is in `ids`, compacting the
   /// affected pools (indices shift!) and clearing their now-stale candidate
-  /// partitions. Embedding running sums are recomputed from the surviving
-  /// mentions in pool order, so the result is deterministic. Returns the
-  /// surfaces whose pools changed (callers must re-cluster them).
-  /// O(total mentions + changed pools * d).
+  /// partitions. Survivors keep their pool order. Returns the surfaces whose
+  /// pools changed (callers must re-cluster them). O(total mentions).
   std::vector<std::string> RemoveMentionsOf(
       const std::unordered_set<int64_t>& ids);
 
@@ -95,10 +102,10 @@ class CandidateBase {
   /// eviction. O(number of surfaces) for the order compaction.
   void RemoveSurface(const std::string& surface);
 
-  /// Running mean of the surface's local mention embeddings, maintained
-  /// incrementally in O(d) per AddMention (Sec. V-D: "global embeddings can
-  /// be incrementally updated by adding local embeddings into the pool").
-  /// Empty matrix for unknown surfaces or pools without embeddings.
+  /// Mean of the surface's non-empty local mention embeddings (Sec. V-D's
+  /// pooled global embedding), summed in pool order. Computed on demand so
+  /// that the pool stays the only stored copy. Empty matrix for unknown
+  /// surfaces or pools without embeddings. O(pool size * d).
   Matrix MeanEmbedding(const std::string& surface) const;
 
   /// Approximate heap footprint in bytes (mention embeddings dominate).
@@ -106,21 +113,22 @@ class CandidateBase {
   size_t MemoryUsageBytes() const;
 
   /// Appends the full store as one checksummed record
-  /// (io::kTagCandidateBase), surfaces in first-seen order. Pools, cluster
-  /// partitions, and the incrementally-maintained embedding sums are all
-  /// stored verbatim, so a restored base is bit-identical to the saved one.
+  /// (io::kTagCandidateBase), surfaces in first-seen order: each pool's
+  /// mention spans and its cluster partition. Local embeddings are not
+  /// written; Load recomputes them.
   Status Save(io::TensorWriter* writer) const;
 
-  /// Restores a store saved with Save; `*this` is replaced only once the
-  /// whole record validates.
-  Status Load(io::TensorReader* reader);
+  /// Restores a store saved with Save, filling every mention's
+  /// local_embedding through `embed` (in parallel). `*this` is replaced
+  /// only once the whole record validates and every embedding succeeds, so
+  /// a restored base is bit-identical to the saved one whenever `embed`
+  /// reproduces the original embeddings.
+  Status Load(io::TensorReader* reader, const MentionEmbedder& embed);
 
  private:
   struct SurfaceData {
     std::vector<MentionRecord> mentions;
     std::vector<CandidateEntry> candidates;
-    Matrix embedding_sum;       ///< sum of non-empty local embeddings
-    size_t embedded_count = 0;  ///< how many mentions contributed
   };
 
   std::unordered_map<std::string, SurfaceData> by_surface_;

@@ -1,5 +1,6 @@
 #include "common/check.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "io/tensor_io.h"
 #include "stream/candidate_base.h"
 #include "stream/message.h"
@@ -245,24 +246,23 @@ size_t CandidateBase::AddMention(const std::string& surface,
     surface_order_.push_back(surface);
     it = by_surface_.emplace(surface, SurfaceData{}).first;
   }
-  SurfaceData& data = it->second;
-  if (!mention.local_embedding.empty()) {
-    if (data.embedded_count == 0) {
-      data.embedding_sum = mention.local_embedding;
-    } else {
-      data.embedding_sum.AddInPlace(mention.local_embedding);
-    }
-    ++data.embedded_count;
-  }
-  data.mentions.push_back(std::move(mention));
-  return data.mentions.size() - 1;
+  std::vector<MentionRecord>& mentions = it->second.mentions;
+  mentions.push_back(std::move(mention));
+  return mentions.size() - 1;
 }
 
 Matrix CandidateBase::MeanEmbedding(const std::string& surface) const {
-  auto it = by_surface_.find(surface);
-  if (it == by_surface_.end() || it->second.embedded_count == 0) return Matrix();
-  Matrix mean = it->second.embedding_sum;
-  mean.Scale(1.0f / static_cast<float>(it->second.embedded_count));
+  Matrix mean;
+  size_t count = 0;
+  for (const MentionRecord& m : Mentions(surface)) {
+    if (m.local_embedding.empty()) continue;
+    if (count++ == 0) {
+      mean = m.local_embedding;
+    } else {
+      mean.AddInPlace(m.local_embedding);
+    }
+  }
+  if (count > 0) mean.Scale(1.0f / static_cast<float>(count));
   return mean;
 }
 
@@ -327,19 +327,6 @@ std::vector<std::string> CandidateBase::RemoveMentionsOf(
       if (ids.count(m.message_id) == 0) kept.push_back(std::move(m));
     }
     data.mentions = std::move(kept);
-    // Recompute the running sum from the survivors in pool order — the same
-    // accumulation order a from-scratch rebuild of the window would use.
-    data.embedding_sum = Matrix();
-    data.embedded_count = 0;
-    for (const MentionRecord& m : data.mentions) {
-      if (m.local_embedding.empty()) continue;
-      if (data.embedded_count == 0) {
-        data.embedding_sum = m.local_embedding;
-      } else {
-        data.embedding_sum.AddInPlace(m.local_embedding);
-      }
-      ++data.embedded_count;
-    }
     // Indices shifted: the old partition is meaningless until re-clustered.
     data.candidates.clear();
     changed.push_back(surface);
@@ -367,7 +354,6 @@ Status CandidateBase::Save(io::TensorWriter* writer) const {
       writer->PutI64(m.message_id);
       writer->PutU64(m.begin_token);
       writer->PutU64(m.end_token);
-      writer->PutMatrix(m.local_embedding);
     }
     // CandidateEntry::surface always equals the pool's surface, so only
     // the partition structure is stored.
@@ -379,13 +365,12 @@ Status CandidateBase::Save(io::TensorWriter* writer) const {
       writer->PutU32(static_cast<uint32_t>(c.type));
       writer->PutF32(c.confidence);
     }
-    writer->PutMatrix(data.embedding_sum);
-    writer->PutU64(data.embedded_count);
   }
   return writer->EndRecord(io::kTagCandidateBase);
 }
 
-Status CandidateBase::Load(io::TensorReader* reader) {
+Status CandidateBase::Load(io::TensorReader* reader,
+                           const MentionEmbedder& embed) {
   NERGLOB_RETURN_IF_ERROR(reader->NextRecord(io::kTagCandidateBase));
   auto fail = [&](const char* what) {
     return reader->status().ok()
@@ -409,7 +394,7 @@ Status CandidateBase::Load(io::TensorReader* reader) {
     for (MentionRecord& m : data.mentions) {
       uint64_t begin = 0, end = 0;
       if (!reader->GetI64(&m.message_id) || !reader->GetU64(&begin) ||
-          !reader->GetU64(&end) || !reader->GetMatrix(&m.local_embedding)) {
+          !reader->GetU64(&end)) {
         return fail("mention");
       }
       m.begin_token = begin;
@@ -443,16 +428,27 @@ Status CandidateBase::Load(io::TensorReader* reader) {
       }
       c.is_entity = is_entity != 0;
     }
-    uint64_t embedded_count = 0;
-    if (!reader->GetMatrix(&data.embedding_sum) ||
-        !reader->GetU64(&embedded_count)) {
-      return fail("embedding sum");
+    if (!restored.by_surface_.emplace(surface, std::move(data)).second) {
+      return fail("duplicate surface");
     }
-    data.embedded_count = static_cast<size_t>(embedded_count);
-    restored.surface_order_.push_back(surface);
-    restored.by_surface_.emplace(std::move(surface), std::move(data));
+    restored.surface_order_.push_back(std::move(surface));
   }
   NERGLOB_RETURN_IF_ERROR(reader->ExpectRecordEnd());
+
+  // The embeddings are independent of each other, so they are recomputed
+  // in parallel into their own records; the first failure in pool order is
+  // reported, whatever the thread count.
+  std::vector<MentionRecord*> pending;
+  for (const std::string& surface : restored.surface_order_) {
+    for (MentionRecord& m : restored.by_surface_.at(surface).mentions) {
+      pending.push_back(&m);
+    }
+  }
+  std::vector<Status> embedded(pending.size());
+  ParallelFor(0, pending.size(), /*grain=*/16, [&](size_t i) {
+    embedded[i] = embed(*pending[i], &pending[i]->local_embedding);
+  });
+  for (const Status& st : embedded) NERGLOB_RETURN_IF_ERROR(st);
   *this = std::move(restored);
   return Status::OK();
 }
@@ -470,7 +466,6 @@ size_t CandidateBase::MemoryUsageBytes() const {
     for (const CandidateEntry& c : data.candidates) {
       bytes += c.surface.capacity() + c.mention_ids.capacity() * sizeof(size_t);
     }
-    bytes += data.embedding_sum.size() * sizeof(float);
   }
   return bytes;
 }

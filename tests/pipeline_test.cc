@@ -416,7 +416,28 @@ TEST_F(PipelineTest, MemoryUsageReflectsEviction) {
   EXPECT_LT(small.tweet_base_bytes, big.tweet_base_bytes);
   EXPECT_LT(small.total_bytes, big.total_bytes);
   EXPECT_EQ(big.total_bytes, big.tweet_base_bytes + big.candidate_base_bytes +
-                                 big.trie_bytes + big.embed_cache_bytes);
+                                 big.trie_bytes);
+}
+
+TEST_F(PipelineTest, WindowedRunEmbedsEveryExtractedMentionOnce) {
+  // Eviction rescans re-extract spans of live sentences. Each extraction
+  // is embedded afresh into the pool, its only copy, so the embed counter
+  // equals the extraction counter with a window too.
+  auto messages = Dataset("D2");
+  auto pipeline = MakePipeline(/*window_messages=*/messages.size() / 4);
+  metrics::SetEnabled(true);
+  metrics::MetricsRegistry::Global().ResetAll();
+  pipeline.ProcessAll(messages, messages.size() / 8);
+  auto& registry = metrics::MetricsRegistry::Global();
+  const uint64_t mentions =
+      registry.GetCounter("pipeline.mentions_extracted_total")->value();
+  const uint64_t embeds =
+      registry.GetCounter("pipeline.phrase_embeds_total")->value();
+  const uint64_t evicted = registry.GetCounter("stream.evicted_messages")->value();
+  metrics::SetEnabled(false);
+  EXPECT_GT(evicted, 0u);
+  EXPECT_GT(mentions, pipeline.candidate_base().TotalMentions());
+  EXPECT_EQ(embeds, mentions);
 }
 
 TEST_F(PipelineTest, RunDatasetAlignsScoresAndPredictions) {

@@ -179,6 +179,33 @@ TEST(TensorIoTest, PrimitiveRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(TensorIoTest, EmptyValuesRoundTrip) {
+  // Zero-byte reads hand the copy a null pointer (an empty matrix owns no
+  // storage); under UBSan this pins that none reaches memcpy.
+  const std::string path = TempPath("empty_values.bin");
+  {
+    io::TensorWriter writer(path);
+    writer.PutMatrix(Matrix());
+    writer.PutMatrix(Matrix(0, 4));
+    writer.PutString("");
+    ASSERT_TRUE(writer.EndRecord(io::kTagBlob).ok());
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  io::TensorReader reader(path);
+  ASSERT_TRUE(reader.NextRecord(io::kTagBlob).ok());
+  Matrix empty = SmallMatrix(), no_rows = SmallMatrix();
+  std::string s = "stale";
+  EXPECT_TRUE(reader.GetMatrix(&empty));
+  EXPECT_TRUE(reader.GetMatrix(&no_rows));
+  EXPECT_TRUE(reader.GetString(&s));
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(no_rows.cols(), 4u);
+  EXPECT_EQ(no_rows.rows(), 0u);
+  EXPECT_TRUE(s.empty());
+  EXPECT_TRUE(reader.ExpectRecordEnd().ok());
+  std::remove(path.c_str());
+}
+
 TEST(TensorIoTest, WrongRecordTagRejected) {
   const std::string path = WriteSampleFile("wrong_tag.bin");
   io::TensorReader reader(path);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <set>
@@ -11,6 +12,7 @@
 #include "common/scratch_arena.h"
 #include "common/thread_pool.h"
 #include "harness/experiment.h"
+#include "io/tensor_io.h"
 #include "stream/streaming_session.h"
 
 namespace nerglob {
@@ -298,6 +300,67 @@ TEST_F(StreamingSessionTest, SteadyStateProcessingNeverGrowsTheArena) {
   EXPECT_EQ(arena.heap_allocs(), warm_allocs)
       << "steady-state ProcessBatch grew the scratch arena";
   SetParallelism(0);
+}
+
+TEST_F(StreamingSessionTest, RestoreRecomputesEveryPhraseEmbedding) {
+  // The checkpoint carries no phrase embeddings; the restored pools must
+  // still hold every mention's embedding, bit for bit.
+  const std::string path =
+      std::string(::testing::TempDir()) + "/session_embeddings.bin";
+  auto messages = Dataset("D2");
+  const size_t window = messages.size() / 4;
+  stream::StreamSource source(messages, window / 2);
+  auto session = MakeSession(window);
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(session.Step(&source));
+  ASSERT_TRUE(session.Checkpoint(path).ok());
+  auto restored = MakeSession(window);
+  ASSERT_TRUE(restored.Restore(path).ok());
+
+  const stream::CandidateBase& want = session.pipeline().candidate_base();
+  const stream::CandidateBase& got = restored.pipeline().candidate_base();
+  ASSERT_EQ(got.surfaces(), want.surfaces());
+  ASSERT_GT(want.TotalMentions(), 0u);
+  for (const std::string& surface : want.surfaces()) {
+    const auto& a = want.Mentions(surface);
+    const auto& b = got.Mentions(surface);
+    ASSERT_EQ(a.size(), b.size()) << surface;
+    for (size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a[i].local_embedding.size(), b[i].local_embedding.size());
+      EXPECT_EQ(std::memcmp(a[i].local_embedding.data(),
+                            b[i].local_embedding.data(),
+                            a[i].local_embedding.size() * sizeof(float)),
+                0)
+          << surface << " mention " << i;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(StreamingSessionTest, RestoreRejectsCheckpointWithoutLayoutVersion) {
+  // Checkpoints from before the layout version (which also stored phrase
+  // embeddings) open with the bundle fingerprint. They are refused as a
+  // version mismatch instead of being misparsed.
+  const std::string path =
+      std::string(::testing::TempDir()) + "/session_unversioned.bin";
+  {
+    io::TensorWriter writer(path);
+    writer.PutU64(1);  // batches
+    writer.PutU64(4);  // messages
+    writer.PutU32(0);  // flushed
+    writer.PutU64(0);  // finalized count
+    ASSERT_TRUE(writer.EndRecord(io::kTagSession).ok());
+    writer.PutString(system_->bundle.Fingerprint());
+    writer.PutF32(system_->bundle.config().cluster_threshold);
+    ASSERT_TRUE(writer.EndRecord(io::kTagCheckpoint).ok());
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  auto session = MakeSession(0);
+  const Status s = session.Restore(path);
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  EXPECT_NE(s.message().find("layout version"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(session.batches_processed(), 0u);
+  std::remove(path.c_str());
 }
 
 TEST_F(StreamingSessionTest, RestoreRejectsMismatchedWindowConfig) {
