@@ -17,11 +17,12 @@ namespace nerglob::core {
 namespace {
 
 /// Layout of a session checkpoint's pipeline records, written first in the
-/// kTagCheckpoint header. Version 2 stores no phrase embeddings: no
-/// per-mention embeddings, no per-surface embedding sums and no
-/// (message, span) embedding cache. Restore recomputes the embeddings from
-/// the checkpointed token embeddings. Version 1 files had no version field.
-constexpr uint32_t kCheckpointLayoutVersion = 2;
+/// kTagCheckpoint header. Version 3 stores each TweetBase record's message
+/// only: restore re-encodes the token embeddings and BIO labels, then
+/// recomputes the phrase embeddings from them. Version 2 also stored the
+/// token embeddings and BIO labels; version 1 also stored phrase
+/// embeddings and had no version field.
+constexpr uint32_t kCheckpointLayoutVersion = 3;
 
 }  // namespace
 
@@ -83,6 +84,11 @@ Status NerGlobalizer::Checkpoint(io::TensorWriter* writer) const {
 }
 
 Status NerGlobalizer::Restore(io::TensorReader* reader) {
+  if (model_ == nullptr) {
+    return Status::FailedPrecondition(StrFormat(
+        "'%s': restore re-encodes the window, but this pipeline has no model",
+        reader->path().c_str()));
+  }
   NERGLOB_RETURN_IF_ERROR(reader->NextRecord(io::kTagCheckpoint));
   uint32_t layout = 0;
   if (!reader->GetU32(&layout)) return reader->status();
@@ -131,7 +137,8 @@ Status NerGlobalizer::Restore(io::TensorReader* reader) {
   // StreamState::Load is itself two-phase, so a corrupt state record
   // leaves this pipeline untouched; only the timing counters must wait
   // for it to succeed.
-  NERGLOB_RETURN_IF_ERROR(state_.Load(reader, *embedder_));
+  NERGLOB_RETURN_IF_ERROR(state_.Load(reader, *model_, *embedder_,
+                                      config_.process_batch_size));
   local_seconds_ = local_s;
   global_seconds_ = global_s;
   return Status::OK();

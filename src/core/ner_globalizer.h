@@ -114,16 +114,19 @@ class NerGlobalizer {
 
   /// Appends the session state (one kTagCheckpoint header record: layout
   /// version, bundle fingerprint, config echo, timing counters — then the
-  /// StreamState records, which omit phrase embeddings) to an open
-  /// artifact. Restoring the result reproduces Predictions()
-  /// bit-identically at every PipelineStage.
+  /// StreamState records, which omit encoder outputs and phrase
+  /// embeddings) to an open artifact. Restoring the result reproduces
+  /// Predictions() bit-identically at every PipelineStage.
   Status Checkpoint(io::TensorWriter* writer) const;
 
-  /// Restores a checkpoint written by Checkpoint, recomputing every
-  /// mention's phrase embedding with this pipeline's embedder. Fails
-  /// (leaving the current state untouched) if the checkpoint's layout
-  /// version, bundle fingerprint or pipeline config disagree with this
-  /// pipeline's, or if any record is corrupt or truncated.
+  /// Restores a checkpoint written by Checkpoint: re-encodes the live
+  /// window with this pipeline's model, in chunks of
+  /// config().process_batch_size, and recomputes every mention's phrase
+  /// embedding with its embedder. Fails (leaving the current state
+  /// untouched) with FailedPrecondition if the pipeline has no model or
+  /// the checkpoint's layout version, bundle fingerprint or pipeline
+  /// config disagree with this pipeline's, and with a typed error if any
+  /// record is corrupt or truncated.
   Status Restore(io::TensorReader* reader);
 
   /// Message ids in stream order (aligned with Predictions()); the live

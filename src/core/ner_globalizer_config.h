@@ -29,7 +29,8 @@ struct NerGlobalizerConfig {
   /// path; both produce bit-identical Predictions() (enforced by test),
   /// the full path just wastes work re-deriving unchanged candidates.
   bool incremental_refresh = true;
-  /// Batch size used by ProcessAll when the caller passes 0 (the default).
+  /// Batch size used by ProcessAll when the caller passes 0 (the default),
+  /// and messages per EncodeMany call when Restore re-encodes the window.
   /// A driver knob, not state semantics: it is NOT echoed into checkpoints
   /// and any value yields bit-identical outputs for the same batching.
   size_t process_batch_size = 256;

@@ -4,9 +4,11 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "common/trace.h"
 #include "core/phrase_embedder.h"
 #include "io/tensor_io.h"
 #include "lm/encode_cache.h"
+#include "lm/micro_bert.h"
 
 namespace nerglob::core {
 
@@ -72,10 +74,35 @@ Status StreamState::Save(io::TensorWriter* writer) const {
   return writer->EndRecord(io::kTagPipelineState);
 }
 
-Status StreamState::Load(io::TensorReader* reader,
-                         const PhraseEmbedder& embedder) {
+Status StreamState::Load(io::TensorReader* reader, const lm::MicroBert& model,
+                         const PhraseEmbedder& embedder,
+                         size_t encode_batch_size) {
   StreamState restored;
   NERGLOB_RETURN_IF_ERROR(restored.tweet_base.Load(reader));
+
+  // Re-encode the live window. EncodeMany is batch-composition invariant
+  // (and exact under dedup and the encode cache), so each record gets the
+  // bytes LocalEncode produced; chunking only bounds the transient logits.
+  // Results are moved into the records, never copied.
+  {
+    static const trace::TraceStage kStage("restore_encode");
+    trace::TraceSpan span(kStage);
+    const std::vector<int64_t>& ids = restored.tweet_base.ids();
+    const size_t chunk = std::max<size_t>(encode_batch_size, 1);
+    for (size_t begin = 0; begin < ids.size(); begin += chunk) {
+      std::vector<stream::SentenceRecord*> records;
+      std::vector<const std::vector<text::Token>*> sentences;
+      for (size_t i = begin; i < std::min(ids.size(), begin + chunk); ++i) {
+        records.push_back(restored.tweet_base.FindMutable(ids[i]));
+        sentences.push_back(&records.back()->message.tokens);
+      }
+      std::vector<lm::EncodeResult> encoded = model.EncodeMany(sentences);
+      for (size_t i = 0; i < records.size(); ++i) {
+        records[i]->token_embeddings = std::move(encoded[i].embeddings);
+        records[i]->local_bio = std::move(encoded[i].bio_labels);
+      }
+    }
+  }
 
   auto fail = [&](const char* what) {
     return reader->status().ok()
@@ -95,11 +122,10 @@ Status StreamState::Load(io::TensorReader* reader,
     const stream::SentenceRecord* rec = tweets.Find(m.message_id);
     if (rec == nullptr || m.begin_token >= m.end_token ||
         m.end_token > rec->message.tokens.size() ||
-        m.begin_token >= rec->token_embeddings.rows() ||
-        rec->token_embeddings.cols() != embedder.dim()) {
+        m.begin_token >= rec->token_embeddings.rows()) {
       return Status::InvalidArgument(StrFormat(
           "'%s': corrupt candidate-base record (mention [%zu, %zu) of "
-          "message %lld has no embeddable span)",
+          "message %lld has no span in the re-encoded window)",
           path.c_str(), m.begin_token, m.end_token,
           static_cast<long long>(m.message_id)));
     }

@@ -19,6 +19,10 @@ class TensorWriter;
 class TensorReader;
 }  // namespace nerglob::io
 
+namespace nerglob::lm {
+class MicroBert;
+}  // namespace nerglob::lm
+
 namespace nerglob::core {
 
 class PhraseEmbedder;
@@ -56,11 +60,12 @@ struct PipelineMemoryUsage {
 /// thin engine owning one StreamState and borrowing one const ModelBundle.
 ///
 /// Serializable: Save writes only what cannot be recomputed (unordered
-/// containers in sorted key order). Mention phrase embeddings are a pure
-/// function of the TweetBase's token embeddings and the PhraseEmbedder, so
-/// Save omits them and Load recomputes them bit-identically; a restored
-/// session's Predictions() at every PipelineStage equal the uninterrupted
-/// run's.
+/// containers in sorted key order). Token embeddings and local BIO labels
+/// are a pure function of the encoder and each message's tokens, and
+/// mention phrase embeddings of those token embeddings and the
+/// PhraseEmbedder, so Save omits all three and Load recomputes them
+/// bit-identically; a restored session's Predictions() at every
+/// PipelineStage equal the uninterrupted run's.
 struct StreamState {
   stream::TweetBase tweet_base;
   trie::CandidateTrie trie;
@@ -85,17 +90,20 @@ struct StreamState {
   PipelineMemoryUsage MemoryUsage() const;
 
   /// Appends the state as a sequence of checksummed records (tweet base,
-  /// candidate base, trie, pipeline bookkeeping), without phrase
-  /// embeddings.
+  /// candidate base, trie, pipeline bookkeeping), without encoder outputs
+  /// or phrase embeddings.
   Status Save(io::TensorWriter* writer) const;
 
-  /// Restores a state saved with Save, recomputing every mention's phrase
-  /// embedding with `embedder` from the restored token embeddings. A
-  /// mention that points outside its sentence, or at a message the
-  /// TweetBase does not hold, fails with InvalidArgument. Two-phase:
-  /// `*this` is replaced only once every record validates, so a corrupt
-  /// checkpoint leaves the state untouched.
-  Status Load(io::TensorReader* reader, const PhraseEmbedder& embedder);
+  /// Restores a state saved with Save. Re-encodes the live window with
+  /// `model` (EncodeMany, `encode_batch_size` messages per call, under the
+  /// `restore_encode` trace stage), then recomputes every mention's phrase
+  /// embedding with `embedder`. A mention that does not start inside its
+  /// sentence's re-encoded prefix, or that names a message the TweetBase
+  /// does not hold, fails with InvalidArgument. Two-phase: `*this` is
+  /// replaced only once every record validates, so a corrupt checkpoint
+  /// leaves the state untouched.
+  Status Load(io::TensorReader* reader, const lm::MicroBert& model,
+              const PhraseEmbedder& embedder, size_t encode_batch_size);
 };
 
 }  // namespace nerglob::core

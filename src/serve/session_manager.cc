@@ -670,8 +670,8 @@ Status SessionManager::RestoreAll(const std::string& dir) {
   }
   const std::vector<uint64_t> generations = io::ListGenerations(dir);
   if (generations.empty()) {
-    // Pre-generation checkpoints put manifest.ngm directly in `dir`.
-    return RestoreManifestLocked(dir);
+    return Status::NotFound(
+        StrFormat("no checkpoint found under '%s'", dir.c_str()));
   }
   return RestoreManifestLocked(
       dir + "/" + io::GenerationDirName(generations.back()));
@@ -685,12 +685,6 @@ Status SessionManager::RecoverLatest(const std::string& dir,
   }
   std::vector<uint64_t> generations = io::ListGenerations(dir);
   if (generations.empty()) {
-    std::error_code ec;
-    if (std::filesystem::exists(dir + "/manifest.ngm", ec)) {
-      NERGLOB_RETURN_IF_ERROR(RestoreManifestLocked(dir));
-      if (generation != nullptr) *generation = 0;
-      return Status::OK();
-    }
     return Status::NotFound(
         StrFormat("no checkpoint found under '%s'", dir.c_str()));
   }

@@ -209,13 +209,12 @@ class SessionManager {
   /// generations beyond config.checkpoint_retain are pruned.
   Status CheckpointAll(const std::string& dir);
 
-  /// Restores the *newest committed generation* under `dir` (or, for
-  /// pre-generation checkpoints, a flat `dir/manifest.ngm` layout),
-  /// opening one session per manifest entry. Strict: a corrupt newest
-  /// generation fails the call — use RecoverLatest to fall back. Two-phase:
-  /// any corrupt, truncated, or config/fingerprint-mismatched file fails
-  /// the whole call and leaves the manager without any of the manifest's
-  /// sessions. Fails if a manifest id is already open. The restored fleet
+  /// Restores the *newest committed generation* under `dir`, opening one
+  /// session per manifest entry; NotFound if `dir` holds no generation.
+  /// Strict: a corrupt newest generation fails the call — use
+  /// RecoverLatest to fall back. Two-phase: any corrupt, truncated, or
+  /// config/fingerprint-mismatched file fails the whole call and leaves
+  /// the manager without any of the manifest's sessions. Fails if a manifest id is already open. The restored fleet
   /// continues every stream bit-identically.
   Status RestoreAll(const std::string& dir);
 
@@ -226,9 +225,7 @@ class SessionManager {
   /// receives the restored generation number. Returns NotFound if `dir`
   /// holds no checkpoint at all, DataLoss if generations exist but none
   /// validates, AlreadyExists immediately (no fallback) if a manifest id
-  /// collides with an open session. Falls back to the legacy flat layout
-  /// (generation 0) when no `gen-*` directory exists but `dir/manifest.ngm`
-  /// does.
+  /// collides with an open session.
   Status RecoverLatest(const std::string& dir, uint64_t* generation = nullptr);
 
   SessionManagerStats stats() const;

@@ -139,21 +139,7 @@ bool GetMessage(io::TensorReader* r, Message* msg) {
 
 Status TweetBase::Save(io::TensorWriter* writer) const {
   writer->PutU64(order_.size());
-  for (int64_t id : order_) {
-    const SentenceRecord& rec = records_.at(id);
-    PutMessage(writer, rec.message);
-    writer->PutMatrix(rec.token_embeddings);
-    writer->PutU64(rec.local_bio.size());
-    for (int label : rec.local_bio) {
-      writer->PutU32(static_cast<uint32_t>(label));
-    }
-    writer->PutU64(rec.mentions.size());
-    for (const DetectedMention& m : rec.mentions) {
-      writer->PutU64(m.begin_token);
-      writer->PutU64(m.end_token);
-      writer->PutU32(static_cast<uint32_t>(m.type));
-    }
-  }
+  for (int64_t id : order_) PutMessage(writer, records_.at(id).message);
   return writer->EndRecord(io::kTagTweetBase);
 }
 
@@ -172,33 +158,6 @@ Status TweetBase::Load(io::TensorReader* reader) {
   for (uint64_t i = 0; i < count; ++i) {
     SentenceRecord rec;
     if (!GetMessage(reader, &rec.message)) return fail("message");
-    if (!reader->GetMatrix(&rec.token_embeddings)) return fail("embeddings");
-    uint64_t n = 0;
-    if (!reader->GetU64(&n) || n > reader->RemainingInRecord()) {
-      return fail("bio count");
-    }
-    rec.local_bio.resize(n);
-    for (uint64_t k = 0; k < n; ++k) {
-      uint32_t label = 0;
-      if (!reader->GetU32(&label) ||
-          label >= static_cast<uint32_t>(text::kNumBioLabels)) {
-        return fail("bio label");
-      }
-      rec.local_bio[k] = static_cast<int>(label);
-    }
-    if (!reader->GetU64(&n) || n > reader->RemainingInRecord()) {
-      return fail("mention count");
-    }
-    rec.mentions.resize(n);
-    for (DetectedMention& m : rec.mentions) {
-      uint64_t begin = 0, end = 0;
-      if (!reader->GetU64(&begin) || !reader->GetU64(&end) ||
-          !GetEntityType(reader, &m.type)) {
-        return fail("mention");
-      }
-      m.begin_token = begin;
-      m.end_token = end;
-    }
     restored.Put(std::move(rec));
   }
   NERGLOB_RETURN_IF_ERROR(reader->ExpectRecordEnd());
@@ -212,7 +171,6 @@ size_t TweetBase::MemoryUsageBytes() const {
     bytes += sizeof(int64_t) + sizeof(SentenceRecord);
     bytes += rec.token_embeddings.size() * sizeof(float);
     bytes += rec.local_bio.capacity() * sizeof(int);
-    bytes += rec.mentions.capacity() * sizeof(DetectedMention);
     bytes += rec.message.text.capacity();
     bytes += rec.message.tokens.capacity() * sizeof(text::Token);
     for (const auto& tok : rec.message.tokens) {

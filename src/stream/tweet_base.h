@@ -16,26 +16,14 @@ class TensorReader;
 
 namespace nerglob::stream {
 
-/// A mention detected in a sentence: token span + (possibly revised) type.
-struct DetectedMention {
-  size_t begin_token = 0;
-  size_t end_token = 0;
-  text::EntityType type = text::EntityType::kPerson;
-
-  friend bool operator==(const DetectedMention& a, const DetectedMention& b) {
-    return a.begin_token == b.begin_token && a.end_token == b.end_token &&
-           a.type == b.type;
-  }
-};
-
 /// Per-sentence record stored after Local NER (Sec. IV): the message, its
-/// entity-aware token embeddings (penultimate-layer outputs), the local BIO
-/// labels, and the mention list that Global NER later rewrites.
+/// entity-aware token embeddings (penultimate-layer outputs) and the local
+/// BIO labels. The last two are pure encoder outputs over the message's
+/// tokens, so checkpoints store only the message and restore re-encodes.
 struct SentenceRecord {
   Message message;
   Matrix token_embeddings;      ///< (num_tokens, d)
   std::vector<int> local_bio;   ///< Local NER label per token
-  std::vector<DetectedMention> mentions;  ///< final output mentions
 };
 
 /// TweetBase: sentence records indexed by message id. The paper indexes by
@@ -74,12 +62,13 @@ class TweetBase {
   size_t MemoryUsageBytes() const;
 
   /// Appends the full store as one checksummed record (io::kTagTweetBase),
-  /// records in insertion order. Part of StreamState checkpointing.
+  /// messages only, in insertion order. Part of StreamState checkpointing.
   Status Save(io::TensorWriter* writer) const;
 
-  /// Restores a store saved with Save. Two-phase: `*this` is replaced only
-  /// once the whole record validates, so a corrupt checkpoint leaves the
-  /// store untouched.
+  /// Restores a store saved with Save, with empty token embeddings and BIO
+  /// labels for StreamState::Load to re-encode. Two-phase: `*this` is
+  /// replaced only once the whole record validates, so a corrupt
+  /// checkpoint leaves the store untouched.
   Status Load(io::TensorReader* reader);
 
  private:

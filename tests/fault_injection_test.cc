@@ -461,16 +461,38 @@ void TruncateAfterHeader(const std::string& path) {
   fs::resize_file(path, sizeof(io::kMagic) + 2 * sizeof(uint32_t));
 }
 
+// Replaces the file with a layout-2 session checkpoint: a session record,
+// then a pipeline header that opens with layout version 2. Layout 3 writes
+// messages only, so such a file cannot be read by this build.
+void WriteLayoutTwoSession(const std::string& path,
+                           const std::string& fingerprint) {
+  io::TensorWriter writer(path);
+  writer.PutU64(1);  // batches
+  writer.PutU64(8);  // messages
+  writer.PutU32(0);  // flushed
+  writer.PutU64(0);  // finalized count
+  ASSERT_TRUE(writer.EndRecord(io::kTagSession).ok());
+  writer.PutU32(2);  // layout version
+  writer.PutString(fingerprint);
+  ASSERT_TRUE(writer.EndRecord(io::kTagCheckpoint).ok());
+  ASSERT_TRUE(writer.Finish().ok());
+}
+
 TEST_F(FaultInjectionTest, RecoverLatestSkipsEveryKindOfTornGeneration) {
   const auto batches = Batches("D1", 8);
   const size_t window = 16;
   const size_t half = batches.size() / 2;
   const auto want = SequentialReplay(batches, window);
 
-  enum class Corruption { kBitFlipManifest, kTruncateSession, kDeleteSession };
+  enum class Corruption {
+    kBitFlipManifest,
+    kTruncateSession,
+    kDeleteSession,
+    kLayoutTwoSession
+  };
   for (const Corruption corruption :
        {Corruption::kBitFlipManifest, Corruption::kTruncateSession,
-        Corruption::kDeleteSession}) {
+        Corruption::kDeleteSession, Corruption::kLayoutTwoSession}) {
     const std::string dir = TempPath(
         "torn_" + std::to_string(static_cast<int>(corruption)));
     fs::remove_all(dir);
@@ -497,11 +519,20 @@ TEST_F(FaultInjectionTest, RecoverLatestSkipsEveryKindOfTornGeneration) {
       case Corruption::kDeleteSession:
         fs::remove(gen2 + "/session_0.ckpt");
         break;
+      case Corruption::kLayoutTwoSession:
+        WriteLayoutTwoSession(gen2 + "/session_0.ckpt",
+                              system_->bundle.Fingerprint());
+        break;
     }
 
     // Strict restore refuses the corrupt newest generation outright...
     serve::SessionManager strict(&system_->bundle, ManagerConfig(2, window));
-    EXPECT_FALSE(strict.RestoreAll(dir).ok());
+    const Status strict_status = strict.RestoreAll(dir);
+    EXPECT_FALSE(strict_status.ok());
+    if (corruption == Corruption::kLayoutTwoSession) {
+      EXPECT_EQ(strict_status.code(), StatusCode::kFailedPrecondition)
+          << strict_status.ToString();
+    }
     EXPECT_TRUE(strict.SessionIds().empty());
 
     // ...while RecoverLatest falls back to generation 1, bit-identically.
@@ -527,6 +558,24 @@ TEST_F(FaultInjectionTest, RecoverLatestTypedFailures) {
 
   // Empty / missing root: nothing to recover.
   EXPECT_EQ(manager.RecoverLatest(dir).code(), StatusCode::kNotFound);
+
+  // A manifest directly under the root, with no gen-* directory, is not a
+  // checkpoint: only generation directories are ever restored.
+  {
+    serve::SessionManager flat(&system_->bundle, ManagerConfig(2, 16));
+    ASSERT_TRUE(flat.Open("s0").ok());
+    ASSERT_TRUE(flat.CheckpointAll(dir).ok());
+    const std::string gen1 = dir + "/" + io::GenerationDirName(1);
+    for (const auto& entry : fs::directory_iterator(gen1)) {
+      fs::rename(entry.path(), dir + "/" + entry.path().filename().string());
+    }
+    fs::remove(gen1);
+    ASSERT_TRUE(fs::exists(dir + "/manifest.ngm"));
+  }
+  EXPECT_EQ(manager.RecoverLatest(dir).code(), StatusCode::kNotFound);
+  EXPECT_EQ(manager.RestoreAll(dir).code(), StatusCode::kNotFound);
+  EXPECT_TRUE(manager.SessionIds().empty());
+  fs::remove_all(dir);
 
   // Generations exist but every one is corrupt: DataLoss, no sessions.
   ASSERT_TRUE(manager.Open("s0").ok());

@@ -5,12 +5,14 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdio>
 #include <map>
 #include <set>
 
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "harness/experiment.h"
+#include "io/tensor_io.h"
 #include "text/tokenizer.h"
 
 namespace nerglob {
@@ -438,6 +440,30 @@ TEST_F(PipelineTest, WindowedRunEmbedsEveryExtractedMentionOnce) {
   EXPECT_GT(evicted, 0u);
   EXPECT_GT(mentions, pipeline.candidate_base().TotalMentions());
   EXPECT_EQ(embeds, mentions);
+}
+
+TEST_F(PipelineTest, RestoreWithoutModelFailsPrecondition) {
+  // Restore re-encodes the live window, so a pipeline built without an
+  // encoder refuses a checkpoint with a typed error, not a CHECK.
+  const std::string path =
+      std::string(::testing::TempDir()) + "/pipeline_no_model.bin";
+  auto messages = Dataset("D1");
+  messages.resize(std::min<size_t>(messages.size(), 32));
+  auto pipeline = MakePipeline();
+  pipeline.ProcessAll(messages);
+  {
+    io::TensorWriter writer(path);
+    ASSERT_TRUE(pipeline.Checkpoint(&writer).ok());
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  core::NerGlobalizer no_model(nullptr, &system_->bundle.embedder(),
+                               &system_->bundle.classifier(),
+                               core::DefaultPipelineConfig(system_->bundle));
+  io::TensorReader reader(path);
+  const Status s = no_model.Restore(&reader);
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  EXPECT_TRUE(no_model.message_ids().empty());
+  std::remove(path.c_str());
 }
 
 TEST_F(PipelineTest, RunDatasetAlignsScoresAndPredictions) {

@@ -1,6 +1,7 @@
-// StreamState checkpoints hold only what cannot be recomputed: mention
-// phrase embeddings are a pure function of the stored token embeddings and
-// the PhraseEmbedder, so Save omits them and Load recomputes them.
+// StreamState checkpoints hold only what cannot be recomputed: token
+// embeddings and BIO labels are a pure function of the encoder and each
+// message's tokens, and mention phrase embeddings of the token embeddings
+// and the PhraseEmbedder, so Save omits them and Load recomputes them.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,13 +12,13 @@
 
 #include "core/phrase_embedder.h"
 #include "core/stream_state.h"
+#include "harness/experiment.h"
 #include "io/tensor_io.h"
+#include "lm/micro_bert.h"
 #include "text/tokenizer.h"
 
 namespace nerglob::core {
 namespace {
-
-constexpr size_t kDim = 8;
 
 std::string TempPath(const std::string& name) {
   return std::string(::testing::TempDir()) + "/" + name;
@@ -34,69 +35,104 @@ Status SaveTo(const StreamState& state, const std::string& path) {
   return writer.Finish();
 }
 
-Status LoadFrom(const std::string& path, const PhraseEmbedder& embedder,
-                StreamState* state) {
-  io::TensorReader reader(path);
-  return state->Load(&reader, embedder);
+bool SameBytes(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-/// Three four-token sentences with random token embeddings.
-StreamState MakeState(Rng* rng) {
-  StreamState state;
-  for (int64_t id = 1; id <= 3; ++id) {
+// Records carry real encoder output from the tiny test model; the encoder
+// needs no training for that, only fixed parameters.
+class StreamStateTest : public ::testing::Test {
+ protected:
+  StreamStateTest()
+      : model_(harness::TinyTestOptions().lm_config, /*seed=*/7),
+        embedder_(model_.config().d_model, &rng_) {}
+
+  size_t dim() const { return model_.config().d_model; }
+
+  Status LoadFrom(const std::string& path, StreamState* state,
+                  size_t encode_batch_size = 2) const {
+    io::TensorReader reader(path);
+    return state->Load(&reader, model_, embedder_, encode_batch_size);
+  }
+
+  void Put(StreamState* state, int64_t id, const std::string& text) const {
     stream::SentenceRecord rec;
     rec.message.id = id;
-    rec.message.text = "alpha beta gamma delta";
-    rec.message.tokens = text::Tokenizer().Tokenize(rec.message.text);
-    rec.token_embeddings = Matrix::Randn(4, kDim, 1.0f, rng);
-    rec.local_bio.assign(4, 0);
-    state.tweet_base.Put(std::move(rec));
+    rec.message.text = text;
+    rec.message.tokens = text::Tokenizer().Tokenize(text);
+    lm::EncodeResult encoded = model_.Encode(rec.message.tokens);
+    rec.token_embeddings = std::move(encoded.embeddings);
+    rec.local_bio = std::move(encoded.bio_labels);
+    state->tweet_base.Put(std::move(rec));
   }
-  return state;
-}
 
-/// Adds a mention whose embedding is the embedder's output, or `fill`
-/// everywhere when `fill` is non-negative.
-void AddMention(StreamState* state, const PhraseEmbedder& embedder,
-                const std::string& surface, int64_t id, size_t begin,
-                size_t end, float fill = -1.0f) {
-  stream::MentionRecord m;
-  m.message_id = id;
-  m.begin_token = begin;
-  m.end_token = end;
-  if (fill >= 0.0f) {
-    m.local_embedding = Matrix(1, kDim, fill);
-  } else {
-    m.local_embedding = embedder.Embed(
-        state->tweet_base.Find(id)->token_embeddings, begin, end);
+  /// Three encoded sentences of four tokens each.
+  StreamState MakeState() const {
+    StreamState state;
+    Put(&state, 1, "alpha beta gamma delta");
+    Put(&state, 2, "alpha visits gamma city");
+    Put(&state, 3, "beta gamma and delta");
+    return state;
   }
-  state->candidate_base.AddMention(surface, std::move(m));
-}
 
-void AddPool(StreamState* state, const PhraseEmbedder& embedder,
-             float fill = -1.0f) {
-  AddMention(state, embedder, "beta gamma", 1, 1, 3, fill);
-  AddMention(state, embedder, "beta gamma", 3, 1, 3, fill);
-  AddMention(state, embedder, "alpha", 2, 0, 1, fill);
-  std::vector<stream::CandidateEntry> cands(1);
-  cands[0].surface = "beta gamma";
-  cands[0].mention_ids = {0, 1};
-  cands[0].is_entity = true;
-  cands[0].type = text::EntityType::kLocation;
-  cands[0].confidence = 0.75f;
-  state->candidate_base.SetCandidates("beta gamma", cands);
-  state->seed_support["beta gamma"] = 2;
-}
+  /// Adds a mention whose embedding is the embedder's output, or `fill`
+  /// everywhere when `fill` is non-negative.
+  void AddMention(StreamState* state, const std::string& surface, int64_t id,
+                  size_t begin, size_t end, float fill = -1.0f) const {
+    stream::MentionRecord m;
+    m.message_id = id;
+    m.begin_token = begin;
+    m.end_token = end;
+    if (fill >= 0.0f) {
+      m.local_embedding = Matrix(1, dim(), fill);
+    } else {
+      m.local_embedding = embedder_.Embed(
+          state->tweet_base.Find(id)->token_embeddings, begin, end);
+    }
+    state->candidate_base.AddMention(surface, std::move(m));
+  }
 
-TEST(StreamStateTest, SaveWritesNoPhraseEmbeddings) {
+  void AddPool(StreamState* state, float fill = -1.0f) const {
+    AddMention(state, "beta gamma", 1, 1, 3, fill);
+    AddMention(state, "beta gamma", 3, 0, 2, fill);
+    AddMention(state, "alpha", 2, 0, 1, fill);
+    std::vector<stream::CandidateEntry> cands(1);
+    cands[0].surface = "beta gamma";
+    cands[0].mention_ids = {0, 1};
+    cands[0].is_entity = true;
+    cands[0].type = text::EntityType::kLocation;
+    cands[0].confidence = 0.75f;
+    state->candidate_base.SetCandidates("beta gamma", cands);
+    state->seed_support["beta gamma"] = 2;
+  }
+
+  /// Saves `state`, then expects Load to fail with InvalidArgument and to
+  /// leave a previously loaded target untouched.
+  void ExpectLoadRejects(const StreamState& state,
+                         const std::string& name) const {
+    const std::string path = TempPath(name);
+    ASSERT_TRUE(SaveTo(state, path).ok());
+    StreamState target = MakeState();
+    const Status st = LoadFrom(path, &target);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_EQ(target.tweet_base.size(), 3u);  // untouched by the failed load
+    EXPECT_EQ(target.candidate_base.TotalMentions(), 0u);
+    std::remove(path.c_str());
+  }
+
+  Rng rng_{3};
+  lm::MicroBert model_;
+  PhraseEmbedder embedder_;
+};
+
+TEST_F(StreamStateTest, SaveWritesNoPhraseEmbeddings) {
   // Two states that differ only in their mention embeddings must write the
   // same bytes: the checkpoint holds no phrase embedding at all.
-  Rng rng(3), state_rng_a(11), state_rng_b(11);
-  PhraseEmbedder embedder(kDim, &rng);
-  StreamState computed = MakeState(&state_rng_a);
-  AddPool(&computed, embedder);
-  StreamState constant = MakeState(&state_rng_b);
-  AddPool(&constant, embedder, /*fill=*/0.5f);
+  StreamState computed = MakeState();
+  AddPool(&computed);
+  StreamState constant = MakeState();
+  AddPool(&constant, /*fill=*/0.5f);
 
   const std::string a = TempPath("state_computed.bin");
   const std::string b = TempPath("state_constant.bin");
@@ -107,99 +143,137 @@ TEST(StreamStateTest, SaveWritesNoPhraseEmbeddings) {
   std::remove(b.c_str());
 }
 
-TEST(StreamStateTest, LoadRecomputesPhraseEmbeddingsBitwise) {
-  Rng rng(3), state_rng(11);
-  PhraseEmbedder embedder(kDim, &rng);
-  StreamState state = MakeState(&state_rng);
-  AddPool(&state, embedder);
+TEST_F(StreamStateTest, SaveWritesNoTokenEmbeddings) {
+  // Two states that differ only in their token embeddings and BIO labels
+  // must write the same bytes: the checkpoint holds messages only.
+  StreamState encoded = MakeState();
+  AddPool(&encoded);
+  StreamState blank = MakeState();
+  AddPool(&blank);
+  for (int64_t id : blank.tweet_base.ids()) {
+    stream::SentenceRecord* rec = blank.tweet_base.FindMutable(id);
+    rec->token_embeddings = Matrix(1, 2 * dim(), 0.25f);
+    rec->local_bio.assign(rec->local_bio.size() + 1, 1);
+  }
 
+  const std::string a = TempPath("state_encoded.bin");
+  const std::string b = TempPath("state_blank.bin");
+  ASSERT_TRUE(SaveTo(encoded, a).ok());
+  ASSERT_TRUE(SaveTo(blank, b).ok());
+  EXPECT_EQ(ReadBytes(a), ReadBytes(b));
+  std::remove(a.c_str());
+  std::remove(b.c_str());
+}
+
+TEST_F(StreamStateTest, LoadRecomputesPhraseEmbeddingsBitwise) {
+  StreamState state = MakeState();
+  AddPool(&state);
   const std::string path = TempPath("state_roundtrip.bin");
   ASSERT_TRUE(SaveTo(state, path).ok());
-  StreamState restored;
-  ASSERT_TRUE(LoadFrom(path, embedder, &restored).ok());
 
-  ASSERT_EQ(restored.candidate_base.surfaces(), state.candidate_base.surfaces());
-  for (const std::string& surface : state.candidate_base.surfaces()) {
-    const auto& want = state.candidate_base.Mentions(surface);
-    const auto& got = restored.candidate_base.Mentions(surface);
-    ASSERT_EQ(got.size(), want.size()) << surface;
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i].message_id, want[i].message_id);
-      ASSERT_EQ(got[i].local_embedding.size(), kDim);
-      EXPECT_EQ(std::memcmp(got[i].local_embedding.data(),
-                            want[i].local_embedding.data(),
-                            kDim * sizeof(float)),
-                0)
-          << surface << " mention " << i;
+  // Any encode chunk size re-encodes the same bytes.
+  for (const size_t chunk : {1u, 2u, 256u}) {
+    StreamState restored;
+    ASSERT_TRUE(LoadFrom(path, &restored, chunk).ok());
+
+    ASSERT_EQ(restored.tweet_base.ids(), state.tweet_base.ids());
+    for (int64_t id : state.tweet_base.ids()) {
+      const stream::SentenceRecord* want = state.tweet_base.Find(id);
+      const stream::SentenceRecord* got = restored.tweet_base.Find(id);
+      EXPECT_TRUE(SameBytes(got->token_embeddings, want->token_embeddings))
+          << "message " << id << " chunk " << chunk;
+      EXPECT_EQ(got->local_bio, want->local_bio) << "message " << id;
     }
-    const auto& got_cands = restored.candidate_base.Candidates(surface);
-    const auto& want_cands = state.candidate_base.Candidates(surface);
-    ASSERT_EQ(got_cands.size(), want_cands.size());
-    for (size_t c = 0; c < want_cands.size(); ++c) {
-      EXPECT_EQ(got_cands[c].mention_ids, want_cands[c].mention_ids);
-      EXPECT_EQ(got_cands[c].type, want_cands[c].type);
-      EXPECT_EQ(got_cands[c].confidence, want_cands[c].confidence);
+    ASSERT_EQ(restored.candidate_base.surfaces(),
+              state.candidate_base.surfaces());
+    for (const std::string& surface : state.candidate_base.surfaces()) {
+      const auto& want = state.candidate_base.Mentions(surface);
+      const auto& got = restored.candidate_base.Mentions(surface);
+      ASSERT_EQ(got.size(), want.size()) << surface;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].message_id, want[i].message_id);
+        EXPECT_TRUE(SameBytes(got[i].local_embedding, want[i].local_embedding))
+            << surface << " mention " << i << " chunk " << chunk;
+      }
+      const auto& got_cands = restored.candidate_base.Candidates(surface);
+      const auto& want_cands = state.candidate_base.Candidates(surface);
+      ASSERT_EQ(got_cands.size(), want_cands.size());
+      for (size_t c = 0; c < want_cands.size(); ++c) {
+        EXPECT_EQ(got_cands[c].mention_ids, want_cands[c].mention_ids);
+        EXPECT_EQ(got_cands[c].type, want_cands[c].type);
+        EXPECT_EQ(got_cands[c].confidence, want_cands[c].confidence);
+      }
     }
+    EXPECT_EQ(restored.seed_support, state.seed_support);
+
+    // Saving the restored state writes the same bytes again.
+    const std::string again = TempPath("state_roundtrip_again.bin");
+    ASSERT_TRUE(SaveTo(restored, again).ok());
+    EXPECT_EQ(ReadBytes(again), ReadBytes(path));
+    std::remove(again.c_str());
   }
-  EXPECT_EQ(restored.seed_support, state.seed_support);
-
-  // Saving the restored state writes the same bytes again.
-  const std::string again = TempPath("state_roundtrip_again.bin");
-  ASSERT_TRUE(SaveTo(restored, again).ok());
-  EXPECT_EQ(ReadBytes(again), ReadBytes(path));
-  std::remove(path.c_str());
-  std::remove(again.c_str());
-}
-
-/// Saves `state`, then expects Load to fail with InvalidArgument and to
-/// leave a previously loaded target untouched.
-void ExpectLoadRejects(const StreamState& state, const PhraseEmbedder& embedder,
-                       const std::string& name) {
-  const std::string path = TempPath(name);
-  ASSERT_TRUE(SaveTo(state, path).ok());
-  Rng target_rng(5);
-  StreamState target = MakeState(&target_rng);
-  const Status st = LoadFrom(path, embedder, &target);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
-  EXPECT_EQ(target.tweet_base.size(), 3u);  // untouched by the failed load
-  EXPECT_EQ(target.candidate_base.TotalMentions(), 0u);
   std::remove(path.c_str());
 }
 
-TEST(StreamStateTest, LoadRejectsMentionOfAbsentMessage) {
+TEST_F(StreamStateTest, LoadRejectsMentionOfAbsentMessage) {
   // A crafted checkpoint whose pool names a message the TweetBase does not
   // hold gets a typed error, not a crash when the pool is read later.
-  Rng rng(3), state_rng(11);
-  PhraseEmbedder embedder(kDim, &rng);
-  StreamState state = MakeState(&state_rng);
+  StreamState state = MakeState();
   stream::MentionRecord m;
   m.message_id = 99;
   m.begin_token = 0;
   m.end_token = 1;
   state.candidate_base.AddMention("alpha", m);
-  ExpectLoadRejects(state, embedder, "state_absent_message.bin");
+  ExpectLoadRejects(state, "state_absent_message.bin");
 }
 
-TEST(StreamStateTest, LoadRejectsMentionPastItsSentence) {
-  Rng rng(3), state_rng(11);
-  PhraseEmbedder embedder(kDim, &rng);
+TEST_F(StreamStateTest, LoadRejectsMentionPastItsSentence) {
   for (const auto& [begin, end] :
        {std::pair<size_t, size_t>{2, 9}, {4, 5}, {2, 2}}) {
-    StreamState state = MakeState(&state_rng);
+    StreamState state = MakeState();
     stream::MentionRecord m;
     m.message_id = 2;
     m.begin_token = begin;
     m.end_token = end;
     state.candidate_base.AddMention("gamma", m);
-    ExpectLoadRejects(state, embedder, "state_bad_span.bin");
+    ExpectLoadRejects(state, "state_bad_span.bin");
   }
 }
 
-TEST(StreamStateTest, LoadRejectsDuplicateSurface) {
+TEST_F(StreamStateTest, LoadRejectsMentionPastTheReencodedPrefix) {
+  // The encoder keeps the first max_seq_len tokens of a sentence. A
+  // mention that starts inside that prefix is pooled over the part it
+  // keeps; one that starts past it has no token embedding to pool.
+  const size_t max_len = model_.config().max_seq_len;
+  std::string text = "alpha";
+  for (size_t t = 1; t < max_len + 2; ++t) text += " beta";
+  for (const size_t begin : {max_len - 1, max_len}) {
+    StreamState state = MakeState();
+    Put(&state, 4, text);
+    ASSERT_EQ(state.tweet_base.Find(4)->token_embeddings.rows(), max_len);
+    stream::MentionRecord m;
+    m.message_id = 4;
+    m.begin_token = begin;
+    m.end_token = max_len + 2;
+    state.candidate_base.AddMention("beta beta", m);
+    if (begin < max_len) {
+      const std::string path = TempPath("state_prefix.bin");
+      ASSERT_TRUE(SaveTo(state, path).ok());
+      StreamState restored;
+      EXPECT_TRUE(LoadFrom(path, &restored).ok());
+      EXPECT_EQ(restored.candidate_base.Mentions("beta beta")[0]
+                    .local_embedding.size(),
+                dim());
+      std::remove(path.c_str());
+    } else {
+      ExpectLoadRejects(state, "state_past_prefix.bin");
+    }
+  }
+}
+
+TEST_F(StreamStateTest, LoadRejectsDuplicateSurface) {
   // Two pools for one surface would leave surfaces() naming it twice.
-  Rng rng(3), state_rng(11);
-  PhraseEmbedder embedder(kDim, &rng);
-  const StreamState state = MakeState(&state_rng);
+  const StreamState state = MakeState();
   const std::string path = TempPath("state_duplicate_surface.bin");
   {
     io::TensorWriter writer(path);
@@ -214,21 +288,10 @@ TEST(StreamStateTest, LoadRejectsDuplicateSurface) {
     ASSERT_TRUE(writer.Finish().ok());
   }
   StreamState target;
-  const Status st = LoadFrom(path, embedder, &target);
+  const Status st = LoadFrom(path, &target);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
   EXPECT_EQ(target.tweet_base.size(), 0u);
   std::remove(path.c_str());
-}
-
-TEST(StreamStateTest, LoadRejectsTokenEmbeddingsOfTheWrongWidth) {
-  // The embedder CHECKs its input width; a checkpoint from another model
-  // width must fail before reaching it.
-  Rng rng(3), state_rng(11);
-  PhraseEmbedder embedder(kDim, &rng);
-  PhraseEmbedder wider(2 * kDim, &rng);
-  StreamState state = MakeState(&state_rng);
-  AddPool(&state, embedder);
-  ExpectLoadRejects(state, wider, "state_wrong_width.bin");
 }
 
 }  // namespace

@@ -131,13 +131,14 @@ TEST(TweetBaseTest, PutReplacesAndKeepsOrder) {
   EXPECT_EQ(base.ids()[1], 2);
 }
 
-TEST(TweetBaseTest, MutableAccessUpdatesMentions) {
+TEST(TweetBaseTest, MutableAccessUpdatesRecord) {
   TweetBase base;
   SentenceRecord rec;
   rec.message = MakeMessage(5, "x");
   base.Put(rec);
-  base.FindMutable(5)->mentions.push_back({0, 1, text::EntityType::kLocation});
-  EXPECT_EQ(base.Find(5)->mentions.size(), 1u);
+  base.FindMutable(5)->local_bio = {1};
+  EXPECT_EQ(base.Find(5)->local_bio, std::vector<int>{1});
+  EXPECT_EQ(base.FindMutable(6), nullptr);
 }
 
 TEST(TweetBaseTest, EvictOldestRetiresInArrivalOrder) {

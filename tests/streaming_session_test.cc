@@ -9,11 +9,15 @@
 #include <set>
 #include <string>
 
+#include "common/metrics.h"
 #include "common/scratch_arena.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "harness/experiment.h"
 #include "io/tensor_io.h"
+#include "lm/encode_cache.h"
 #include "stream/streaming_session.h"
+#include "tensor/kernels.h"
 
 namespace nerglob {
 namespace {
@@ -244,6 +248,81 @@ TEST_F(StreamingSessionTest, CheckpointRestoreMatchesUninterruptedRun) {
           << core::PipelineStageName(stage) << " message " << i;
     }
   }
+  std::remove(path.c_str());
+}
+
+TEST_F(StreamingSessionTest, RestoreContinuationMatrixMatchesUninterruptedRun) {
+  // One mid-stream checkpoint, taken after evictions and eviction rescans,
+  // restored and continued under every threads x encode cache x SIMD tier
+  // cell. Restore re-encodes the live window, so every cell must reproduce
+  // the uninterrupted run's finalized stream and Predictions() at every
+  // stage byte for byte.
+  const std::string path =
+      std::string(::testing::TempDir()) + "/session_matrix.bin";
+  auto messages = Dataset("D2");
+  const size_t window = messages.size() / 4;
+  const size_t batch = window / 2;
+
+  stream::StreamSource source_a(messages, batch);
+  auto uninterrupted = MakeSession(window);
+  uninterrupted.Run(&source_a);
+  constexpr core::PipelineStage kStages[] = {
+      core::PipelineStage::kLocalOnly, core::PipelineStage::kMentionExtraction,
+      core::PipelineStage::kLocalEmbeddings, core::PipelineStage::kFullGlobal};
+  std::vector<std::vector<std::vector<text::EntitySpan>>> want;
+  for (core::PipelineStage stage : kStages) {
+    want.push_back(uninterrupted.pipeline().Predictions(stage));
+  }
+
+  const size_t checkpoint_batches = (messages.size() / batch) * 3 / 5;
+  stream::StreamSource source_b(messages, batch);
+  auto first_part = MakeSession(window);
+  metrics::SetEnabled(true);
+  const metrics::Counter* pruned =
+      metrics::MetricsRegistry::Global().GetCounter(
+          "stream.pruned_surfaces_total");
+  const uint64_t pruned_before = pruned->value();
+  for (size_t i = 0; i < checkpoint_batches; ++i) {
+    ASSERT_TRUE(first_part.Step(&source_b));
+  }
+  metrics::SetEnabled(false);
+  ASSERT_GT(first_part.pipeline().evicted_messages(), 0u);
+  ASSERT_GT(pruned->value(), pruned_before) << "no eviction rescan ran";
+  ASSERT_TRUE(first_part.Checkpoint(path).ok());
+
+  std::vector<kern::SimdLevel> tiers = {kern::SimdLevel::kGeneric};
+  if (kern::BuiltWithAvx2() && kern::CpuSupportsAvx2()) {
+    tiers.push_back(kern::SimdLevel::kAvx2);
+  }
+  for (const kern::SimdLevel tier : tiers) {
+    ASSERT_TRUE(kern::SetSimdLevel(tier));
+    for (const size_t threads : {1u, 4u}) {
+      SetParallelism(threads);
+      for (const bool cache_on : {false, true}) {
+        const std::string cell =
+            StrFormat("%s x %zu threads x cache %s", kern::SimdLevelName(tier),
+                      threads, cache_on ? "on" : "off");
+        lm::EncodeCache cache(8 * 1024 * 1024, 4);
+        lm::EncodeCache::SetGlobalForTesting(cache_on ? &cache : nullptr);
+        stream::StreamSource source(messages, batch);
+        for (size_t i = 0; i < checkpoint_batches; ++i) source.NextBatch();
+        auto resumed = MakeSession(window);
+        ASSERT_TRUE(resumed.Restore(path).ok()) << cell;
+        while (resumed.Step(&source)) {
+        }
+        resumed.Flush();
+        lm::EncodeCache::SetGlobalForTesting(nullptr);
+
+        EXPECT_TRUE(resumed.finalized() == uninterrupted.finalized()) << cell;
+        for (size_t s = 0; s < want.size(); ++s) {
+          EXPECT_TRUE(resumed.pipeline().Predictions(kStages[s]) == want[s])
+              << cell << " " << core::PipelineStageName(kStages[s]);
+        }
+      }
+    }
+  }
+  kern::ResetSimdLevel();
+  SetParallelism(0);
   std::remove(path.c_str());
 }
 
