@@ -19,7 +19,6 @@
 #include "core/ner_globalizer.h"
 #include "data/generator.h"
 #include "data/knowledge_base.h"
-#include "lm/micro_bert.h"
 #include "tensor/kernels.h"
 
 namespace {
@@ -125,15 +124,13 @@ struct AllocsResult {
 /// criterion measured exactly as tests/streaming_session_test.cc does.
 AllocsResult MeasureSteadyStateAllocs() {
   SetParallelism(1);
-  lm::MicroBertConfig config;
-  config.d_model = 32;
-  config.num_heads = 2;
-  config.num_layers = 1;
-  config.subword_buckets = 512;
-  lm::MicroBert model(config, 17);
-  Rng rng(18);
-  core::PhraseEmbedder embedder(config.d_model, &rng);
-  core::EntityClassifier classifier(config.d_model, 24, &rng);
+  core::ModelBundleConfig config;
+  config.lm.d_model = 32;
+  config.lm.num_heads = 2;
+  config.lm.num_layers = 1;
+  config.lm.subword_buckets = 512;
+  config.classifier_hidden = 24;
+  const core::ModelBundle bundle(config);
   data::KnowledgeBase kb = data::KnowledgeBase::BuildStandard(5, 19);
   data::StreamGenerator gen(&kb);
   const std::vector<stream::Message> messages =
@@ -142,12 +139,12 @@ AllocsResult MeasureSteadyStateAllocs() {
   core::NerGlobalizerConfig pipeline_config;
   pipeline_config.window_messages = messages.size() / 2;
   {
-    core::NerGlobalizer warm(&model, &embedder, &classifier, pipeline_config);
+    core::NerGlobalizer warm(&bundle, pipeline_config);
     warm.ProcessAll(messages, 32);
   }
   common::ScratchArena& arena = common::ScratchArena::ThreadLocal();
   const uint64_t warm_allocs = arena.heap_allocs();
-  core::NerGlobalizer pipeline(&model, &embedder, &classifier, pipeline_config);
+  core::NerGlobalizer pipeline(&bundle, pipeline_config);
   pipeline.ProcessAll(messages, 32);
 
   AllocsResult r;

@@ -31,10 +31,6 @@ class Node {
   /// Backward() is still built on one thread, so relative order within a
   /// tape stays topological.
   uint64_t order_;
-  /// Bumped on every mutable_value() access; consumers (e.g. the
-  /// transposed-weight cache in nn::Linear) use it to invalidate derived
-  /// state after parameter updates.
-  uint64_t version_ = 0;
   std::vector<NodePtr> parents_;
   /// Propagates grad_ into parents_ (accumulating). Empty for leaves.
   std::function<void(Node&)> backward_fn_;
@@ -73,16 +69,8 @@ class Var {
 
   const Matrix& value() const { return node_->value_; }
   /// Mutable access to the underlying value; used by optimizers to update
-  /// leaf parameters in place. Bumps the node's version stamp so caches
-  /// derived from the value (e.g. cached weight transposes) invalidate.
-  Matrix& mutable_value() {
-    ++node_->version_;
-    return node_->value_;
-  }
-
-  /// Version stamp of the underlying value (incremented per mutable_value
-  /// access). Stable across reads; changes only on parameter updates.
-  uint64_t value_version() const { return node_->version_; }
+  /// leaf parameters in place.
+  Matrix& mutable_value() { return node_->value_; }
 
   /// Accumulated gradient; zero-shaped until Backward touches this node.
   const Matrix& grad() const { return node_->grad_; }

@@ -24,12 +24,6 @@ ag::Var EntityClassifier::Pool(const Matrix& members) const {
   return ag::MatMul(weights, locals);                     // (1, dim), Eq. 8
 }
 
-Matrix EntityClassifier::PoolValue(const Matrix& members) const {
-  Matrix out;
-  PoolValueInto(members, &out, &common::ScratchArena::ThreadLocal());
-  return out;
-}
-
 void EntityClassifier::PoolValueInto(const Matrix& members, Matrix* out,
                                      common::ScratchArena* scratch) const {
   NERGLOB_CHECK_GT(members.rows(), 0u);
@@ -52,7 +46,9 @@ ag::Var EntityClassifier::ForwardLogits(const Matrix& members) const {
 }
 
 Matrix EntityClassifier::GlobalEmbedding(const Matrix& members) const {
-  return PoolValue(members);
+  Matrix out;
+  PoolValueInto(members, &out, &common::ScratchArena::ThreadLocal());
+  return out;
 }
 
 EntityClassifier::Prediction EntityClassifier::Predict(

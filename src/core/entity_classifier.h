@@ -27,7 +27,7 @@ inline constexpr int kNumClassifierClasses = text::kNumEntityTypes + 1;
 ///
 /// Thread-safety: const methods (Predict, GlobalEmbedding, ForwardLogits)
 /// are safe to call concurrently once training has finished — the eval
-/// paths are graph-free (see PoolValue) — training must be exclusive.
+/// paths are graph-free (see PoolValueInto) — training must be exclusive.
 /// Predict is O(m · dim + dim · hidden + hidden²) for an m-member cluster.
 ///
 /// How cluster member embeddings are aggregated into the global candidate
@@ -67,13 +67,10 @@ class EntityClassifier : public nn::Module {
  private:
   ag::Var Pool(const Matrix& members) const;
 
-  /// Graph-free mirror of Pool (bit-identical value); the eval paths
-  /// (Predict, GlobalEmbedding) use it so ParallelFor bodies never build
-  /// autograd nodes.
-  Matrix PoolValue(const Matrix& members) const;
-
-  /// PoolValue into `out` with every intermediate (attention scores,
-  /// softmax weights) in `scratch`; Predict's hot path.
+  /// Graph-free mirror of Pool (bit-identical value) into `out`, with
+  /// every intermediate (attention scores, softmax weights) in `scratch`.
+  /// The eval paths (Predict, GlobalEmbedding) use it so ParallelFor
+  /// bodies never build autograd nodes.
   void PoolValueInto(const Matrix& members, Matrix* out,
                      common::ScratchArena* scratch) const;
 

@@ -2,14 +2,8 @@
 
 #include "common/check.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
-#include "common/trace.h"
 
 namespace nerglob::core {
-
-LocalNer::LocalNer(const lm::MicroBert* model) : model_(model) {
-  NERGLOB_CHECK(model != nullptr);
-}
 
 std::vector<std::string> SpanMatchTokens(const stream::Message& message,
                                          size_t begin_token, size_t end_token) {
@@ -32,25 +26,7 @@ std::string SpanSurfaceString(const stream::Message& message,
   return surface;
 }
 
-std::vector<LocalNer::Output> LocalNer::ProcessBatch(
-    const std::vector<stream::Message>& batch, stream::TweetBase* tweet_base,
-    trie::CandidateTrie* trie) const {
-  static const trace::TraceStage kStage("local_ner");
-  trace::TraceSpan span(kStage);
-  // Phase 1 (parallel): the per-sentence encoder forwards dominate the cost
-  // and are independent, so they fan out over the thread pool (one
-  // ParallelFor lane per sentence inside EncodeMany). Results come back in
-  // input order regardless of scheduling.
-  std::vector<const std::vector<text::Token>*> sentences;
-  sentences.reserve(batch.size());
-  for (const stream::Message& message : batch) {
-    sentences.push_back(&message.tokens);
-  }
-  std::vector<lm::EncodeResult> encoded_batch = model_->EncodeMany(sentences);
-  return IngestEncodedBatch(batch, &encoded_batch, tweet_base, trie);
-}
-
-std::vector<LocalNer::Output> IngestEncodedBatch(
+std::vector<LocalNerOutput> IngestEncodedBatch(
     const std::vector<stream::Message>& batch,
     std::vector<lm::EncodeResult>* encoded, stream::TweetBase* tweet_base,
     trie::CandidateTrie* trie) {
@@ -60,11 +36,11 @@ std::vector<LocalNer::Output> IngestEncodedBatch(
   // exactly as in a sequential pass, so new-surface discovery order and
   // all downstream state are independent of the thread count (and of the
   // encode batching).
-  std::vector<LocalNer::Output> outputs;
+  std::vector<LocalNerOutput> outputs;
   outputs.reserve(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     const stream::Message& message = batch[i];
-    LocalNer::Output out;
+    LocalNerOutput out;
     out.message_id = message.id;
     if (message.tokens.empty()) {
       outputs.push_back(std::move(out));
@@ -97,7 +73,7 @@ std::vector<LocalNer::Output> IngestEncodedBatch(
     static metrics::Counter* const new_surfaces =
         registry.GetCounter("pipeline.new_surfaces_total");
     size_t span_count = 0, surface_count = 0;
-    for (const LocalNer::Output& out : outputs) {
+    for (const LocalNerOutput& out : outputs) {
       span_count += out.local_spans.size();
       surface_count += out.new_surfaces.size();
     }

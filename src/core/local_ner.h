@@ -1,6 +1,8 @@
 #ifndef NERGLOB_CORE_LOCAL_NER_H_
 #define NERGLOB_CORE_LOCAL_NER_H_
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "lm/micro_bert.h"
@@ -11,56 +13,30 @@
 
 namespace nerglob::core {
 
-/// Local NER (Sec. IV): runs the fine-tuned language model over each
-/// message in isolation, stores the sentence record (entity-aware token
-/// embeddings + BIO labels) in the TweetBase, and registers the detected
-/// surface forms — the seed entity candidates — in the CandidateTrie.
-///
-/// The model is a weak labeller here: its spans seed the CTrie, its
-/// embeddings feed the Phrase Embedder; its final labels are NOT the
-/// system output (Global NER rewrites them).
-///
-/// Thread-safety: stateless after construction; concurrent ProcessBatch
-/// calls are safe ONLY with distinct tweet_base/trie targets (the method
-/// itself parallelizes the per-message model forward internally).
-class LocalNer {
- public:
-  /// `model` must outlive this object and already be fine-tuned for NER.
-  explicit LocalNer(const lm::MicroBert* model);
-
-  /// Result of local processing for one message.
-  struct Output {
-    int64_t message_id = 0;
-    /// Local BIO decode: the spans a conventional NER system would emit.
-    std::vector<text::EntitySpan> local_spans;
-    /// Surface forms (matching form, space-joined) newly added to `trie`.
-    std::vector<std::string> new_surfaces;
-  };
-
-  /// Processes a batch: fills `tweet_base` with sentence records and
-  /// registers seed surface forms in `trie`. Cost: one transformer forward
-  /// per message — O(batch · tokens² · d_model) — dominating everything
-  /// downstream; messages are distributed over the worker pool.
-  /// Equivalent to model().EncodeMany over the batch followed by
-  /// IngestEncodedBatch — the composition the stage graph (core/stages.h)
-  /// makes explicit so the encode half can be batched across sessions.
-  std::vector<Output> ProcessBatch(const std::vector<stream::Message>& batch,
-                                   stream::TweetBase* tweet_base,
-                                   trie::CandidateTrie* trie) const;
-
-  const lm::MicroBert& model() const { return *model_; }
-
- private:
-  const lm::MicroBert* model_;
+/// Result of local NER for one message.
+struct LocalNerOutput {
+  int64_t message_id = 0;
+  /// Local BIO decode: the spans a conventional NER system would emit.
+  std::vector<text::EntitySpan> local_spans;
+  /// Surface forms (matching form, space-joined) newly added to the trie.
+  std::vector<std::string> new_surfaces;
 };
 
-/// The serial ingest half of local NER: merges pre-computed encode results
-/// into the TweetBase/CTrie in input order (so new-surface discovery order
-/// and all downstream state are independent of how — and where — the
-/// encoding ran). `(*encoded)[i]` must be the encoder output for
-/// `batch[i].tokens` (default-constructed for empty messages); its
-/// embeddings are consumed (moved into the stored SentenceRecords).
-std::vector<LocalNer::Output> IngestEncodedBatch(
+/// Local NER (Sec. IV) is the fine-tuned encoder run over each message in
+/// isolation (lm::MicroBert::EncodeMany) followed by this serial ingest:
+/// it stores each sentence record (entity-aware token embeddings + BIO
+/// labels) in the TweetBase and registers the detected surface forms, the
+/// seed entity candidates, in the CandidateTrie. The encoder is a weak
+/// labeller here: its spans seed the CTrie and its embeddings feed the
+/// Phrase Embedder, but its labels are not the system output.
+///
+/// Merges the pre-computed encode results into the TweetBase/CTrie in
+/// input order (so new-surface discovery order and all downstream state
+/// are independent of how — and where — the encoding ran).
+/// `(*encoded)[i]` must be the encoder output for `batch[i].tokens`
+/// (default-constructed for empty messages); its embeddings are consumed
+/// (moved into the stored SentenceRecords).
+std::vector<LocalNerOutput> IngestEncodedBatch(
     const std::vector<stream::Message>& batch,
     std::vector<lm::EncodeResult>* encoded, stream::TweetBase* tweet_base,
     trie::CandidateTrie* trie);

@@ -46,30 +46,18 @@ NerGlobalizerConfig DefaultPipelineConfig(const ModelBundle& bundle) {
   return config;
 }
 
-NerGlobalizer::NerGlobalizer(const lm::MicroBert* model,
-                             const PhraseEmbedder* embedder,
-                             const EntityClassifier* classifier,
+NerGlobalizer::NerGlobalizer(const ModelBundle* bundle,
                              NerGlobalizerConfig config)
-    : model_(model),
-      embedder_(embedder),
-      classifier_(classifier),
-      config_(config) {
-  NERGLOB_CHECK(embedder != nullptr);
-  NERGLOB_CHECK(classifier != nullptr);
+    : bundle_(bundle), config_(config) {
+  NERGLOB_CHECK(bundle != nullptr && bundle->has_models())
+      << "a pipeline borrows a bundle that holds trained models";
   NERGLOB_CHECK(config.cluster_threshold < 1.0f)
       << "cosine clustering threshold must stay below the triplet margin";
 }
 
-NerGlobalizer::NerGlobalizer(const ModelBundle* bundle,
-                             NerGlobalizerConfig config)
-    : NerGlobalizer(&bundle->model(), &bundle->embedder(),
-                    &bundle->classifier(), config) {
-  bundle_fingerprint_ = bundle->Fingerprint();
-}
-
 Status NerGlobalizer::Checkpoint(io::TensorWriter* writer) const {
   writer->PutU32(kCheckpointLayoutVersion);
-  writer->PutString(bundle_fingerprint_);
+  writer->PutString(bundle_->Fingerprint());
   // The config is echoed so a checkpoint cannot be restored into a
   // pipeline that would interpret the state differently (other window,
   // other clustering cut).
@@ -84,11 +72,6 @@ Status NerGlobalizer::Checkpoint(io::TensorWriter* writer) const {
 }
 
 Status NerGlobalizer::Restore(io::TensorReader* reader) {
-  if (model_ == nullptr) {
-    return Status::FailedPrecondition(StrFormat(
-        "'%s': restore re-encodes the window, but this pipeline has no model",
-        reader->path().c_str()));
-  }
   NERGLOB_RETURN_IF_ERROR(reader->NextRecord(io::kTagCheckpoint));
   uint32_t layout = 0;
   if (!reader->GetU32(&layout)) return reader->status();
@@ -115,13 +98,13 @@ Status NerGlobalizer::Restore(io::TensorReader* reader) {
                : reader->status();
   }
   NERGLOB_RETURN_IF_ERROR(reader->ExpectRecordEnd());
-  if (!fingerprint.empty() && !bundle_fingerprint_.empty() &&
-      fingerprint != bundle_fingerprint_) {
+  const std::string bundle_fingerprint = bundle_->Fingerprint();
+  if (fingerprint != bundle_fingerprint) {
     return Status::FailedPrecondition(StrFormat(
-        "'%s': checkpoint was written against bundle %s, this pipeline "
-        "uses bundle %s",
+        "'%s': checkpoint was written against bundle '%s', this pipeline "
+        "uses bundle '%s'",
         reader->path().c_str(), fingerprint.c_str(),
-        bundle_fingerprint_.c_str()));
+        bundle_fingerprint.c_str()));
   }
   if (threshold != config_.cluster_threshold ||
       max_span != config_.max_mention_span ||
@@ -137,7 +120,8 @@ Status NerGlobalizer::Restore(io::TensorReader* reader) {
   // StreamState::Load is itself two-phase, so a corrupt state record
   // leaves this pipeline untouched; only the timing counters must wait
   // for it to succeed.
-  NERGLOB_RETURN_IF_ERROR(state_.Load(reader, *model_, *embedder_,
+  NERGLOB_RETURN_IF_ERROR(state_.Load(reader, bundle_->model(),
+                                      bundle_->embedder(),
                                       config_.process_batch_size));
   local_seconds_ = local_s;
   global_seconds_ = global_s;
@@ -162,7 +146,7 @@ void NerGlobalizer::RunStages(const std::vector<stream::Message>& batch,
   trace::TraceSpan batch_span(kStage);
   WallTimer batch_timer;
 
-  const stages::ModelView view{model_, embedder_, classifier_};
+  const ModelBundle& bundle = *bundle_;
   stages::StageContext ctx;
   ctx.config = &config_;
   ctx.batch = &batch;
@@ -178,15 +162,15 @@ void NerGlobalizer::RunStages(const std::vector<stream::Message>& batch,
   {
     static const trace::TraceStage kLocalStage("local_ner");
     trace::TraceSpan local_span(kLocalStage);
-    stages::LocalEncode(view, state_, ctx);
-    stages::IngestLocal(view, state_, ctx);
+    stages::LocalEncode(bundle, state_, ctx);
+    stages::IngestLocal(bundle, state_, ctx);
   }
   local_seconds_ += local_timer.ElapsedSeconds();
 
   WallTimer global_timer;
-  stages::ExtractMentions(view, state_, ctx);
-  stages::RefreshCandidates(view, state_, ctx);
-  stages::Evict(view, state_, ctx);
+  stages::ExtractMentions(bundle, state_, ctx);
+  stages::RefreshCandidates(bundle, state_, ctx);
+  stages::Evict(bundle, state_, ctx);
   global_seconds_ += global_timer.ElapsedSeconds();
 
   if (metrics::Enabled()) {
@@ -224,6 +208,7 @@ std::vector<std::vector<text::EntitySpan>> NerGlobalizer::EmdGlobalizerPredictio
   for (size_t i = 0; i < ids.size(); ++i) index_of[ids[i]] = i;
   std::vector<std::vector<text::EntitySpan>> out(ids.size());
 
+  const EntityClassifier& classifier = bundle_->classifier();
   for (const std::string& surface : state_.candidate_base.surfaces()) {
     const auto& pool = state_.candidate_base.Mentions(surface);
     if (pool.empty()) continue;
@@ -236,7 +221,7 @@ std::vector<std::vector<text::EntitySpan>> NerGlobalizer::EmdGlobalizerPredictio
       std::copy(pool[i].local_embedding.Row(0),
                 pool[i].local_embedding.Row(0) + dim, members.Row(i));
     }
-    const EntityClassifier::Prediction pred = classifier_->Predict(members);
+    const EntityClassifier::Prediction pred = classifier.Predict(members);
     if (!pred.is_entity()) continue;
     for (const auto& mention : pool) {
       out[index_of.at(mention.message_id)].push_back(
@@ -285,10 +270,11 @@ std::vector<std::vector<text::EntitySpan>> NerGlobalizer::Predictions(
       break;
     }
     case PipelineStage::kLocalEmbeddings: {
+      const EntityClassifier& classifier = bundle_->classifier();
       for (const std::string& surface : state_.candidate_base.surfaces()) {
         for (const auto& mention : state_.candidate_base.Mentions(surface)) {
           const EntityClassifier::Prediction pred =
-              classifier_->Predict(mention.local_embedding);
+              classifier.Predict(mention.local_embedding);
           if (pred.is_entity()) add_mention(mention, pred.type());
         }
       }

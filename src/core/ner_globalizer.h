@@ -7,7 +7,6 @@
 
 #include "common/status.h"
 #include "core/entity_classifier.h"
-#include "core/local_ner.h"
 #include "core/model_bundle.h"
 #include "core/ner_globalizer_config.h"
 #include "core/phrase_embedder.h"
@@ -41,9 +40,9 @@ NerGlobalizerConfig DefaultPipelineConfig(const ModelBundle& bundle);
 /// phrase embedding -> candidate clustering -> entity classification.
 ///
 /// A thin engine in the model/session split: the trained models are
-/// borrowed const (directly or via a ModelBundle, shared across any number
-/// of concurrent pipelines) and all mutable stream state lives in one
-/// owned StreamState, checkpointable with Checkpoint()/Restore().
+/// borrowed const as one ModelBundle (shared across any number of
+/// concurrent pipelines) and all mutable stream state lives in one owned
+/// StreamState, checkpointable with Checkpoint()/Restore().
 ///
 /// Supports continuous execution over batches. With the default unbounded
 /// configuration every ProcessBatch extends the TweetBase/CTrie/
@@ -61,14 +60,9 @@ NerGlobalizerConfig DefaultPipelineConfig(const ModelBundle& bundle);
 /// Outputs are bit-identical for any NERGLOB_THREADS setting.
 class NerGlobalizer {
  public:
-  /// All components must outlive the pipeline and be trained already
-  /// (model fine-tuned, embedder + classifier trained on D5).
-  NerGlobalizer(const lm::MicroBert* model, const PhraseEmbedder* embedder,
-                const EntityClassifier* classifier, NerGlobalizerConfig config);
-
-  /// Borrows a trained bundle (which must outlive the pipeline). Sessions
-  /// created this way stamp checkpoints with the bundle fingerprint, so a
-  /// checkpoint cannot be restored onto a different architecture.
+  /// Borrows a trained bundle, which must hold models (has_models()) and
+  /// outlive the pipeline. Checkpoints are stamped with the bundle
+  /// fingerprint, so one cannot be restored onto a different architecture.
   NerGlobalizer(const ModelBundle* bundle, NerGlobalizerConfig config);
 
   /// Processes one batch of the stream (Sec. III execution cycle) by
@@ -79,9 +73,9 @@ class NerGlobalizer {
   void ProcessBatch(const std::vector<stream::Message>& batch);
 
   /// ProcessBatch with the LocalEncode stage's work supplied by the caller:
-  /// `encoded[i]` must be bitwise what model->Encode(batch[i].tokens) would
-  /// return (default-constructed for empty messages) — the contract
-  /// lm::MicroBert::EncodeMany provides for any cross-session batch
+  /// `encoded[i]` must be bitwise what the bundle's model returns for
+  /// `batch[i].tokens` (default-constructed for empty messages) — the
+  /// contract lm::MicroBert::EncodeMany provides for any cross-session batch
   /// composition. This is the serve-layer batch scheduler's entry point;
   /// all downstream state evolves bit-identically to ProcessBatch
   /// (enforced by test).
@@ -123,10 +117,10 @@ class NerGlobalizer {
   /// window with this pipeline's model, in chunks of
   /// config().process_batch_size, and recomputes every mention's phrase
   /// embedding with its embedder. Fails (leaving the current state
-  /// untouched) with FailedPrecondition if the pipeline has no model or
-  /// the checkpoint's layout version, bundle fingerprint or pipeline
-  /// config disagree with this pipeline's, and with a typed error if any
-  /// record is corrupt or truncated.
+  /// untouched) with FailedPrecondition if the checkpoint's layout
+  /// version, bundle fingerprint or pipeline config disagree with this
+  /// pipeline's, and with a typed error if any record is corrupt or
+  /// truncated.
   Status Restore(io::TensorReader* reader);
 
   /// Message ids in stream order (aligned with Predictions()); the live
@@ -161,13 +155,8 @@ class NerGlobalizer {
   void RunStages(const std::vector<stream::Message>& batch,
                  std::vector<lm::EncodeResult> encoded, bool pre_encoded);
 
-  const lm::MicroBert* model_;
-  const PhraseEmbedder* embedder_;
-  const EntityClassifier* classifier_;
+  const ModelBundle* bundle_;
   NerGlobalizerConfig config_;
-  /// Architecture fingerprint stamped into checkpoints; empty when built
-  /// from raw component pointers (fingerprint checks are then skipped).
-  std::string bundle_fingerprint_;
 
   StreamState state_;
 

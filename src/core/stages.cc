@@ -24,13 +24,14 @@ namespace {
 /// present in their surface's pool are skipped — the eviction rescan
 /// path, where live sentences are re-scanned after a surface prune. Every
 /// appended mention is embedded here, once; the pool holds the only copy.
-void ExtractMentionsInto(const ModelView& view, StreamState& state,
+void ExtractMentionsInto(const ModelBundle& bundle, StreamState& state,
                          const NerGlobalizerConfig& config,
                          const std::vector<int64_t>& ids,
                          const trie::CandidateTrie& trie, bool dedup = false) {
   if (trie.size() == 0) return;
   static const trace::TraceStage kStage("mention_extraction");
   trace::TraceSpan span(kStage);
+  const PhraseEmbedder& embedder = bundle.embedder();
 
   // Phase 1 (parallel): per-sentence trie scans and phrase embeddings are
   // independent reads of the TweetBase, so they fan out over the thread
@@ -65,8 +66,8 @@ void ExtractMentionsInto(const ModelView& view, StreamState& state,
       // Retained state: the embedding outlives this batch in the
       // CandidateBase, so it owns heap storage; EmbedInto keeps every
       // intermediate in the worker's scratch arena.
-      view.embedder->EmbedInto(record->token_embeddings, span.begin, emb_end,
-                               &f.mention.local_embedding);
+      embedder.EmbedInto(record->token_embeddings, span.begin, emb_end,
+                         &f.mention.local_embedding);
       found[idx].push_back(std::move(f));
     }
   });
@@ -100,7 +101,7 @@ void ExtractMentionsInto(const ModelView& view, StreamState& state,
 /// Pure read of the CandidateBase — safe to run concurrently across
 /// surfaces.
 std::vector<stream::CandidateEntry> BuildCandidates(
-    const ModelView& view, const StreamState& state,
+    const EntityClassifier& classifier, const StreamState& state,
     const NerGlobalizerConfig& config, const std::string& surface) {
   const auto& pool = state.candidate_base.Mentions(surface);
   if (pool.empty()) return {};
@@ -162,8 +163,7 @@ std::vector<stream::CandidateEntry> BuildCandidates(
                 pool[cluster_members[j]].local_embedding.Row(0) + dim,
                 member_embs->Row(j));
     }
-    const EntityClassifier::Prediction pred =
-        view.classifier->Predict(*member_embs);
+    const EntityClassifier::Prediction pred = classifier.Predict(*member_embs);
     stream::CandidateEntry entry;
     entry.surface = surface;
     entry.mention_ids = cluster_members;
@@ -192,7 +192,7 @@ std::vector<stream::CandidateEntry> BuildCandidates(
 /// (or all surfaces when incremental_refresh is off). Per-surface work
 /// (clustering + classification) runs in parallel; the CandidateBase
 /// writes happen serially in sorted-surface order.
-void RefreshCandidatesImpl(const ModelView& view, StreamState& state,
+void RefreshCandidatesImpl(const ModelBundle& bundle, StreamState& state,
                            const NerGlobalizerConfig& config) {
   static const trace::TraceStage kStage("refresh_candidates");
   trace::TraceSpan span(kStage);
@@ -210,9 +210,11 @@ void RefreshCandidatesImpl(const ModelView& view, StreamState& state,
   // Phase 1 (parallel): per-surface clustering + classification only reads
   // the CandidateBase. Phase 2 writes the results back serially in sorted
   // surface order, so the base's state is thread-count independent.
+  const EntityClassifier& classifier = bundle.classifier();
   std::vector<std::vector<stream::CandidateEntry>> built(state.dirty_surfaces.size());
   ParallelFor(0, state.dirty_surfaces.size(), /*grain=*/1, [&](size_t i) {
-    built[i] = BuildCandidates(view, state, config, state.dirty_surfaces[i]);
+    built[i] =
+        BuildCandidates(classifier, state, config, state.dirty_surfaces[i]);
   });
   for (size_t i = 0; i < state.dirty_surfaces.size(); ++i) {
     // Empty means the surface had no mentions (seed behavior: skip).
@@ -251,7 +253,8 @@ std::vector<text::EntitySpan> ResolveOverlaps(std::vector<text::EntitySpan> span
   return kept;
 }
 
-void LocalEncode(const ModelView& view, StreamState& state, StageContext& ctx) {
+void LocalEncode(const ModelBundle& bundle, StreamState& state,
+                 StageContext& ctx) {
   (void)state;  // model-only by contract: the encoder reads no stream state
   if (ctx.pre_encoded) return;
   std::vector<const std::vector<text::Token>*> sentences;
@@ -263,17 +266,18 @@ void LocalEncode(const ModelView& view, StreamState& state, StageContext& ctx) {
   // consult the process-wide lm::EncodeCache when enabled — both return
   // the exact bytes a per-message recompute would, so the stage keeps the
   // pipeline's bit-identity contract.
-  ctx.encoded = view.model->EncodeMany(sentences);
+  ctx.encoded = bundle.model().EncodeMany(sentences);
 }
 
-void IngestLocal(const ModelView& view, StreamState& state, StageContext& ctx) {
-  (void)view;
+void IngestLocal(const ModelBundle& bundle, StreamState& state,
+                 StageContext& ctx) {
+  (void)bundle;
   // Snapshot before this batch lands: these are the sentences that only
   // need rescanning against the delta trie.
   ctx.old_ids = state.tweet_base.ids();
   ctx.outputs = IngestEncodedBatch(*ctx.batch, &ctx.encoded,
                                    &state.tweet_base, &state.trie);
-  for (const LocalNer::Output& out : ctx.outputs) {
+  for (const LocalNerOutput& out : ctx.outputs) {
     if (state.tweet_base.Find(out.message_id) != nullptr) {
       ctx.new_ids.push_back(out.message_id);
     }
@@ -294,20 +298,20 @@ void IngestLocal(const ModelView& view, StreamState& state, StageContext& ctx) {
   }
 }
 
-void ExtractMentions(const ModelView& view, StreamState& state,
+void ExtractMentions(const ModelBundle& bundle, StreamState& state,
                      StageContext& ctx) {
-  ExtractMentionsInto(view, state, *ctx.config, ctx.new_ids, state.trie);
+  ExtractMentionsInto(bundle, state, *ctx.config, ctx.new_ids, state.trie);
   if (ctx.delta.size() > 0) {
-    ExtractMentionsInto(view, state, *ctx.config, ctx.old_ids, ctx.delta);
+    ExtractMentionsInto(bundle, state, *ctx.config, ctx.old_ids, ctx.delta);
   }
 }
 
-void RefreshCandidates(const ModelView& view, StreamState& state,
+void RefreshCandidates(const ModelBundle& bundle, StreamState& state,
                        StageContext& ctx) {
-  RefreshCandidatesImpl(view, state, *ctx.config);
+  RefreshCandidatesImpl(bundle, state, *ctx.config);
 }
 
-void Evict(const ModelView& view, StreamState& state, StageContext& ctx) {
+void Evict(const ModelBundle& bundle, StreamState& state, StageContext& ctx) {
   const NerGlobalizerConfig& config = *ctx.config;
   if (config.window_messages == 0 ||
       state.tweet_base.size() <= config.window_messages) {
@@ -398,12 +402,12 @@ void Evict(const ModelView& view, StreamState& state, StageContext& ctx) {
   // 6. Re-scan affected live sentences (dedup: only genuinely new spans
   // are added and embedded), then rebuild every eviction-touched surface
   // so candidates never dangle.
-  ExtractMentionsInto(view, state, config, rescan_ids, state.trie,
+  ExtractMentionsInto(bundle, state, config, rescan_ids, state.trie,
                       /*dedup=*/true);
   for (const std::string& surface : changed) {
     if (pruned_set.count(surface) == 0) state.dirty_surfaces.push_back(surface);
   }
-  RefreshCandidatesImpl(view, state, config);
+  RefreshCandidatesImpl(bundle, state, config);
 
   if (metrics::Enabled()) {
     auto& registry = metrics::MetricsRegistry::Global();

@@ -5,17 +5,13 @@
 #include <vector>
 
 #include "core/local_ner.h"
+#include "core/model_bundle.h"
 #include "core/ner_globalizer_config.h"
 #include "core/stream_state.h"
 #include "lm/micro_bert.h"
 #include "stream/message.h"
 #include "text/bio.h"
 #include "trie/candidate_trie.h"
-
-namespace nerglob::core {
-class PhraseEmbedder;
-class EntityClassifier;
-}  // namespace nerglob::core
 
 namespace nerglob::core::stages {
 
@@ -25,7 +21,7 @@ namespace nerglob::core::stages {
 ///   (model-only)  (state writes begin here ────────────────────────────────▶)
 ///
 /// Every stage is a free function with the uniform signature
-/// `(const ModelView&, StreamState&, StageContext&)`. The split exists for
+/// `(const ModelBundle&, StreamState&, StageContext&)`. The split exists for
 /// one load-bearing property: **LocalEncode is the only stage that runs the
 /// expensive encoder forward, and it touches neither the StreamState nor
 /// the StageContext's cross-stage products** — its output is a pure
@@ -35,16 +31,8 @@ namespace nerglob::core::stages {
 /// results via StageContext::pre_encoded, and every downstream stage is
 /// bitwise unaffected (enforced by pipeline_test and serve_test).
 ///
-/// The issue's nominal signature takes `const ModelBundle&`; stages take a
-/// ModelView instead because NerGlobalizer also supports construction from
-/// raw component pointers (no bundle object exists to reference) — the view
-/// is the greatest common denominator of both constructors
-/// (docs/ARCHITECTURE.md §9).
-struct ModelView {
-  const lm::MicroBert* model = nullptr;
-  const PhraseEmbedder* embedder = nullptr;
-  const EntityClassifier* classifier = nullptr;
-};
+/// The bundle is the driving NerGlobalizer's, borrowed const. A stage binds
+/// the components it needs once per call, outside any ParallelFor.
 
 /// Per-batch products flowing between stages. A fresh context is built for
 /// every ProcessBatch; nothing in it outlives the batch (all cross-batch
@@ -60,13 +48,13 @@ struct StageContext {
   /// `pre_encoded` is set the driver injected these results (the serve
   /// cross-session batch scheduler) and LocalEncode is a no-op; the
   /// contract is that injected entries are bitwise equal to what
-  /// model->Encode would produce, which EncodeMany guarantees for any
-  /// batch composition.
+  /// bundle.model().Encode would produce, which EncodeMany guarantees for
+  /// any batch composition.
   std::vector<lm::EncodeResult> encoded;
   bool pre_encoded = false;
 
   /// IngestLocal products.
-  std::vector<LocalNer::Output> outputs;
+  std::vector<LocalNerOutput> outputs;
   /// Ids of sentences that existed before this batch (delta-rescan input).
   std::vector<int64_t> old_ids;
   /// Ids of this batch's sentences now present in the TweetBase.
@@ -80,25 +68,27 @@ struct StageContext {
 /// for every message in ctx.batch into ctx.encoded (via EncodeMany, so the
 /// results are bitwise independent of how messages are batched). Reads no
 /// StreamState; writes none. No-op when ctx.pre_encoded.
-void LocalEncode(const ModelView& view, StreamState& state, StageContext& ctx);
+void LocalEncode(const ModelBundle& bundle, StreamState& state,
+                 StageContext& ctx);
 
 /// Stage 2 — serial ingest of the encode results, in stream order:
 /// snapshots ctx.old_ids, stores SentenceRecords in the TweetBase, seeds
 /// the CTrie with locally-detected surface forms, and accumulates
 /// local-type votes / seed support / the delta trie. First state-mutating
 /// stage.
-void IngestLocal(const ModelView& view, StreamState& state, StageContext& ctx);
+void IngestLocal(const ModelBundle& bundle, StreamState& state,
+                 StageContext& ctx);
 
 /// Stage 3 — mention extraction (Sec. III step 3): scans the new sentences
 /// against the full trie and the old sentences against the delta trie,
 /// appending mention records (with phrase embeddings) to the CandidateBase
 /// and marking touched surfaces dirty.
-void ExtractMentions(const ModelView& view, StreamState& state,
+void ExtractMentions(const ModelBundle& bundle, StreamState& state,
                      StageContext& ctx);
 
 /// Stage 4 — clustering + classification of every dirty surface form
 /// (all surfaces when config->incremental_refresh is off).
-void RefreshCandidates(const ModelView& view, StreamState& state,
+void RefreshCandidates(const ModelBundle& bundle, StreamState& state,
                        StageContext& ctx);
 
 /// Stage 5 — windowed eviction: retires the oldest records beyond
@@ -106,7 +96,7 @@ void RefreshCandidates(const ModelView& view, StreamState& state,
 /// state.finalized), prunes unsupported surfaces, rescans affected live
 /// sentences, and refreshes eviction-touched candidates. No-op when the
 /// window is unbounded or not yet exceeded.
-void Evict(const ModelView& view, StreamState& state, StageContext& ctx);
+void Evict(const ModelBundle& bundle, StreamState& state, StageContext& ctx);
 
 /// Pools larger than this are clustered on a prefix sample; the remaining
 /// mentions join the nearest cluster centroid. Keeps the O(n^3) linkage

@@ -264,10 +264,15 @@ EmbedderTrainResult TrainWithSoftNn(PhraseEmbedder* embedder,
 std::vector<MentionExample> CollectMentionExamples(
     const std::vector<stream::Message>& labeled, const lm::MicroBert& model,
     size_t max_mention_span) {
-  LocalNer local_ner(&model);
+  std::vector<const std::vector<text::Token>*> sentences;
+  sentences.reserve(labeled.size());
+  for (const stream::Message& message : labeled) {
+    sentences.push_back(&message.tokens);
+  }
+  std::vector<lm::EncodeResult> encoded = model.EncodeMany(sentences);
   stream::TweetBase tweet_base;
   trie::CandidateTrie trie;
-  local_ner.ProcessBatch(labeled, &tweet_base, &trie);
+  IngestEncodedBatch(labeled, &encoded, &tweet_base, &trie);
 
   std::vector<MentionExample> examples;
   for (const stream::Message& message : labeled) {

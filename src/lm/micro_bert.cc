@@ -170,7 +170,7 @@ EncodeResult MicroBert::Encode(const std::vector<text::Token>& tokens) const {
 
 EncodeResult MicroBert::EncodeUncached(
     const std::vector<text::Token>& tokens) const {
-  // Runs on pool workers inside LocalNer::ProcessBatch — the span nests
+  // Runs on pool workers inside EncodeMany. In the pipeline the span nests
   // under "local_ner" only on the caller thread, but aggregates globally.
   static const trace::TraceStage kStage("lm_encode");
   trace::TraceSpan span(kStage);
@@ -213,14 +213,6 @@ EncodeResult MicroBert::EncodeUncached(
   // with O so the caller sees one label per input token.
   out.bio_labels.resize(tokens.size(), text::kBioOutside);
   return out;
-}
-
-std::vector<EncodeResult> MicroBert::EncodeBatch(
-    const std::vector<std::vector<text::Token>>& sentences) const {
-  std::vector<const std::vector<text::Token>*> ptrs;
-  ptrs.reserve(sentences.size());
-  for (const auto& s : sentences) ptrs.push_back(&s);
-  return EncodeMany(ptrs);
 }
 
 std::vector<EncodeResult> MicroBert::EncodeMany(

@@ -84,17 +84,11 @@ class MicroBert : public nn::Module {
   /// cached bytes, bit-identical to a recompute.
   EncodeResult Encode(const std::vector<text::Token>& tokens) const;
 
-  /// Encodes many sentences, one per ParallelFor lane over the shared
-  /// thread pool. Results keep input order; empty sentences are skipped and
-  /// left as default EncodeResult. Output is bit-identical for any
-  /// NERGLOB_THREADS setting.
-  std::vector<EncodeResult> EncodeBatch(
-      const std::vector<std::vector<text::Token>>& sentences) const;
-
-  /// Batched entry point for callers that gather sentences from many
-  /// owners (the serve-layer cross-session scheduler): encodes each
-  /// pointed-to sentence via the same scratch-arena Encode path, one per
-  /// ParallelFor lane. Because every sentence runs the full per-sentence op
+  /// Encodes many sentences, gathered from any number of owners (the
+  /// serve-layer cross-session scheduler), over the shared thread pool:
+  /// each pointed-to sentence runs the same scratch-arena Encode path, one
+  /// per ParallelFor lane. Output is bit-identical for any NERGLOB_THREADS
+  /// setting. Because every sentence runs the full per-sentence op
   /// sequence independently (no cross-sentence packing or padding state),
   /// results are bitwise independent of batch composition: any
   /// partition/permutation of a workload yields the same per-sentence

@@ -22,27 +22,6 @@ ag::Var Linear::Forward(const ag::Var& x) const {
   return ag::LinearForward(x, weight_, bias_);
 }
 
-const Matrix& Linear::TransposedWeight() const {
-  TransposeCache& cache = *transpose_cache_;
-  const uint64_t want = weight_.value_version();
-  // Double-checked: the acquire load pairs with the release store below, so
-  // a reader that sees `version == want` also sees the matching `value`.
-  if (cache.version.load(std::memory_order_acquire) != want) {
-    std::lock_guard<std::mutex> lock(cache.mu);
-    if (cache.version.load(std::memory_order_relaxed) != want) {
-      cache.value = weight_.value().Transposed();
-      cache.version.store(want, std::memory_order_release);
-    }
-  }
-  return cache.value;
-}
-
-Matrix Linear::Apply(const Matrix& x) const {
-  Matrix out;
-  ApplyInto(x, &out);
-  return out;
-}
-
 void Linear::ApplyInto(const Matrix& x, Matrix* out) const {
   const Matrix& w = weight_.value();
   const Matrix& b = bias_.value();
@@ -83,12 +62,6 @@ void LayerNorm::ApplyInto(const Matrix& x, Matrix* out) const {
   // 1e-5f is the ag::LayerNormRows default; the eval mirror must match it
   // for bit-identity with Forward(...).value().
   LayerNormRowsInto(x, gamma_.value(), beta_.value(), /*eps=*/1e-5f, out);
-}
-
-Matrix LayerNorm::Apply(const Matrix& x) const {
-  Matrix out;
-  ApplyInto(x, &out);
-  return out;
 }
 
 BatchNorm1d::BatchNorm1d(size_t dim, float momentum, float eps)
@@ -160,12 +133,6 @@ ag::Var Mlp::Forward(const ag::Var& x) const {
     if (i + 1 < layers_.size()) h = ag::Relu(h);
   }
   return h;
-}
-
-Matrix Mlp::Apply(const Matrix& x) const {
-  Matrix out;
-  ApplyInto(x, &out, &common::ScratchArena::ThreadLocal());
-  return out;
 }
 
 void Mlp::ApplyInto(const Matrix& x, Matrix* out,

@@ -1,11 +1,6 @@
 #ifndef NERGLOB_NN_LAYERS_H_
 #define NERGLOB_NN_LAYERS_H_
 
-#include <atomic>
-#include <cstdint>
-#include <limits>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -24,14 +19,12 @@ class Linear : public Module {
   /// x: (m, in) -> (m, out). Builds graph nodes (training / autograd path).
   ag::Var Forward(const ag::Var& x) const;
 
-  /// Raw inference path: same math as Forward but no graph nodes (the
-  /// SIMD gemm kernel handles every shape, including single rows, so this
-  /// is bit-identical to Forward(...).value() everywhere). Safe to call
-  /// concurrently from ParallelFor bodies.
-  Matrix Apply(const Matrix& x) const;
-
-  /// Apply with a caller-owned output (capacity reused; zero allocations
-  /// at steady state when `out` is a scratch-arena slot).
+  /// Graph-free inference path into a caller-owned output: same math as
+  /// Forward but no graph nodes (the SIMD gemm kernel handles every shape,
+  /// including single rows, so this is bit-identical to
+  /// Forward(...).value() everywhere). Capacity is reused, so there are
+  /// zero allocations at steady state when `out` is a scratch-arena slot.
+  /// Safe to call concurrently from ParallelFor bodies.
   void ApplyInto(const Matrix& x, Matrix* out) const;
 
   std::vector<ag::Var> Parameters() const override { return {weight_, bias_}; }
@@ -39,23 +32,9 @@ class Linear : public Module {
   const ag::Var& weight() const { return weight_; }
   const ag::Var& bias() const { return bias_; }
 
-  /// W^T (out, in), cached and invalidated via the weight's version stamp
-  /// (bumped by every mutable_value() access, i.e. each optimizer step).
-  const Matrix& TransposedWeight() const;
-
  private:
-  /// Copies of a Linear share the same parameter nodes, so they share the
-  /// cache too (shared_ptr keeps the layer copyable for std::vector use).
-  struct TransposeCache {
-    std::mutex mu;
-    std::atomic<uint64_t> version{std::numeric_limits<uint64_t>::max()};
-    Matrix value;
-  };
-
   ag::Var weight_;  // (in, out)
   ag::Var bias_;    // (1, out)
-  std::shared_ptr<TransposeCache> transpose_cache_ =
-      std::make_shared<TransposeCache>();
 };
 
 /// Token embedding table with gather-based lookup.
@@ -90,7 +69,6 @@ class LayerNorm : public Module {
   /// Graph-free eval path, bit-identical to Forward(...).value() (same
   /// double row statistics, same eps as ag::LayerNormRows).
   void ApplyInto(const Matrix& x, Matrix* out) const;
-  Matrix Apply(const Matrix& x) const;
 
   std::vector<ag::Var> Parameters() const override { return {gamma_, beta_}; }
 
@@ -134,12 +112,10 @@ class Mlp : public Module {
 
   ag::Var Forward(const ag::Var& x) const;
 
-  /// Raw inference path mirroring Forward (Linear::Apply + ReLU between
-  /// layers, linear last); no graph nodes, thread-safe.
-  Matrix Apply(const Matrix& x) const;
-
-  /// Apply with caller-owned output and explicit scratch arena for the
-  /// hidden activations (ping-pong buffers inside one ScratchFrame).
+  /// Graph-free inference path mirroring Forward (Linear::ApplyInto + ReLU
+  /// between layers, linear last) into a caller-owned output, with the
+  /// hidden activations in `scratch` (ping-pong buffers inside one
+  /// ScratchFrame). No graph nodes; thread-safe.
   void ApplyInto(const Matrix& x, Matrix* out,
                  common::ScratchArena* scratch) const;
 

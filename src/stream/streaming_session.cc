@@ -10,12 +10,6 @@
 
 namespace nerglob::stream {
 
-StreamingSession::StreamingSession(const lm::MicroBert* model,
-                                   const core::PhraseEmbedder* embedder,
-                                   const core::EntityClassifier* classifier,
-                                   StreamingSessionConfig config)
-    : pipeline_(model, embedder, classifier, config.pipeline) {}
-
 StreamingSession::StreamingSession(const core::ModelBundle* bundle,
                                    StreamingSessionConfig config)
     : pipeline_(bundle, config.pipeline) {}

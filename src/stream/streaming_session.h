@@ -56,13 +56,6 @@ struct StreamingRunStats {
 /// a single shard worker, preserving this contract.
 class StreamingSession {
  public:
-  /// `model`, `embedder`, and `classifier` must outlive the session and be
-  /// trained already (same ownership contract as NerGlobalizer).
-  StreamingSession(const lm::MicroBert* model,
-                   const core::PhraseEmbedder* embedder,
-                   const core::EntityClassifier* classifier,
-                   StreamingSessionConfig config);
-
   /// Borrows a trained bundle (which must outlive the session). Any
   /// number of sessions may share one const bundle concurrently — each
   /// owns its whole mutable state.

@@ -179,14 +179,26 @@ class LocalNerTest : public ::testing::Test {
     opt.lr = 5e-3f;
     lm::FineTuneForNer(model_.get(), train, opt);
   }
+
+  /// Local NER as the pipeline runs it: EncodeMany, then the serial ingest.
+  std::vector<LocalNerOutput> RunLocalNer(
+      const std::vector<stream::Message>& batch, stream::TweetBase* base,
+      trie::CandidateTrie* trie) const {
+    std::vector<const std::vector<text::Token>*> sentences;
+    for (const stream::Message& message : batch) {
+      sentences.push_back(&message.tokens);
+    }
+    std::vector<lm::EncodeResult> encoded = model_->EncodeMany(sentences);
+    return IngestEncodedBatch(batch, &encoded, base, trie);
+  }
+
   std::unique_ptr<lm::MicroBert> model_;
 };
 
 TEST_F(LocalNerTest, StoresRecordsAndSeedsTrie) {
-  LocalNer local(model_.get());
   stream::TweetBase base;
   trie::CandidateTrie trie;
-  auto outs = local.ProcessBatch({MakeMsg(1, "omega speaks now")}, &base, &trie);
+  auto outs = RunLocalNer({MakeMsg(1, "omega speaks now")}, &base, &trie);
   ASSERT_EQ(outs.size(), 1u);
   ASSERT_NE(base.Find(1), nullptr);
   EXPECT_EQ(base.Find(1)->token_embeddings.rows(), 3u);
@@ -198,10 +210,9 @@ TEST_F(LocalNerTest, StoresRecordsAndSeedsTrie) {
 }
 
 TEST_F(LocalNerTest, DuplicateSurfaceNotReRegistered) {
-  LocalNer local(model_.get());
   stream::TweetBase base;
   trie::CandidateTrie trie;
-  auto outs = local.ProcessBatch(
+  auto outs = RunLocalNer(
       {MakeMsg(1, "omega speaks now"), MakeMsg(2, "we saw omega")}, &base, &trie);
   EXPECT_EQ(trie.size(), 1u);
   EXPECT_EQ(outs[0].new_surfaces.size() + outs[1].new_surfaces.size(), 1u);

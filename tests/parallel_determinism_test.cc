@@ -2,7 +2,7 @@
 // must produce bit-identical state and predictions for any NERGLOB_THREADS
 // setting AND any NERGLOB_SIMD kernel tier (ISSUE: "deterministic ordered
 // result merging" + the kernel determinism contract in DESIGN.md).
-// Components are random-init (no training) — determinism is a property of
+// The bundle is random-init (no training) — determinism is a property of
 // the execution engine, not of model quality, and untrained weights still
 // produce a rich mix of spans, mentions and clusters to compare.
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include "core/ner_globalizer.h"
 #include "data/generator.h"
 #include "data/knowledge_base.h"
-#include "lm/micro_bert.h"
 #include "tensor/kernels.h"
 
 namespace nerglob {
@@ -36,15 +35,13 @@ bool SpansEqual(const std::vector<std::vector<text::EntitySpan>>& a,
 class ParallelDeterminismTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    lm::MicroBertConfig config;
-    config.d_model = 32;
-    config.num_heads = 2;
-    config.num_layers = 1;
-    config.subword_buckets = 512;
-    model_ = new lm::MicroBert(config, /*seed=*/17);
-    Rng rng(18);
-    embedder_ = new core::PhraseEmbedder(config.d_model, &rng);
-    classifier_ = new core::EntityClassifier(config.d_model, 24, &rng);
+    core::ModelBundleConfig config;
+    config.lm.d_model = 32;
+    config.lm.num_heads = 2;
+    config.lm.num_layers = 1;
+    config.lm.subword_buckets = 512;
+    config.classifier_hidden = 24;
+    bundle_ = new core::ModelBundle(config);
     kb_ = new data::KnowledgeBase(
         data::KnowledgeBase::BuildStandard(/*extra_per_topic_type=*/5,
                                            /*seed=*/19));
@@ -55,14 +52,10 @@ class ParallelDeterminismTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete messages_;
     delete kb_;
-    delete classifier_;
-    delete embedder_;
-    delete model_;
+    delete bundle_;
     messages_ = nullptr;
     kb_ = nullptr;
-    classifier_ = nullptr;
-    embedder_ = nullptr;
-    model_ = nullptr;
+    bundle_ = nullptr;
   }
   ~ParallelDeterminismTest() override {
     SetParallelism(0);
@@ -72,7 +65,7 @@ class ParallelDeterminismTest : public ::testing::Test {
   static PipelineResult RunWithThreads(size_t threads, size_t batch_size) {
     SetParallelism(threads);
     core::NerGlobalizerConfig config;
-    core::NerGlobalizer pipeline(model_, embedder_, classifier_, config);
+    core::NerGlobalizer pipeline(bundle_, config);
     pipeline.ProcessAll(*messages_, batch_size);
     PipelineResult result;
     result.local = pipeline.Predictions(core::PipelineStage::kLocalOnly);
@@ -83,16 +76,12 @@ class ParallelDeterminismTest : public ::testing::Test {
     return result;
   }
 
-  static lm::MicroBert* model_;
-  static core::PhraseEmbedder* embedder_;
-  static core::EntityClassifier* classifier_;
+  static core::ModelBundle* bundle_;
   static data::KnowledgeBase* kb_;
   static std::vector<stream::Message>* messages_;
 };
 
-lm::MicroBert* ParallelDeterminismTest::model_ = nullptr;
-core::PhraseEmbedder* ParallelDeterminismTest::embedder_ = nullptr;
-core::EntityClassifier* ParallelDeterminismTest::classifier_ = nullptr;
+core::ModelBundle* ParallelDeterminismTest::bundle_ = nullptr;
 data::KnowledgeBase* ParallelDeterminismTest::kb_ = nullptr;
 std::vector<stream::Message>* ParallelDeterminismTest::messages_ = nullptr;
 

@@ -11,6 +11,7 @@
 
 #include "common/metrics.h"
 #include "common/string_util.h"
+#include "core/local_ner.h"
 #include "harness/experiment.h"
 #include "io/tensor_io.h"
 #include "text/tokenizer.h"
@@ -442,27 +443,33 @@ TEST_F(PipelineTest, WindowedRunEmbedsEveryExtractedMentionOnce) {
   EXPECT_EQ(embeds, mentions);
 }
 
-TEST_F(PipelineTest, RestoreWithoutModelFailsPrecondition) {
-  // Restore re-encodes the live window, so a pipeline built without an
-  // encoder refuses a checkpoint with a typed error, not a CHECK.
+TEST_F(PipelineTest, RestoreRejectsEmptyBundleFingerprint) {
+  // A layout-3 header whose fingerprint is empty, followed by a valid empty
+  // stream state: the fingerprint is compared like any other, so the file
+  // does not restore onto this bundle.
   const std::string path =
-      std::string(::testing::TempDir()) + "/pipeline_no_model.bin";
-  auto messages = Dataset("D1");
-  messages.resize(std::min<size_t>(messages.size(), 32));
-  auto pipeline = MakePipeline();
-  pipeline.ProcessAll(messages);
+      std::string(::testing::TempDir()) + "/pipeline_empty_fingerprint.bin";
+  const core::NerGlobalizerConfig config =
+      core::DefaultPipelineConfig(system_->bundle);
   {
     io::TensorWriter writer(path);
-    ASSERT_TRUE(pipeline.Checkpoint(&writer).ok());
+    writer.PutU32(3);      // layout version
+    writer.PutString("");  // bundle fingerprint
+    writer.PutF32(config.cluster_threshold);
+    writer.PutU64(config.max_mention_span);
+    writer.PutU64(config.window_messages);
+    writer.PutU32(config.incremental_refresh ? 1 : 0);
+    writer.PutF64(0.0);  // local seconds
+    writer.PutF64(0.0);  // global seconds
+    ASSERT_TRUE(writer.EndRecord(io::kTagCheckpoint).ok());
+    ASSERT_TRUE(core::StreamState().Save(&writer).ok());
     ASSERT_TRUE(writer.Finish().ok());
   }
-  core::NerGlobalizer no_model(nullptr, &system_->bundle.embedder(),
-                               &system_->bundle.classifier(),
-                               core::DefaultPipelineConfig(system_->bundle));
+  auto pipeline = MakePipeline();
   io::TensorReader reader(path);
-  const Status s = no_model.Restore(&reader);
+  const Status s = pipeline.Restore(&reader);
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
-  EXPECT_TRUE(no_model.message_ids().empty());
+  EXPECT_NE(s.message().find("bundle"), std::string::npos) << s.ToString();
   std::remove(path.c_str());
 }
 
