@@ -17,14 +17,35 @@ namespace nerglob::core {
 namespace {
 
 /// Layout of a session checkpoint's pipeline records, written first in the
-/// kTagCheckpoint header. Version 3 stores each TweetBase record's message
-/// only: restore re-encodes the token embeddings and BIO labels, then
-/// recomputes the phrase embeddings from them. Version 2 also stored the
+/// kTagCheckpoint header. Version 4 stores each message as its text (its
+/// tokens only when they are not the tokenizer's output) and codes every
+/// integer of the session records as a varint: restore re-tokenizes and
+/// re-encodes the window, then recomputes the phrase embeddings. Version 3
+/// stored every token and fixed-width integers; version 2 also stored the
 /// token embeddings and BIO labels; version 1 also stored phrase
 /// embeddings and had no version field.
-constexpr uint32_t kCheckpointLayoutVersion = 3;
+constexpr uint32_t kCheckpointLayoutVersion = 4;
 
 }  // namespace
+
+void PutCheckpointLayout(io::TensorWriter* writer) {
+  writer->PutU32(kCheckpointLayoutVersion);
+}
+
+Status CheckCheckpointLayout(io::TensorReader* reader) {
+  uint32_t layout = 0;
+  if (!reader->GetU32(&layout)) return reader->status();
+  if (layout != kCheckpointLayoutVersion) {
+    // Records from before they carried this field (layout 1's header,
+    // every session record before layout 4) open with a u64 length or
+    // counter, whose low half lands here and is refused as a mismatch. A
+    // counter that happens to equal the version fails as layout drift.
+    return Status::FailedPrecondition(StrFormat(
+        "'%s': checkpoint layout version mismatch: expected %u, found %u",
+        reader->path().c_str(), kCheckpointLayoutVersion, layout));
+  }
+  return Status::OK();
+}
 
 const char* PipelineStageName(PipelineStage stage) {
   switch (stage) {
@@ -56,7 +77,7 @@ NerGlobalizer::NerGlobalizer(const ModelBundle* bundle,
 }
 
 Status NerGlobalizer::Checkpoint(io::TensorWriter* writer) const {
-  writer->PutU32(kCheckpointLayoutVersion);
+  PutCheckpointLayout(writer);
   writer->PutString(bundle_->Fingerprint());
   // The config is echoed so a checkpoint cannot be restored into a
   // pipeline that would interpret the state differently (other window,
@@ -73,15 +94,7 @@ Status NerGlobalizer::Checkpoint(io::TensorWriter* writer) const {
 
 Status NerGlobalizer::Restore(io::TensorReader* reader) {
   NERGLOB_RETURN_IF_ERROR(reader->NextRecord(io::kTagCheckpoint));
-  uint32_t layout = 0;
-  if (!reader->GetU32(&layout)) return reader->status();
-  if (layout != kCheckpointLayoutVersion) {
-    // A version-1 file starts with the fingerprint's u64 length instead, so
-    // it lands here too: its low half is never a current version.
-    return Status::FailedPrecondition(StrFormat(
-        "'%s': checkpoint layout version mismatch: expected %u, found %u",
-        reader->path().c_str(), kCheckpointLayoutVersion, layout));
-  }
+  NERGLOB_RETURN_IF_ERROR(CheckCheckpointLayout(reader));
   std::string fingerprint;
   float threshold = 0.0f;
   uint64_t max_span = 0, window = 0;
@@ -91,11 +104,7 @@ Status NerGlobalizer::Restore(io::TensorReader* reader) {
       !reader->GetU64(&max_span) || !reader->GetU64(&window) ||
       !reader->GetU32(&incremental) || !reader->GetF64(&local_s) ||
       !reader->GetF64(&global_s)) {
-    return reader->status().ok()
-               ? Status::InvalidArgument(
-                     StrFormat("'%s': corrupt checkpoint header",
-                               reader->path().c_str()))
-               : reader->status();
+    return reader->Corrupt("checkpoint header", "fields");
   }
   NERGLOB_RETURN_IF_ERROR(reader->ExpectRecordEnd());
   const std::string bundle_fingerprint = bundle_->Fingerprint();

@@ -32,6 +32,14 @@ enum class PipelineStage {
 
 const char* PipelineStageName(PipelineStage stage);
 
+/// The u32 checkpoint layout version that opens every checkpoint record
+/// whose layout it governs: NerGlobalizer's kTagCheckpoint header and
+/// StreamingSession's kTagSession record. Checking it first refuses a
+/// file from another layout (FailedPrecondition) before any of its fields
+/// is misparsed.
+void PutCheckpointLayout(io::TensorWriter* writer);
+Status CheckCheckpointLayout(io::TensorReader* reader);
+
 /// The pipeline config a bundle was tuned with: defaults everywhere except
 /// the clustering cut, which comes from the bundle's training recipe.
 NerGlobalizerConfig DefaultPipelineConfig(const ModelBundle& bundle);

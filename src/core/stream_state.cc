@@ -12,6 +12,32 @@
 
 namespace nerglob::core {
 
+void PutFinalized(io::TensorWriter* writer,
+                  const std::vector<FinalizedMessage>& finalized) {
+  writer->PutVarint(finalized.size());
+  for (const FinalizedMessage& fm : finalized) {
+    writer->PutVarint(io::ZigZag(fm.message_id));
+    stream::PutSpans(writer, fm.spans);
+  }
+}
+
+bool GetFinalized(io::TensorReader* reader,
+                  std::vector<FinalizedMessage>* finalized) {
+  uint64_t count = 0;
+  if (!reader->GetVarint(&count) || count > reader->RemainingInRecord()) {
+    return false;
+  }
+  finalized->resize(count);
+  for (FinalizedMessage& fm : *finalized) {
+    uint64_t id = 0;
+    if (!reader->GetVarint(&id) || !stream::GetSpans(reader, &fm.spans)) {
+      return false;
+    }
+    fm.message_id = io::UnZigZag(id);
+  }
+  return true;
+}
+
 PipelineMemoryUsage StreamState::MemoryUsage() const {
   PipelineMemoryUsage usage;
   usage.tweet_base_bytes = tweet_base.MemoryUsageBytes();
@@ -33,44 +59,34 @@ Status StreamState::Save(io::TensorWriter* writer) const {
   // Trie: the registered form set fully determines scan behavior; Forms()
   // returns it sorted, so the record bytes are history-independent.
   const std::vector<std::vector<std::string>> forms = trie.Forms();
-  writer->PutU64(forms.size());
+  writer->PutVarint(forms.size());
   for (const auto& form : forms) {
-    writer->PutU64(form.size());
+    writer->PutVarint(form.size());
     for (const std::string& tok : form) writer->PutString(tok);
   }
   NERGLOB_RETURN_IF_ERROR(writer->EndRecord(io::kTagTrie));
 
   // Pipeline bookkeeping. Unordered containers are serialized in sorted
   // key order so identical states write identical bytes.
-  writer->PutU64(local_type_votes.size());
+  writer->PutVarint(local_type_votes.size());
   for (const auto& [surface, votes] : local_type_votes) {
     writer->PutString(surface);
-    for (int v : votes) writer->PutI64(v);
+    for (int v : votes) writer->PutVarint(io::ZigZag(v));
   }
-  writer->PutU64(dirty_surfaces.size());
+  writer->PutVarint(dirty_surfaces.size());
   for (const std::string& s : dirty_surfaces) writer->PutString(s);
 
   std::vector<std::pair<std::string, int>> support(seed_support.begin(),
                                                    seed_support.end());
   std::sort(support.begin(), support.end());
-  writer->PutU64(support.size());
+  writer->PutVarint(support.size());
   for (const auto& [surface, count] : support) {
     writer->PutString(surface);
-    writer->PutI64(count);
+    writer->PutVarint(io::ZigZag(count));
   }
 
-  writer->PutU64(finalized.size());
-  for (const FinalizedMessage& fm : finalized) {
-    writer->PutI64(fm.message_id);
-    writer->PutU64(fm.spans.size());
-    for (const text::EntitySpan& span : fm.spans) {
-      writer->PutU64(span.begin_token);
-      writer->PutU64(span.end_token);
-      writer->PutU32(static_cast<uint32_t>(span.type));
-    }
-  }
-
-  writer->PutU64(evicted_messages);
+  PutFinalized(writer, finalized);
+  writer->PutVarint(evicted_messages);
   return writer->EndRecord(io::kTagPipelineState);
 }
 
@@ -105,11 +121,7 @@ Status StreamState::Load(io::TensorReader* reader, const lm::MicroBert& model,
   }
 
   auto fail = [&](const char* what) {
-    return reader->status().ok()
-               ? Status::InvalidArgument(
-                     StrFormat("'%s': corrupt stream-state record (%s)",
-                               reader->path().c_str(), what))
-               : reader->status();
+    return reader->Corrupt("stream-state record", what);
   };
 
   // The same span rule mention extraction applies: a mention must start
@@ -137,10 +149,10 @@ Status StreamState::Load(io::TensorReader* reader, const lm::MicroBert& model,
 
   NERGLOB_RETURN_IF_ERROR(reader->NextRecord(io::kTagTrie));
   uint64_t num_forms = 0;
-  if (!reader->GetU64(&num_forms)) return fail("trie count");
+  if (!reader->GetVarint(&num_forms)) return fail("trie count");
   for (uint64_t i = 0; i < num_forms; ++i) {
     uint64_t num_tokens = 0;
-    if (!reader->GetU64(&num_tokens) ||
+    if (!reader->GetVarint(&num_tokens) ||
         num_tokens > reader->RemainingInRecord()) {
       return fail("trie form");
     }
@@ -154,20 +166,20 @@ Status StreamState::Load(io::TensorReader* reader, const lm::MicroBert& model,
 
   NERGLOB_RETURN_IF_ERROR(reader->NextRecord(io::kTagPipelineState));
   uint64_t count = 0;
-  if (!reader->GetU64(&count)) return fail("votes count");
+  if (!reader->GetVarint(&count)) return fail("votes count");
   for (uint64_t i = 0; i < count; ++i) {
     std::string surface;
     if (!reader->GetString(&surface)) return fail("vote surface");
     std::array<int, text::kNumEntityTypes> votes{};
     for (int& v : votes) {
-      int64_t raw = 0;
-      if (!reader->GetI64(&raw)) return fail("vote");
-      v = static_cast<int>(raw);
+      uint64_t raw = 0;
+      if (!reader->GetVarint(&raw)) return fail("vote");
+      v = static_cast<int>(io::UnZigZag(raw));
     }
     restored.local_type_votes.emplace(std::move(surface), votes);
   }
 
-  if (!reader->GetU64(&count) || count > reader->RemainingInRecord()) {
+  if (!reader->GetVarint(&count) || count > reader->RemainingInRecord()) {
     return fail("dirty count");
   }
   restored.dirty_surfaces.resize(count);
@@ -175,44 +187,20 @@ Status StreamState::Load(io::TensorReader* reader, const lm::MicroBert& model,
     if (!reader->GetString(&s)) return fail("dirty surface");
   }
 
-  if (!reader->GetU64(&count)) return fail("support count");
+  if (!reader->GetVarint(&count)) return fail("support count");
   for (uint64_t i = 0; i < count; ++i) {
     std::string surface;
-    int64_t support = 0;
-    if (!reader->GetString(&surface) || !reader->GetI64(&support)) {
+    uint64_t support = 0;
+    if (!reader->GetString(&surface) || !reader->GetVarint(&support)) {
       return fail("support entry");
     }
     restored.seed_support.emplace(std::move(surface),
-                                  static_cast<int>(support));
+                                  static_cast<int>(io::UnZigZag(support)));
   }
 
-  if (!reader->GetU64(&count) || count > reader->RemainingInRecord()) {
-    return fail("finalized count");
-  }
-  restored.finalized.resize(count);
-  for (FinalizedMessage& fm : restored.finalized) {
-    uint64_t num_spans = 0;
-    if (!reader->GetI64(&fm.message_id) || !reader->GetU64(&num_spans) ||
-        num_spans > reader->RemainingInRecord()) {
-      return fail("finalized message");
-    }
-    fm.spans.resize(num_spans);
-    for (text::EntitySpan& span : fm.spans) {
-      uint64_t begin = 0, end = 0;
-      uint32_t type = 0;
-      if (!reader->GetU64(&begin) || !reader->GetU64(&end) ||
-          !reader->GetU32(&type) ||
-          type >= static_cast<uint32_t>(text::kNumEntityTypes)) {
-        return fail("finalized span");
-      }
-      span.begin_token = begin;
-      span.end_token = end;
-      span.type = static_cast<text::EntityType>(type);
-    }
-  }
-
+  if (!GetFinalized(reader, &restored.finalized)) return fail("finalized");
   uint64_t evicted = 0;
-  if (!reader->GetU64(&evicted)) return fail("counters");
+  if (!reader->GetVarint(&evicted)) return fail("counters");
   restored.evicted_messages = static_cast<size_t>(evicted);
   NERGLOB_RETURN_IF_ERROR(reader->ExpectRecordEnd());
 

@@ -38,6 +38,15 @@ struct FinalizedMessage {
   }
 };
 
+/// Finalized-output codec shared by the pipeline-state and session
+/// records: a varint count, then per message a zigzag varint id and its
+/// spans (stream::PutSpans). GetFinalized is false on a read failure or a
+/// malformed span list.
+void PutFinalized(io::TensorWriter* writer,
+                  const std::vector<FinalizedMessage>& finalized);
+bool GetFinalized(io::TensorReader* reader,
+                  std::vector<FinalizedMessage>* finalized);
+
 /// Per-component heap accounting for the pipeline's stream state, in
 /// approximate bytes. With window_messages > 0 every component is bounded
 /// by the window content; unbounded otherwise.
@@ -60,10 +69,11 @@ struct PipelineMemoryUsage {
 /// thin engine owning one StreamState and borrowing one const ModelBundle.
 ///
 /// Serializable: Save writes only what cannot be recomputed (unordered
-/// containers in sorted key order). Token embeddings and local BIO labels
-/// are a pure function of the encoder and each message's tokens, and
+/// containers in sorted key order, integers as varints). A message's
+/// tokens are the tokenizer's output for its text, token embeddings and
+/// local BIO labels a pure function of the encoder and those tokens, and
 /// mention phrase embeddings of those token embeddings and the
-/// PhraseEmbedder, so Save omits all three and Load recomputes them
+/// PhraseEmbedder, so Save omits all four and Load recomputes them
 /// bit-identically; a restored session's Predictions() at every
 /// PipelineStage equal the uninterrupted run's.
 struct StreamState {
@@ -94,7 +104,8 @@ struct StreamState {
   /// or phrase embeddings.
   Status Save(io::TensorWriter* writer) const;
 
-  /// Restores a state saved with Save. Re-encodes the live window with
+  /// Restores a state saved with Save. Re-tokenizes the messages stored
+  /// as text (TweetBase::Load), re-encodes the live window with
   /// `model` (EncodeMany, `encode_batch_size` messages per call, under the
   /// `restore_encode` trace stage), then recomputes every mention's phrase
   /// embedding with `embedder`. A mention that does not start inside its

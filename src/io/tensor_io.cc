@@ -56,7 +56,17 @@ void TensorWriter::PutF64(double v) { Append(&v, sizeof(v)); }
 
 void TensorWriter::PutString(std::string_view s) {
   PutU64(s.size());
-  Append(s.data(), s.size());
+  PutBytes(s);
+}
+
+void TensorWriter::PutBytes(std::string_view s) { Append(s.data(), s.size()); }
+
+void TensorWriter::PutVarint(uint64_t v) {
+  char bytes[kMaxVarintBytes];
+  size_t n = 0;
+  for (; v >= 0x80; v >>= 7) bytes[n++] = static_cast<char>((v & 0x7f) | 0x80);
+  bytes[n++] = static_cast<char>(v);
+  Append(bytes, n);
 }
 
 void TensorWriter::PutMatrix(const Matrix& m) {
@@ -265,6 +275,26 @@ bool TensorReader::GetString(std::string* s) {
   return true;
 }
 
+bool TensorReader::GetVarint(uint64_t* v) {
+  uint64_t value = 0;
+  for (size_t i = 0; i < kMaxVarintBytes; ++i) {
+    uint8_t byte = 0;
+    if (!Take(&byte, 1)) return false;
+    // The tenth byte holds bit 63 alone: more is an overflow, a
+    // continuation bit an overlong encoding.
+    if (i == kMaxVarintBytes - 1 && byte > 1) break;
+    value |= static_cast<uint64_t>(byte & 0x7f) << (7 * i);
+    if (byte < 0x80) {
+      *v = value;
+      return true;
+    }
+  }
+  Fail(Status::InvalidArgument(StrFormat(
+      "'%s': malformed varint (longer than %zu bytes or past 64 bits)",
+      path_.c_str(), kMaxVarintBytes)));
+  return false;
+}
+
 bool TensorReader::GetMatrix(Matrix* m) {
   uint64_t rows = 0, cols = 0;
   if (!GetU64(&rows) || !GetU64(&cols)) return false;
@@ -286,6 +316,11 @@ bool TensorReader::GetMatrix(Matrix* m) {
   if (!Take(out.data(), out.size() * sizeof(float))) return false;
   *m = std::move(out);
   return true;
+}
+
+Status TensorReader::Corrupt(const char* record, const char* what) {
+  return Fail(Status::InvalidArgument(
+      StrFormat("'%s': corrupt %s (%s)", path_.c_str(), record, what)));
 }
 
 Status TensorReader::ExpectRecordEnd() {

@@ -46,6 +46,18 @@ enum RecordTag : uint32_t {
   kTagServeManifest = 11,  // serve::SessionManager fleet checkpoint index
 };
 
+/// Longest LEB128 encoding of a 64-bit value.
+inline constexpr size_t kMaxVarintBytes = 10;
+
+/// ZigZag maps signed to unsigned so small magnitudes of either sign get
+/// short varints: 0, -1, 1, -2, ... -> 0, 1, 2, 3, ...
+inline uint64_t ZigZag(int64_t v) {
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+}
+inline int64_t UnZigZag(uint64_t v) {
+  return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
+}
+
 /// Writes one artifact file. Values are buffered into the current record
 /// with the Put* calls; `EndRecord(tag)` frames and checksums the buffer.
 /// All failures are sticky: the first error is kept and every later call
@@ -73,6 +85,10 @@ class TensorWriter {
   void PutF32(float v);
   void PutF64(double v);
   void PutString(std::string_view s);   // u64 length + bytes
+  void PutBytes(std::string_view s);    // bytes verbatim, no length
+  /// LEB128: seven bits per byte, low group first, high bit set on every
+  /// byte but the last. Signed values go through ZigZag first.
+  void PutVarint(uint64_t v);
   void PutMatrix(const Matrix& m);      // u64 rows | u64 cols | f32 data
 
   /// Frames everything buffered since the last EndRecord as one record.
@@ -119,6 +135,9 @@ class TensorReader {
   bool GetF32(float* v);
   bool GetF64(double* v);
   bool GetString(std::string* s);
+  /// Fails (InvalidArgument) on an encoding longer than kMaxVarintBytes
+  /// or one whose value overflows 64 bits.
+  bool GetVarint(uint64_t* v);
   bool GetMatrix(Matrix* m);
 
   /// True when the current record's payload is fully consumed.
@@ -128,6 +147,11 @@ class TensorReader {
   /// from an on-disk count must bound it by this (every element encodes at
   /// least one byte), so a crafted count cannot drive a huge allocation.
   size_t RemainingInRecord() const { return payload_.size() - cursor_; }
+
+  /// The error for a field `what` of `record` that failed to parse: the
+  /// sticky read error if there is one, else InvalidArgument naming the
+  /// path, record and field. Either way it is the sticky status after.
+  Status Corrupt(const char* record, const char* what);
 
   /// Errors out (FailedPrecondition) if payload bytes remain unread —
   /// catches layout drift between writer and reader.

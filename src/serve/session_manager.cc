@@ -617,11 +617,7 @@ Status SessionManager::RestoreManifestLocked(const std::string& dir) {
         io::TensorReader reader(manifest_path, /*inject_faults=*/true);
         NERGLOB_RETURN_IF_ERROR(reader.NextRecord(io::kTagServeManifest));
         auto fail = [&](const char* what) {
-          return reader.status().ok()
-                     ? Status::InvalidArgument(
-                           StrFormat("'%s': corrupt serve manifest (%s)",
-                                     manifest_path.c_str(), what))
-                     : reader.status();
+          return reader.Corrupt("serve manifest", what);
         };
         uint64_t count = 0;
         if (!reader.GetU64(&count) || count > reader.RemainingInRecord()) {

@@ -1,10 +1,11 @@
 #include "common/check.h"
-#include "common/string_util.h"
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "io/tensor_io.h"
 #include "stream/candidate_base.h"
 #include "stream/message.h"
 #include "stream/tweet_base.h"
+#include "text/tokenizer.h"
 
 namespace nerglob::stream {
 
@@ -64,31 +65,10 @@ std::vector<int64_t> TweetBase::EvictOldest(size_t count) {
 
 namespace {
 
-void PutMessage(io::TensorWriter* w, const Message& msg) {
-  w->PutI64(msg.id);
-  w->PutString(msg.text);
-  w->PutI64(msg.topic_id);
-  w->PutU64(msg.tokens.size());
-  for (const text::Token& tok : msg.tokens) {
-    w->PutString(tok.text);
-    w->PutString(tok.lower);
-    w->PutString(tok.match);
-    w->PutU64(tok.begin);
-    w->PutU64(tok.end);
-    w->PutU32(static_cast<uint32_t>(tok.kind));
-  }
-  w->PutU64(msg.gold_spans.size());
-  for (const text::EntitySpan& span : msg.gold_spans) {
-    w->PutU64(span.begin_token);
-    w->PutU64(span.end_token);
-    w->PutU32(static_cast<uint32_t>(span.type));
-  }
-}
-
 bool GetEntityType(io::TensorReader* r, text::EntityType* type) {
-  uint32_t raw = 0;
-  if (!r->GetU32(&raw)) return false;
-  if (raw >= static_cast<uint32_t>(text::kNumEntityTypes)) {
+  uint64_t raw = 0;
+  if (!r->GetVarint(&raw)) return false;
+  if (raw >= static_cast<uint64_t>(text::kNumEntityTypes)) {
     // Enum range is validated even though the checksum already passed —
     // a handcrafted file must not produce out-of-range enum values.
     return false;
@@ -97,36 +77,93 @@ bool GetEntityType(io::TensorReader* r, text::EntityType* type) {
   return true;
 }
 
+// A message is stored as its text. The token field is 0 when the tokens
+// are the tokenizer's output for that text, which restore re-derives;
+// otherwise it is n+1 followed by the n tokens, so hand-built tokens
+// (CoNLL-style data, tests) still round-trip exactly.
+void PutMessage(io::TensorWriter* w, const Message& msg) {
+  w->PutVarint(io::ZigZag(msg.id));
+  w->PutString(msg.text);
+  w->PutVarint(io::ZigZag(msg.topic_id));
+  if (msg.tokens == text::Tokenizer().Tokenize(msg.text)) {
+    w->PutVarint(0);
+  } else {
+    static metrics::Counter* const explicit_tokens =
+        metrics::MetricsRegistry::Global().GetCounter(
+            "checkpoint.explicit_token_messages_total");
+    explicit_tokens->Increment();
+    w->PutVarint(msg.tokens.size() + 1);
+    for (const text::Token& tok : msg.tokens) {
+      w->PutString(tok.text);
+      w->PutString(tok.lower);
+      w->PutString(tok.match);
+      w->PutVarint(tok.begin);
+      w->PutVarint(tok.end);
+      w->PutVarint(static_cast<uint64_t>(tok.kind));
+    }
+  }
+  PutSpans(w, msg.gold_spans);
+}
+
 bool GetMessage(io::TensorReader* r, Message* msg) {
-  int64_t topic = 0;
-  uint64_t num_tokens = 0, num_spans = 0;
-  if (!r->GetI64(&msg->id) || !r->GetString(&msg->text) ||
-      !r->GetI64(&topic) || !r->GetU64(&num_tokens)) {
+  uint64_t id = 0, topic = 0, token_field = 0;
+  if (!r->GetVarint(&id) || !r->GetString(&msg->text) ||
+      !r->GetVarint(&topic) || !r->GetVarint(&token_field)) {
     return false;
   }
-  msg->topic_id = static_cast<int>(topic);
-  if (num_tokens > r->RemainingInRecord()) return false;
-  msg->tokens.resize(num_tokens);
-  for (text::Token& tok : msg->tokens) {
-    uint64_t begin = 0, end = 0;
-    uint32_t kind = 0;
-    if (!r->GetString(&tok.text) || !r->GetString(&tok.lower) ||
-        !r->GetString(&tok.match) || !r->GetU64(&begin) || !r->GetU64(&end) ||
-        !r->GetU32(&kind)) {
-      return false;
+  msg->id = io::UnZigZag(id);
+  msg->topic_id = static_cast<int>(io::UnZigZag(topic));
+  if (token_field == 0) {
+    msg->tokens = text::Tokenizer().Tokenize(msg->text);
+    // A restored window must not outweigh the live one it replaces.
+    msg->tokens.shrink_to_fit();
+  } else {
+    if (token_field - 1 > r->RemainingInRecord()) return false;
+    msg->tokens.resize(token_field - 1);
+    for (text::Token& tok : msg->tokens) {
+      uint64_t begin = 0, end = 0, kind = 0;
+      if (!r->GetString(&tok.text) || !r->GetString(&tok.lower) ||
+          !r->GetString(&tok.match) || !r->GetVarint(&begin) ||
+          !r->GetVarint(&end) || !r->GetVarint(&kind) ||
+          kind > static_cast<uint64_t>(text::TokenKind::kPunct)) {
+        return false;
+      }
+      tok.begin = begin;
+      tok.end = end;
+      tok.kind = static_cast<text::TokenKind>(kind);
     }
-    if (kind > static_cast<uint32_t>(text::TokenKind::kPunct)) return false;
-    tok.begin = begin;
-    tok.end = end;
-    tok.kind = static_cast<text::TokenKind>(kind);
   }
-  if (!r->GetU64(&num_spans)) return false;
-  if (num_spans > r->RemainingInRecord()) return false;
-  msg->gold_spans.resize(num_spans);
-  for (text::EntitySpan& span : msg->gold_spans) {
+  return GetSpans(r, &msg->gold_spans);
+}
+
+// An SSO string's buffer lies inside its owner's sizeof; only a string
+// that spilled to the heap owns extra bytes.
+size_t HeapBytes(const std::string& s) {
+  return s.capacity() > std::string().capacity() ? s.capacity() : 0;
+}
+
+}  // namespace
+
+void PutSpans(io::TensorWriter* writer,
+              const std::vector<text::EntitySpan>& spans) {
+  writer->PutVarint(spans.size());
+  for (const text::EntitySpan& span : spans) {
+    writer->PutVarint(span.begin_token);
+    writer->PutVarint(span.end_token);
+    writer->PutVarint(static_cast<uint64_t>(span.type));
+  }
+}
+
+bool GetSpans(io::TensorReader* reader, std::vector<text::EntitySpan>* spans) {
+  uint64_t count = 0;
+  if (!reader->GetVarint(&count) || count > reader->RemainingInRecord()) {
+    return false;
+  }
+  spans->resize(count);
+  for (text::EntitySpan& span : *spans) {
     uint64_t begin = 0, end = 0;
-    if (!r->GetU64(&begin) || !r->GetU64(&end) ||
-        !GetEntityType(r, &span.type)) {
+    if (!reader->GetVarint(&begin) || !reader->GetVarint(&end) ||
+        !GetEntityType(reader, &span.type)) {
       return false;
     }
     span.begin_token = begin;
@@ -135,10 +172,8 @@ bool GetMessage(io::TensorReader* r, Message* msg) {
   return true;
 }
 
-}  // namespace
-
 Status TweetBase::Save(io::TensorWriter* writer) const {
-  writer->PutU64(order_.size());
+  writer->PutVarint(order_.size());
   for (int64_t id : order_) PutMessage(writer, records_.at(id).message);
   return writer->EndRecord(io::kTagTweetBase);
 }
@@ -146,18 +181,18 @@ Status TweetBase::Save(io::TensorWriter* writer) const {
 Status TweetBase::Load(io::TensorReader* reader) {
   NERGLOB_RETURN_IF_ERROR(reader->NextRecord(io::kTagTweetBase));
   auto fail = [&](const char* what) {
-    return reader->status().ok()
-               ? Status::InvalidArgument(StrFormat(
-                     "'%s': corrupt tweet-base record (%s)",
-                     reader->path().c_str(), what))
-               : reader->status();
+    return reader->Corrupt("tweet-base record", what);
   };
   uint64_t count = 0;
-  if (!reader->GetU64(&count)) return fail("count");
+  if (!reader->GetVarint(&count)) return fail("count");
   TweetBase restored;
   for (uint64_t i = 0; i < count; ++i) {
     SentenceRecord rec;
     if (!GetMessage(reader, &rec.message)) return fail("message");
+    // Put would replace the earlier record and restore one message fewer.
+    if (restored.Find(rec.message.id) != nullptr) {
+      return fail("duplicate message id");
+    }
     restored.Put(std::move(rec));
   }
   NERGLOB_RETURN_IF_ERROR(reader->ExpectRecordEnd());
@@ -171,10 +206,10 @@ size_t TweetBase::MemoryUsageBytes() const {
     bytes += sizeof(int64_t) + sizeof(SentenceRecord);
     bytes += rec.token_embeddings.size() * sizeof(float);
     bytes += rec.local_bio.capacity() * sizeof(int);
-    bytes += rec.message.text.capacity();
+    bytes += HeapBytes(rec.message.text);
     bytes += rec.message.tokens.capacity() * sizeof(text::Token);
     for (const auto& tok : rec.message.tokens) {
-      bytes += tok.text.capacity() + tok.lower.capacity() + tok.match.capacity();
+      bytes += HeapBytes(tok.text) + HeapBytes(tok.lower) + HeapBytes(tok.match);
     }
     bytes += rec.message.gold_spans.capacity() * sizeof(text::EntitySpan);
   }
@@ -303,24 +338,24 @@ void CandidateBase::RemoveSurface(const std::string& surface) {
 }
 
 Status CandidateBase::Save(io::TensorWriter* writer) const {
-  writer->PutU64(surface_order_.size());
+  writer->PutVarint(surface_order_.size());
   for (const std::string& surface : surface_order_) {
     const SurfaceData& data = by_surface_.at(surface);
     writer->PutString(surface);
-    writer->PutU64(data.mentions.size());
+    writer->PutVarint(data.mentions.size());
     for (const MentionRecord& m : data.mentions) {
-      writer->PutI64(m.message_id);
-      writer->PutU64(m.begin_token);
-      writer->PutU64(m.end_token);
+      writer->PutVarint(io::ZigZag(m.message_id));
+      writer->PutVarint(m.begin_token);
+      writer->PutVarint(m.end_token);
     }
     // CandidateEntry::surface always equals the pool's surface, so only
     // the partition structure is stored.
-    writer->PutU64(data.candidates.size());
+    writer->PutVarint(data.candidates.size());
     for (const CandidateEntry& c : data.candidates) {
-      writer->PutU64(c.mention_ids.size());
-      for (size_t id : c.mention_ids) writer->PutU64(id);
-      writer->PutU32(c.is_entity ? 1 : 0);
-      writer->PutU32(static_cast<uint32_t>(c.type));
+      writer->PutVarint(c.mention_ids.size());
+      for (size_t id : c.mention_ids) writer->PutVarint(id);
+      writer->PutVarint(c.is_entity ? 1 : 0);
+      writer->PutVarint(static_cast<uint64_t>(c.type));
       writer->PutF32(c.confidence);
     }
   }
@@ -331,35 +366,32 @@ Status CandidateBase::Load(io::TensorReader* reader,
                            const MentionEmbedder& embed) {
   NERGLOB_RETURN_IF_ERROR(reader->NextRecord(io::kTagCandidateBase));
   auto fail = [&](const char* what) {
-    return reader->status().ok()
-               ? Status::InvalidArgument(StrFormat(
-                     "'%s': corrupt candidate-base record (%s)",
-                     reader->path().c_str(), what))
-               : reader->status();
+    return reader->Corrupt("candidate-base record", what);
   };
   uint64_t num_surfaces = 0;
-  if (!reader->GetU64(&num_surfaces)) return fail("surface count");
+  if (!reader->GetVarint(&num_surfaces)) return fail("surface count");
   CandidateBase restored;
   for (uint64_t i = 0; i < num_surfaces; ++i) {
     std::string surface;
     uint64_t num_mentions = 0;
-    if (!reader->GetString(&surface) || !reader->GetU64(&num_mentions) ||
+    if (!reader->GetString(&surface) || !reader->GetVarint(&num_mentions) ||
         num_mentions > reader->RemainingInRecord()) {
       return fail("surface header");
     }
     SurfaceData data;
     data.mentions.resize(num_mentions);
     for (MentionRecord& m : data.mentions) {
-      uint64_t begin = 0, end = 0;
-      if (!reader->GetI64(&m.message_id) || !reader->GetU64(&begin) ||
-          !reader->GetU64(&end)) {
+      uint64_t id = 0, begin = 0, end = 0;
+      if (!reader->GetVarint(&id) || !reader->GetVarint(&begin) ||
+          !reader->GetVarint(&end)) {
         return fail("mention");
       }
+      m.message_id = io::UnZigZag(id);
       m.begin_token = begin;
       m.end_token = end;
     }
     uint64_t num_candidates = 0;
-    if (!reader->GetU64(&num_candidates) ||
+    if (!reader->GetVarint(&num_candidates) ||
         num_candidates > reader->RemainingInRecord()) {
       return fail("candidate count");
     }
@@ -367,20 +399,20 @@ Status CandidateBase::Load(io::TensorReader* reader,
     for (CandidateEntry& c : data.candidates) {
       c.surface = surface;
       uint64_t num_ids = 0;
-      if (!reader->GetU64(&num_ids) ||
+      if (!reader->GetVarint(&num_ids) ||
           num_ids > reader->RemainingInRecord()) {
         return fail("mention-id count");
       }
       c.mention_ids.resize(num_ids);
       for (size_t& id : c.mention_ids) {
         uint64_t raw = 0;
-        if (!reader->GetU64(&raw) || raw >= data.mentions.size()) {
+        if (!reader->GetVarint(&raw) || raw >= data.mentions.size()) {
           return fail("mention id out of range");
         }
         id = static_cast<size_t>(raw);
       }
-      uint32_t is_entity = 0;
-      if (!reader->GetU32(&is_entity) || !GetEntityType(reader, &c.type) ||
+      uint64_t is_entity = 0;
+      if (!reader->GetVarint(&is_entity) || !GetEntityType(reader, &c.type) ||
           !reader->GetF32(&c.confidence)) {
         return fail("candidate");
       }
@@ -413,16 +445,17 @@ Status CandidateBase::Load(io::TensorReader* reader,
 
 size_t CandidateBase::MemoryUsageBytes() const {
   size_t bytes = sizeof(CandidateBase);
-  for (const std::string& surface : surface_order_) bytes += surface.capacity();
+  bytes += surface_order_.capacity() * sizeof(std::string);
+  for (const std::string& surface : surface_order_) bytes += HeapBytes(surface);
   for (const auto& [surface, data] : by_surface_) {
-    bytes += surface.capacity() + sizeof(SurfaceData);
+    bytes += sizeof(std::string) + HeapBytes(surface) + sizeof(SurfaceData);
     bytes += data.mentions.capacity() * sizeof(MentionRecord);
     for (const MentionRecord& m : data.mentions) {
       bytes += m.local_embedding.size() * sizeof(float);
     }
     bytes += data.candidates.capacity() * sizeof(CandidateEntry);
     for (const CandidateEntry& c : data.candidates) {
-      bytes += c.surface.capacity() + c.mention_ids.capacity() * sizeof(size_t);
+      bytes += HeapBytes(c.surface) + c.mention_ids.capacity() * sizeof(size_t);
     }
   }
   return bytes;

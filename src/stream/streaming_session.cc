@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/metrics.h"
-#include "common/string_util.h"
 #include "io/checkpoint_io.h"
 #include "io/tensor_io.h"
 
@@ -96,19 +95,11 @@ Status StreamingSession::Checkpoint(const std::string& path) const {
 
 Status StreamingSession::CheckpointTo(io::TensorWriter* writer_ptr) const {
   io::TensorWriter& writer = *writer_ptr;
-  writer.PutU64(batches_);
-  writer.PutU64(messages_);
-  writer.PutU32(flushed_ ? 1 : 0);
-  writer.PutU64(finalized_.size());
-  for (const core::FinalizedMessage& fm : finalized_) {
-    writer.PutI64(fm.message_id);
-    writer.PutU64(fm.spans.size());
-    for (const text::EntitySpan& span : fm.spans) {
-      writer.PutU64(span.begin_token);
-      writer.PutU64(span.end_token);
-      writer.PutU32(static_cast<uint32_t>(span.type));
-    }
-  }
+  core::PutCheckpointLayout(&writer);
+  writer.PutVarint(batches_);
+  writer.PutVarint(messages_);
+  writer.PutVarint(flushed_ ? 1 : 0);
+  core::PutFinalized(&writer, finalized_);
   NERGLOB_RETURN_IF_ERROR(writer.EndRecord(io::kTagSession));
   return pipeline_.Checkpoint(&writer);
 }
@@ -126,43 +117,18 @@ Status StreamingSession::Restore(const std::string& path) {
 
 Status StreamingSession::RestoreFrom(io::TensorReader* reader_ptr) {
   io::TensorReader& reader = *reader_ptr;
-  const std::string& path = reader.path();
   NERGLOB_RETURN_IF_ERROR(reader.NextRecord(io::kTagSession));
   auto fail = [&](const char* what) {
-    return reader.status().ok()
-               ? Status::InvalidArgument(
-                     StrFormat("'%s': corrupt session record (%s)",
-                               path.c_str(), what))
-               : reader.status();
+    return reader.Corrupt("session record", what);
   };
-  uint64_t batches = 0, messages = 0, count = 0;
-  uint32_t flushed = 0;
-  if (!reader.GetU64(&batches) || !reader.GetU64(&messages) ||
-      !reader.GetU32(&flushed) || !reader.GetU64(&count) ||
-      count > reader.RemainingInRecord()) {
+  NERGLOB_RETURN_IF_ERROR(core::CheckCheckpointLayout(&reader));
+  uint64_t batches = 0, messages = 0, flushed = 0;
+  if (!reader.GetVarint(&batches) || !reader.GetVarint(&messages) ||
+      !reader.GetVarint(&flushed)) {
     return fail("header");
   }
-  std::vector<core::FinalizedMessage> finalized(count);
-  for (core::FinalizedMessage& fm : finalized) {
-    uint64_t num_spans = 0;
-    if (!reader.GetI64(&fm.message_id) || !reader.GetU64(&num_spans) ||
-        num_spans > reader.RemainingInRecord()) {
-      return fail("finalized message");
-    }
-    fm.spans.resize(num_spans);
-    for (text::EntitySpan& span : fm.spans) {
-      uint64_t begin = 0, end = 0;
-      uint32_t type = 0;
-      if (!reader.GetU64(&begin) || !reader.GetU64(&end) ||
-          !reader.GetU32(&type) ||
-          type >= static_cast<uint32_t>(text::kNumEntityTypes)) {
-        return fail("finalized span");
-      }
-      span.begin_token = begin;
-      span.end_token = end;
-      span.type = static_cast<text::EntityType>(type);
-    }
-  }
+  std::vector<core::FinalizedMessage> finalized;
+  if (!core::GetFinalized(&reader, &finalized)) return fail("finalized");
   NERGLOB_RETURN_IF_ERROR(reader.ExpectRecordEnd());
   // Pipeline restore is two-phase; commit the session fields only after
   // it succeeds so a bad file leaves this session fully untouched.

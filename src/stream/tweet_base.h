@@ -58,15 +58,19 @@ class TweetBase {
   std::vector<int64_t> EvictOldest(size_t count);
 
   /// Approximate heap footprint in bytes: token embeddings dominate; the
-  /// estimate also counts message text/tokens and BIO labels. O(records).
+  /// estimate also counts message text/tokens and BIO labels (a string's
+  /// buffer only once it spills to the heap). O(records).
   size_t MemoryUsageBytes() const;
 
   /// Appends the full store as one checksummed record (io::kTagTweetBase),
-  /// messages only, in insertion order. Part of StreamState checkpointing.
+  /// messages only, in insertion order, each as its text: its tokens are
+  /// written only when they are not the tokenizer's output for it.
   Status Save(io::TensorWriter* writer) const;
 
-  /// Restores a store saved with Save, with empty token embeddings and BIO
-  /// labels for StreamState::Load to re-encode. Two-phase: `*this` is
+  /// Restores a store saved with Save, re-tokenizing each message stored as
+  /// its text, with empty token embeddings and BIO labels for
+  /// StreamState::Load to re-encode. A repeated message id fails with
+  /// InvalidArgument. Two-phase: `*this` is
   /// replaced only once the whole record validates, so a corrupt
   /// checkpoint leaves the store untouched.
   Status Load(io::TensorReader* reader);
@@ -75,6 +79,15 @@ class TweetBase {
   std::unordered_map<int64_t, SentenceRecord> records_;
   std::vector<int64_t> order_;
 };
+
+/// Span-list codec shared by every checkpoint record that stores spans
+/// (gold spans here, finalized output in the pipeline-state and session
+/// records): a varint count, then varint begin, end and type per span.
+void PutSpans(io::TensorWriter* writer,
+              const std::vector<text::EntitySpan>& spans);
+/// False on a read failure, a count larger than the record remainder or an
+/// out-of-range entity type.
+bool GetSpans(io::TensorReader* reader, std::vector<text::EntitySpan>* spans);
 
 }  // namespace nerglob::stream
 

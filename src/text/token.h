@@ -30,6 +30,8 @@ struct Token {
   size_t begin = 0;  ///< byte offset of the first char in the message
   size_t end = 0;    ///< one past the last char
   TokenKind kind = TokenKind::kWord;
+
+  friend bool operator==(const Token&, const Token&) = default;
 };
 
 }  // namespace nerglob::text

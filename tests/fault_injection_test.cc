@@ -461,18 +461,20 @@ void TruncateAfterHeader(const std::string& path) {
   fs::resize_file(path, sizeof(io::kMagic) + 2 * sizeof(uint32_t));
 }
 
-// Replaces the file with a layout-2 session checkpoint: a session record,
-// then a pipeline header that opens with layout version 2. Layout 3 writes
-// messages only, so such a file cannot be read by this build.
-void WriteLayoutTwoSession(const std::string& path,
-                           const std::string& fingerprint) {
+// Replaces the file with the start of a session checkpoint in an older
+// layout: a session record in that layout's fixed-width fields, then a
+// pipeline header that opens with `layout`. Layout 2 also stored encoder
+// outputs and layout 3 every token; layout 4 versions the session record
+// too, so this build refuses both before misparsing a field.
+void WriteOldLayoutSession(const std::string& path,
+                           const std::string& fingerprint, uint32_t layout) {
   io::TensorWriter writer(path);
   writer.PutU64(1);  // batches
   writer.PutU64(8);  // messages
   writer.PutU32(0);  // flushed
   writer.PutU64(0);  // finalized count
   ASSERT_TRUE(writer.EndRecord(io::kTagSession).ok());
-  writer.PutU32(2);  // layout version
+  writer.PutU32(layout);
   writer.PutString(fingerprint);
   ASSERT_TRUE(writer.EndRecord(io::kTagCheckpoint).ok());
   ASSERT_TRUE(writer.Finish().ok());
@@ -488,11 +490,13 @@ TEST_F(FaultInjectionTest, RecoverLatestSkipsEveryKindOfTornGeneration) {
     kBitFlipManifest,
     kTruncateSession,
     kDeleteSession,
-    kLayoutTwoSession
+    kLayoutTwoSession,
+    kLayoutThreeSession
   };
   for (const Corruption corruption :
        {Corruption::kBitFlipManifest, Corruption::kTruncateSession,
-        Corruption::kDeleteSession, Corruption::kLayoutTwoSession}) {
+        Corruption::kDeleteSession, Corruption::kLayoutTwoSession,
+        Corruption::kLayoutThreeSession}) {
     const std::string dir = TempPath(
         "torn_" + std::to_string(static_cast<int>(corruption)));
     fs::remove_all(dir);
@@ -520,8 +524,12 @@ TEST_F(FaultInjectionTest, RecoverLatestSkipsEveryKindOfTornGeneration) {
         fs::remove(gen2 + "/session_0.ckpt");
         break;
       case Corruption::kLayoutTwoSession:
-        WriteLayoutTwoSession(gen2 + "/session_0.ckpt",
-                              system_->bundle.Fingerprint());
+        WriteOldLayoutSession(gen2 + "/session_0.ckpt",
+                              system_->bundle.Fingerprint(), 2);
+        break;
+      case Corruption::kLayoutThreeSession:
+        WriteOldLayoutSession(gen2 + "/session_0.ckpt",
+                              system_->bundle.Fingerprint(), 3);
         break;
     }
 
@@ -529,8 +537,12 @@ TEST_F(FaultInjectionTest, RecoverLatestSkipsEveryKindOfTornGeneration) {
     serve::SessionManager strict(&system_->bundle, ManagerConfig(2, window));
     const Status strict_status = strict.RestoreAll(dir);
     EXPECT_FALSE(strict_status.ok());
-    if (corruption == Corruption::kLayoutTwoSession) {
+    if (corruption == Corruption::kLayoutTwoSession ||
+        corruption == Corruption::kLayoutThreeSession) {
       EXPECT_EQ(strict_status.code(), StatusCode::kFailedPrecondition)
+          << strict_status.ToString();
+      EXPECT_NE(strict_status.message().find("layout version"),
+                std::string::npos)
           << strict_status.ToString();
     }
     EXPECT_TRUE(strict.SessionIds().empty());

@@ -234,6 +234,86 @@ TEST(TensorIoTest, UnconsumedPayloadIsFailedPrecondition) {
   std::remove(path.c_str());
 }
 
+TEST(TensorIoTest, VarintRoundTrip) {
+  const std::string path = TempPath("varints.bin");
+  const uint64_t unsigned_values[] = {0,       1,         127, 128, 300,
+                                      1u << 14, 1ull << 35, 1ull << 63,
+                                      UINT64_MAX};
+  const int64_t signed_values[] = {0, -1, 1, -64, 64, INT64_MIN, INT64_MAX};
+  {
+    io::TensorWriter writer(path);
+    for (uint64_t v : unsigned_values) writer.PutVarint(v);
+    for (int64_t v : signed_values) writer.PutVarint(io::ZigZag(v));
+    ASSERT_TRUE(writer.EndRecord(io::kTagBlob).ok());
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  io::TensorReader reader(path);
+  ASSERT_TRUE(reader.NextRecord(io::kTagBlob).ok());
+  for (uint64_t want : unsigned_values) {
+    uint64_t got = 0;
+    ASSERT_TRUE(reader.GetVarint(&got));
+    EXPECT_EQ(got, want);
+  }
+  for (int64_t want : signed_values) {
+    uint64_t got = 0;
+    ASSERT_TRUE(reader.GetVarint(&got));
+    EXPECT_EQ(io::UnZigZag(got), want);
+  }
+  EXPECT_TRUE(reader.ExpectRecordEnd().ok());
+  // Small magnitudes of either sign take one byte.
+  EXPECT_EQ(io::ZigZag(-64), 127u);
+  EXPECT_EQ(io::ZigZag(63), 126u);
+  std::remove(path.c_str());
+}
+
+TEST(TensorIoTest, MalformedVarintsAreTypedErrors) {
+  struct Case {
+    const char* name;
+    std::string bytes;
+    StatusCode code;
+  };
+  const Case cases[] = {
+      // Eleven bytes: ten continuation bytes, then a terminator.
+      {"overlong", std::string(10, '\x80') + '\x00',
+       StatusCode::kInvalidArgument},
+      // Ten bytes whose last carries bits above bit 63.
+      {"overflow", std::string(9, '\xff') + '\x02',
+       StatusCode::kInvalidArgument},
+      // A continuation bit on the record's last byte.
+      {"truncated", std::string(3, '\x80'), StatusCode::kIoError},
+  };
+  for (const Case& c : cases) {
+    const std::string path = TempPath("bad_varint.bin");
+    {
+      io::TensorWriter writer(path);
+      writer.PutBytes(c.bytes);
+      ASSERT_TRUE(writer.EndRecord(io::kTagBlob).ok());
+      ASSERT_TRUE(writer.Finish().ok());
+    }
+    io::TensorReader reader(path);
+    ASSERT_TRUE(reader.NextRecord(io::kTagBlob).ok());
+    uint64_t v = 0;
+    EXPECT_FALSE(reader.GetVarint(&v)) << c.name;
+    EXPECT_EQ(reader.status().code(), c.code)
+        << c.name << ": " << reader.status().ToString();
+    std::remove(path.c_str());
+  }
+  // The longest valid encoding, UINT64_MAX, still reads.
+  const std::string path = TempPath("max_varint.bin");
+  {
+    io::TensorWriter writer(path);
+    writer.PutBytes(std::string(9, '\xff') + '\x01');
+    ASSERT_TRUE(writer.EndRecord(io::kTagBlob).ok());
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  io::TensorReader reader(path);
+  ASSERT_TRUE(reader.NextRecord(io::kTagBlob).ok());
+  uint64_t v = 0;
+  EXPECT_TRUE(reader.GetVarint(&v));
+  EXPECT_EQ(v, UINT64_MAX);
+  std::remove(path.c_str());
+}
+
 std::string ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in), {});

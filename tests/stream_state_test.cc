@@ -1,7 +1,8 @@
-// StreamState checkpoints hold only what cannot be recomputed: token
-// embeddings and BIO labels are a pure function of the encoder and each
-// message's tokens, and mention phrase embeddings of the token embeddings
-// and the PhraseEmbedder, so Save omits them and Load recomputes them.
+// StreamState checkpoints hold only what cannot be recomputed: a
+// message's tokens are the tokenizer's output for its text, token
+// embeddings and BIO labels a pure function of the encoder and those
+// tokens, and mention phrase embeddings of the token embeddings and the
+// PhraseEmbedder, so Save omits them and Load recomputes them.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,6 +11,8 @@
 #include <iterator>
 #include <string>
 
+#include "common/metrics.h"
+#include "common/string_util.h"
 #include "core/phrase_embedder.h"
 #include "core/stream_state.h"
 #include "harness/experiment.h"
@@ -278,11 +281,11 @@ TEST_F(StreamStateTest, LoadRejectsDuplicateSurface) {
   {
     io::TensorWriter writer(path);
     ASSERT_TRUE(state.tweet_base.Save(&writer).ok());
-    writer.PutU64(2);
+    writer.PutVarint(2);
     for (int i = 0; i < 2; ++i) {
       writer.PutString("alpha");
-      writer.PutU64(0);  // mentions
-      writer.PutU64(0);  // candidates
+      writer.PutVarint(0);  // mentions
+      writer.PutVarint(0);  // candidates
     }
     ASSERT_TRUE(writer.EndRecord(io::kTagCandidateBase).ok());
     ASSERT_TRUE(writer.Finish().ok());
@@ -290,7 +293,228 @@ TEST_F(StreamStateTest, LoadRejectsDuplicateSurface) {
   StreamState target;
   const Status st = LoadFrom(path, &target);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("duplicate surface"), std::string::npos)
+      << st.ToString();
   EXPECT_EQ(target.tweet_base.size(), 0u);
+  std::remove(path.c_str());
+}
+
+/// Writes one message in the layout-4 canonical form: its tokens are the
+/// tokenizer's output for its text.
+void PutCanonicalMessage(io::TensorWriter* writer, int64_t id,
+                         const std::string& text) {
+  writer->PutVarint(io::ZigZag(id));
+  writer->PutString(text);
+  writer->PutVarint(io::ZigZag(0));  // topic
+  writer->PutVarint(0);              // tokens: re-derived from the text
+  writer->PutVarint(0);              // gold spans
+}
+
+TEST_F(StreamStateTest, LoadRejectsDuplicateMessageId) {
+  // TweetBase::Put replaces a record with the same id, so a record naming
+  // an id twice would restore one message fewer than it counts.
+  const std::string path = TempPath("state_duplicate_id.bin");
+  {
+    io::TensorWriter writer(path);
+    writer.PutVarint(2);
+    PutCanonicalMessage(&writer, 5, "alpha beta");
+    PutCanonicalMessage(&writer, 5, "gamma delta");
+    ASSERT_TRUE(writer.EndRecord(io::kTagTweetBase).ok());
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  StreamState target = MakeState();
+  const Status st = LoadFrom(path, &target);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("duplicate message id"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(target.tweet_base.size(), 3u);
+  std::remove(path.c_str());
+}
+
+TEST_F(StreamStateTest, SaveWritesNoDerivedTokens) {
+  // A message whose tokens are the tokenizer's output is stored as its id,
+  // text, topic, a zero token field and its spans: no per-token byte.
+  StreamState state;
+  Put(&state, -3, "alpha visits #gamma city at https://t.co/x :)");
+  const std::string path = TempPath("state_canonical.bin");
+  ASSERT_TRUE(SaveTo(state, path).ok());
+  io::TensorReader reader(path);
+  ASSERT_TRUE(reader.NextRecord(io::kTagTweetBase).ok());
+  uint64_t count = 0, id = 0, topic = 0, token_field = 1, spans = 1;
+  std::string text;
+  ASSERT_TRUE(reader.GetVarint(&count) && reader.GetVarint(&id) &&
+              reader.GetString(&text) && reader.GetVarint(&topic) &&
+              reader.GetVarint(&token_field) && reader.GetVarint(&spans));
+  EXPECT_EQ(count, 1u);
+  EXPECT_EQ(io::UnZigZag(id), -3);
+  EXPECT_EQ(text, state.tweet_base.Find(-3)->message.text);
+  EXPECT_EQ(token_field, 0u);
+  EXPECT_EQ(spans, 0u);
+  EXPECT_TRUE(reader.ExpectRecordEnd().ok());
+  std::remove(path.c_str());
+}
+
+TEST_F(StreamStateTest, LoadRederivesCanonicalTokensWithoutSlack) {
+  StreamState state = MakeState();
+  Put(&state, 4, "#Alpha @beta gamma 2024 https://t.co/y don't :(");
+  const std::string path = TempPath("state_rederived.bin");
+  ASSERT_TRUE(SaveTo(state, path).ok());
+  StreamState restored;
+  ASSERT_TRUE(LoadFrom(path, &restored).ok());
+  for (int64_t id : state.tweet_base.ids()) {
+    const auto& want = state.tweet_base.Find(id)->message.tokens;
+    const auto& got = restored.tweet_base.Find(id)->message.tokens;
+    EXPECT_EQ(got, want) << "message " << id;
+    // A restored window must weigh no more than the live one.
+    EXPECT_EQ(got.capacity(), got.size()) << "message " << id;
+  }
+  std::remove(path.c_str());
+}
+
+/// A message whose tokens are not the tokenizer's output for its text.
+stream::SentenceRecord ExplicitRecord(int64_t id, const std::string& text,
+                                      std::vector<text::Token> tokens) {
+  stream::SentenceRecord rec;
+  rec.message.id = id;
+  rec.message.text = text;
+  rec.message.topic_id = -2;
+  rec.message.tokens = std::move(tokens);
+  rec.message.gold_spans = {{0, 1, text::EntityType::kLocation}};
+  return rec;
+}
+
+text::Token MakeToken(const std::string& surface, size_t begin,
+                      text::TokenKind kind = text::TokenKind::kWord) {
+  text::Token tok;
+  tok.text = surface;
+  tok.lower = ToLowerAscii(surface);
+  tok.match = tok.lower;
+  tok.begin = begin;
+  tok.end = begin + surface.size();
+  tok.kind = kind;
+  return tok;
+}
+
+TEST_F(StreamStateTest, ExplicitTokensRoundTripByteIdentically) {
+  // Hand-built tokens (CoNLL-style data, tests) take the explicit path:
+  // restore keeps them as written instead of re-tokenizing the text.
+  StreamState state = MakeState();
+  const std::string us_open = "U.S. open";
+  std::vector<text::Token> us = {MakeToken("U.S.", 0), MakeToken("open", 5)};
+  ASSERT_NE(text::Tokenizer().Tokenize(us_open), us);
+  state.tweet_base.Put(ExplicitRecord(10, us_open, us));
+  state.tweet_base.Put(ExplicitRecord(
+      11, "", {MakeToken("hello", 0), MakeToken("#World", 6,
+                                                text::TokenKind::kHashtag)}));
+
+  metrics::SetEnabled(true);
+  metrics::Counter* const explicit_messages =
+      metrics::MetricsRegistry::Global().GetCounter(
+          "checkpoint.explicit_token_messages_total");
+  const uint64_t before = explicit_messages->value();
+  const std::string path = TempPath("state_explicit.bin");
+  ASSERT_TRUE(SaveTo(state, path).ok());
+  EXPECT_EQ(explicit_messages->value() - before, 2u);
+  metrics::SetEnabled(false);
+
+  StreamState restored;
+  ASSERT_TRUE(LoadFrom(path, &restored).ok());
+  ASSERT_EQ(restored.tweet_base.ids(), state.tweet_base.ids());
+  for (int64_t id : state.tweet_base.ids()) {
+    const stream::Message& want = state.tweet_base.Find(id)->message;
+    const stream::Message& got = restored.tweet_base.Find(id)->message;
+    EXPECT_EQ(got.text, want.text) << "message " << id;
+    EXPECT_EQ(got.topic_id, want.topic_id) << "message " << id;
+    EXPECT_EQ(got.tokens, want.tokens) << "message " << id;
+    EXPECT_EQ(got.gold_spans, want.gold_spans) << "message " << id;
+  }
+  EXPECT_EQ(restored.tweet_base.Find(11)->token_embeddings.rows(), 2u);
+
+  const std::string again = TempPath("state_explicit_again.bin");
+  ASSERT_TRUE(SaveTo(restored, again).ok());
+  EXPECT_EQ(ReadBytes(again), ReadBytes(path));
+  std::remove(again.c_str());
+  std::remove(path.c_str());
+}
+
+/// Splits an artifact file into its records' (tag, payload) pairs.
+std::vector<std::pair<uint32_t, std::string>> SplitRecords(
+    const std::string& bytes) {
+  std::vector<std::pair<uint32_t, std::string>> records;
+  size_t at = sizeof(io::kMagic) + 2 * sizeof(uint32_t);
+  while (at < bytes.size()) {
+    uint32_t tag = 0;
+    uint64_t len = 0;
+    std::memcpy(&tag, bytes.data() + at, sizeof(tag));
+    std::memcpy(&len, bytes.data() + at + sizeof(tag), sizeof(len));
+    at += sizeof(tag) + sizeof(len);
+    records.emplace_back(tag, bytes.substr(at, len));
+    at += len + sizeof(uint64_t);
+  }
+  return records;
+}
+
+TEST_F(StreamStateTest, MutatedPayloadsLoadToATypedStatus) {
+  // Deterministic mutational fuzz of the four state records. Each mutated
+  // payload is re-framed with a valid checksum, so it reaches the parsers:
+  // every one must come back as a Status (OK or a typed error), never a
+  // crash. Run under the sanitizer build it also rules out memory errors.
+  StreamState state = MakeState();
+  AddPool(&state);
+  // The last token's kind (kPunct) is one bit away from out of range.
+  state.tweet_base.Put(ExplicitRecord(
+      -7, "U.S. open!",
+      {MakeToken("U.S.", 0), MakeToken("open", 5),
+       MakeToken("!", 9, text::TokenKind::kPunct)}));
+  state.trie.Insert({"beta", "gamma"});
+  state.trie.Insert({"alpha"});
+  state.local_type_votes["alpha"] = {0, 2, 1, 0};
+  state.dirty_surfaces = {"alpha"};
+  state.finalized = {{-1, {{0, 2, text::EntityType::kPerson}}}};
+  state.evicted_messages = 300;
+  const std::string path = TempPath("state_fuzz.bin");
+  ASSERT_TRUE(SaveTo(state, path).ok());
+  const auto records = SplitRecords(ReadBytes(path));
+  ASSERT_EQ(records.size(), 4u);
+  {
+    StreamState restored;
+    ASSERT_TRUE(LoadFrom(path, &restored).ok());
+  }
+
+  size_t rejected = 0;
+  auto load_mutated = [&](size_t r, const std::string& payload) {
+    {
+      io::TensorWriter writer(path);
+      for (size_t i = 0; i < records.size(); ++i) {
+        writer.PutBytes(i == r ? payload : records[i].second);
+        ASSERT_TRUE(writer.EndRecord(records[i].first).ok());
+      }
+      ASSERT_TRUE(writer.Finish().ok());
+    }
+    StreamState target;
+    const Status st = LoadFrom(path, &target);
+    rejected += st.ok() ? 0 : 1;
+    EXPECT_TRUE(st.ok() || st.code() == StatusCode::kInvalidArgument ||
+                st.code() == StatusCode::kIoError ||
+                st.code() == StatusCode::kFailedPrecondition)
+        << "record " << r << ": " << st.ToString();
+  };
+  for (size_t r = 0; r < records.size(); ++r) {
+    const std::string& payload = records[r].second;
+    for (size_t i = 0; i < payload.size(); ++i) {
+      for (const unsigned char mask : {0x01, 0x80, 0xff}) {
+        std::string mutated = payload;
+        mutated[i] = static_cast<char>(mutated[i] ^ mask);
+        load_mutated(r, mutated);
+      }
+    }
+    for (size_t len = 0; len < payload.size(); ++len) {
+      load_mutated(r, payload.substr(0, len));
+    }
+  }
+  // Every truncation of the tweet-base record drops a field, so at least
+  // those mutants must have reached a parser and been refused.
+  EXPECT_GE(rejected, records[0].second.size());
   std::remove(path.c_str());
 }
 

@@ -5,6 +5,7 @@
 #include "stream/candidate_base.h"
 #include "stream/message.h"
 #include "stream/tweet_base.h"
+#include "text/tokenizer.h"
 
 namespace nerglob::stream {
 namespace {
@@ -173,6 +174,26 @@ TEST(TweetBaseTest, MemoryUsageShrinksOnEviction) {
   EXPECT_GT(before, 0u);
   base.EvictOldest(2);
   EXPECT_LT(base.MemoryUsageBytes(), before);
+}
+
+TEST(TweetBaseTest, MemoryUsageCountsOnlyHeapStrings) {
+  // Every token is at most 15 chars, so each text/lower/match buffer lies
+  // inside sizeof(Token); only the message text spills to the heap.
+  TweetBase base;
+  SentenceRecord rec;
+  rec.message = MakeMessage(7, "italy closes every school in the north");
+  rec.message.tokens = text::Tokenizer().Tokenize(rec.message.text);
+  for (const text::Token& tok : rec.message.tokens) {
+    ASSERT_LE(tok.match.size(), 15u) << tok.text;
+  }
+  ASSERT_GT(rec.message.text.capacity(), std::string().capacity());
+  base.Put(rec);
+  const Message& msg = base.Find(7)->message;
+  EXPECT_EQ(base.MemoryUsageBytes(),
+            sizeof(TweetBase) + base.ids().capacity() * sizeof(int64_t) +
+                sizeof(int64_t) + sizeof(SentenceRecord) +
+                msg.text.capacity() +
+                msg.tokens.capacity() * sizeof(text::Token));
 }
 
 TEST(CandidateBaseTest, MentionPoolGrows) {
@@ -347,6 +368,21 @@ TEST(CandidateBaseTest, RemoveSurfaceErasesEverything) {
   EXPECT_EQ(cb.TotalMentions(), 1u);
   cb.RemoveSurface("nope");  // no-op
   EXPECT_EQ(cb.surfaces().size(), 1u);
+}
+
+TEST(CandidateBaseTest, MemoryUsageCountsOnlyHeapStrings) {
+  // A short surface is stored inline in its string objects; adding a
+  // second pool with a 40-char surface adds its heap buffer twice (the
+  // map key and the first-seen order) beside the fixed-size objects.
+  CandidateBase cb;
+  cb.AddMention("italy", MakeMention(0, 0, 1, {1, 2}));
+  const size_t short_bytes = cb.MemoryUsageBytes();
+  const std::string long_surface(40, 'x');
+  CandidateBase twin;
+  twin.AddMention(long_surface, MakeMention(0, 0, 1, {1, 2}));
+  const size_t heap = std::string(long_surface).capacity();
+  ASSERT_GT(heap, std::string().capacity());
+  EXPECT_EQ(twin.MemoryUsageBytes(), short_bytes + 2 * heap);
 }
 
 TEST(CandidateBaseTest, MemoryUsageTracksPoolSize) {

@@ -442,6 +442,34 @@ TEST_F(StreamingSessionTest, RestoreRejectsCheckpointWithoutLayoutVersion) {
   std::remove(path.c_str());
 }
 
+TEST_F(StreamingSessionTest, RestoreRejectsLayoutThreeSessionRecord) {
+  // A layout-3 session record opens with a u64 batch count, not the
+  // layout. Its low half is refused as a version mismatch, and a count
+  // that happens to equal the current version still fails as layout drift.
+  const std::string path =
+      std::string(::testing::TempDir()) + "/session_layout3.bin";
+  for (const uint64_t batches : {1u, 4u}) {
+    {
+      io::TensorWriter writer(path);
+      writer.PutU64(batches);
+      writer.PutU64(4 * batches);  // messages
+      writer.PutU32(0);            // flushed
+      writer.PutU64(0);            // finalized count
+      ASSERT_TRUE(writer.EndRecord(io::kTagSession).ok());
+      writer.PutU32(3);  // layout version
+      writer.PutString(system_->bundle.Fingerprint());
+      ASSERT_TRUE(writer.EndRecord(io::kTagCheckpoint).ok());
+      ASSERT_TRUE(writer.Finish().ok());
+    }
+    auto session = MakeSession(0);
+    const Status s = session.Restore(path);
+    EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition)
+        << "batches " << batches << ": " << s.ToString();
+    EXPECT_EQ(session.batches_processed(), 0u);
+  }
+  std::remove(path.c_str());
+}
+
 TEST_F(StreamingSessionTest, RestoreRejectsMismatchedWindowConfig) {
   const std::string path =
       std::string(::testing::TempDir()) + "/session_config.bin";
