@@ -1,12 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the pipeline's hot components:
 // tokenizer, CTrie insert/scan, phrase embedding, agglomerative
-// clustering, attention pooling + classification, CRF Viterbi decode, and
-// a full MicroBert sentence encode.
+// clustering, attention pooling + classification, CRF Viterbi decode, a
+// full MicroBert sentence encode, and loading a model bundle.
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
+#include <filesystem>
 
 #include "cluster/agglomerative.h"
 #include "common/thread_pool.h"
 #include "core/entity_classifier.h"
+#include "core/model_bundle.h"
 #include "core/phrase_embedder.h"
 #include "lm/micro_bert.h"
 #include "nn/crf.h"
@@ -199,6 +203,28 @@ void BM_EncodeMany(benchmark::State& state) {
   SetParallelism(0);
 }
 BENCHMARK(BM_EncodeMany)->Arg(1)->Arg(2)->Arg(4);
+
+// Cold start of a served model: ModelBundle::Load of a default-size bundle
+// (d_model 64, 2 layers), saved to a temp file outside the timed loop.
+// Report-only.
+void BM_BundleLoad(benchmark::State& state) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "bm_bundle_load.ngb").string();
+  if (!core::ModelBundle(core::ModelBundleConfig{}).Save(path).ok()) {
+    state.SkipWithError("saving the bundle failed");
+    return;
+  }
+  for (auto _ : state) {
+    Result<core::ModelBundle> bundle = core::ModelBundle::Load(path);
+    if (!bundle.ok()) {
+      state.SkipWithError(bundle.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(bundle->has_models());
+  }
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_BundleLoad)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

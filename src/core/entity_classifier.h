@@ -38,7 +38,8 @@ enum class PoolingMode { kAttention, kMean };
 
 class EntityClassifier : public nn::Module {
  public:
-  /// dim: embedding width; hidden: width of the two dense layers.
+  /// dim: embedding width; hidden: width of the two dense layers. A null
+  /// `rng` builds shape only (see nn::Linear).
   EntityClassifier(size_t dim, size_t hidden, Rng* rng,
                    PoolingMode pooling = PoolingMode::kAttention);
 

@@ -1,5 +1,6 @@
 #include "core/model_bundle.h"
 
+#include <cstdint>
 #include <utility>
 
 #include "common/check.h"
@@ -28,19 +29,51 @@ std::string ConfigKeyString(const ModelBundleConfig& c) {
       static_cast<unsigned long long>(c.seed));
 }
 
+/// a * b and a + b, saturating at UINT64_MAX instead of wrapping.
+uint64_t SatMul(uint64_t a, uint64_t b) {
+  uint64_t r = 0;
+  return __builtin_mul_overflow(a, b, &r) ? UINT64_MAX : r;
+}
+uint64_t SatAdd(uint64_t a, uint64_t b) {
+  uint64_t r = 0;
+  return __builtin_add_overflow(a, b, &r) ? UINT64_MAX : r;
+}
+
+/// A lower bound on the bytes the module records of a bundle built from
+/// `c` take: the encoder's subword, position and kind tables plus each
+/// layer's 4·d² attention and 2·ff·d² feed-forward weights, as f32.
+uint64_t MinParameterBytes(const lm::MicroBertConfig& c) {
+  const uint64_t d = c.d_model;
+  const uint64_t table_rows =
+      SatAdd(SatAdd(c.subword_buckets, c.max_seq_len),
+             lm::MicroBert::kNumTokenKinds);
+  const uint64_t per_layer =
+      SatMul(SatAdd(4, SatMul(2, c.ff_mult)), SatMul(d, d));
+  const uint64_t floats =
+      SatAdd(SatMul(table_rows, d), SatMul(c.num_layers, per_layer));
+  return SatMul(floats, sizeof(float));
+}
+
 }  // namespace
 
-ModelBundle::ModelBundle(const ModelBundleConfig& config) : config_(config) {
+ModelBundle::ModelBundle(const ModelBundleConfig& config)
+    : ModelBundle(config, /*draw_init=*/true) {}
+
+ModelBundle::ModelBundle(const ModelBundleConfig& config, bool draw_init)
+    : config_(config) {
   // The seed derivation reproduces the harness's historical init stream
   // exactly: one Rng (seed*31+4) constructs the embedder then the
   // classifier, so parameters match systems trained before the bundle
   // refactor (and cached weights remain loadable).
-  model_ = std::make_unique<lm::MicroBert>(config.lm, config.seed * 31 + 3);
-  Rng rng(config.seed * 31 + 4);
-  embedder_ = std::make_unique<PhraseEmbedder>(config.lm.d_model, &rng,
+  const uint64_t model_seed = config.seed * 31 + 3;
+  model_ = draw_init ? std::make_unique<lm::MicroBert>(config.lm, model_seed)
+                     : lm::MicroBert::ShapeOnly(config.lm, model_seed);
+  Rng init(config.seed * 31 + 4);
+  Rng* rng = draw_init ? &init : nullptr;
+  embedder_ = std::make_unique<PhraseEmbedder>(config.lm.d_model, rng,
                                                config.normalize_embedder);
   classifier_ = std::make_unique<EntityClassifier>(
-      config.lm.d_model, config.classifier_hidden, &rng, config.pooling);
+      config.lm.d_model, config.classifier_hidden, rng, config.pooling);
 }
 
 const lm::MicroBert& ModelBundle::model() const {
@@ -73,9 +106,9 @@ EntityClassifier* ModelBundle::mutable_classifier() {
   return classifier_.get();
 }
 
-std::string ModelBundle::Fingerprint() const {
+std::string ModelBundle::FingerprintOf(const ModelBundleConfig& config) {
   return StrFormat("%016llx", static_cast<unsigned long long>(
-                                  Fnv1aHash(ConfigKeyString(config_))));
+                                  Fnv1aHash(ConfigKeyString(config))));
 }
 
 Status ModelBundle::Save(io::TensorWriter* writer) const {
@@ -143,7 +176,8 @@ Result<ModelBundle> ModelBundle::Load(io::TensorReader* reader) {
     return reader->status();
   }
   NERGLOB_RETURN_IF_ERROR(reader->ExpectRecordEnd());
-  // Defend against absurd shapes before allocating fresh models: the
+  // Nothing is allocated from the config until it has passed, in order:
+  // these limits, the fingerprint, and the bound of the file's size. The
   // config drives O(d_model^2 * num_layers) parameter allocations.
   constexpr uint64_t kMaxDim = 1ull << 20;
   if (d_model == 0 || d_model > kMaxDim || num_heads == 0 ||
@@ -175,13 +209,23 @@ Result<ModelBundle> ModelBundle::Load(io::TensorReader* reader) {
         reader->path().c_str(), config.lm.d_model, config.lm.num_heads));
   }
 
-  ModelBundle bundle(config);
-  if (bundle.Fingerprint() != stored_fingerprint) {
+  const std::string fingerprint = FingerprintOf(config);
+  if (fingerprint != stored_fingerprint) {
     return Status::InvalidArgument(StrFormat(
         "'%s': bundle fingerprint mismatch: stored %s, recomputed %s",
         reader->path().c_str(), stored_fingerprint.c_str(),
-        bundle.Fingerprint().c_str()));
+        fingerprint.c_str()));
   }
+  const uint64_t min_bytes = MinParameterBytes(config.lm);
+  if (min_bytes > reader->RemainingInFile()) {
+    return Status::InvalidArgument(StrFormat(
+        "'%s': bundle config needs at least %llu parameter bytes but %llu "
+        "remain in the file",
+        reader->path().c_str(), static_cast<unsigned long long>(min_bytes),
+        static_cast<unsigned long long>(reader->RemainingInFile())));
+  }
+
+  ModelBundle bundle(config, /*draw_init=*/false);
 
   NERGLOB_RETURN_IF_ERROR(
       nn::LoadModule(reader, "micro_bert", bundle.model_.get()));

@@ -86,7 +86,9 @@ class ModelBundle {
   /// Hex FNV-1a hash of the architecture config. Stored in `.ngb` files
   /// and in stream checkpoints: restoring a checkpoint onto a bundle with
   /// a different fingerprint fails instead of silently mixing models.
-  std::string Fingerprint() const;
+  std::string Fingerprint() const { return FingerprintOf(config_); }
+  /// The fingerprint a bundle built from `config` has.
+  static std::string FingerprintOf(const ModelBundleConfig& config);
 
   /// Harness-owned provenance doubles (training losses, counts, ...)
   /// carried through Save/Load so a loaded bundle can report how it was
@@ -103,12 +105,20 @@ class ModelBundle {
   /// Appends the bundle's records to an already-open artifact.
   Status Save(io::TensorWriter* writer) const;
 
-  /// Reads a bundle saved with Save. Corrupt, truncated, or
-  /// version-mismatched files return a non-OK Status (never crash).
+  /// Reads a bundle saved with Save. Corrupt, truncated, hostile or
+  /// version-mismatched files return a non-OK Status (never crash): the
+  /// config is validated, fingerprinted and bounded by the file's size
+  /// before anything is allocated. The models are built shape-only (no
+  /// init drawn) and filled from the module records.
   static Result<ModelBundle> Load(const std::string& path);
   static Result<ModelBundle> Load(io::TensorReader* reader);
 
  private:
+  /// With `draw_init` false every model is built shape-only: parameters
+  /// zero-filled at their seeded shapes, nothing drawn. Only Load asks
+  /// for that, and it overwrites every parameter.
+  ModelBundle(const ModelBundleConfig& config, bool draw_init);
+
   ModelBundleConfig config_;
   std::unique_ptr<lm::MicroBert> model_;
   std::unique_ptr<PhraseEmbedder> embedder_;

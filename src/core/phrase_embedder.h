@@ -26,6 +26,7 @@ namespace nerglob::core {
 /// and must be exclusive. Embed is O(span_len · dim + dim²) per call.
 class PhraseEmbedder : public nn::Module {
  public:
+  /// A null `rng` builds shape only (see nn::Linear).
   PhraseEmbedder(size_t dim, Rng* rng, bool normalize = true);
 
   /// Differentiable forward over a span of the (frozen) token embeddings.

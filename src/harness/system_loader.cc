@@ -1,9 +1,13 @@
 #include "harness/system_loader.h"
 
 #include <cstring>
+#include <filesystem>
+#include <system_error>
 #include <utility>
 
 #include "common/logging.h"
+#include "common/string_util.h"
+#include "common/timer.h"
 
 namespace nerglob::harness {
 
@@ -27,10 +31,16 @@ Result<TrainedSystem> LoadOrTrainSystem(const BuildOptions& options,
                                         const std::string& model_path) {
   if (model_path.empty()) return BuildTrainedSystem(options);
 
+  WallTimer timer;
   Result<core::ModelBundle> bundle = core::ModelBundle::Load(model_path);
   if (!bundle.ok()) return bundle.status();
+  const double load_ms = timer.ElapsedMillis();
+  std::error_code ec;
+  const uintmax_t bytes = std::filesystem::file_size(model_path, ec);
   NERGLOB_LOG(kInfo) << "loaded model bundle '" << model_path
-                     << "' (fingerprint " << bundle->Fingerprint() << ")";
+                     << "' (fingerprint " << bundle->Fingerprint() << ", "
+                     << (ec ? 0 : bytes) << " bytes in "
+                     << StrFormat("%.2f", load_ms) << " ms)";
   TrainedSystem system;
   system.kb_train = data::KnowledgeBase::BuildProceduralOnly(
       options.kb_entities_per_topic_type, options.seed * 31 + 1);

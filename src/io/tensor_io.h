@@ -147,6 +147,9 @@ class TensorReader {
   /// from an on-disk count must bound it by this (every element encodes at
   /// least one byte), so a crafted count cannot drive a huge allocation.
   size_t RemainingInRecord() const { return payload_.size() - cursor_; }
+  /// Bytes of the file after the current record. A loader that sizes
+  /// later records from this one's fields bounds them by it.
+  uint64_t RemainingInFile() const { return file_size_ - file_offset_; }
 
   /// The error for a field `what` of `record` that failed to parse: the
   /// sticky read error if there is one, else InvalidArgument naming the

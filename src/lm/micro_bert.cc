@@ -18,8 +18,6 @@ namespace nerglob::lm {
 
 namespace {
 
-constexpr size_t kNumTokenKinds = 7;
-
 /// Matching form used for subword lookup: normalized (elongation-squeezed)
 /// match text; URLs and mentions collapse to sentinel words so the model
 /// learns one representation per class.
@@ -46,22 +44,34 @@ uint64_t NextModelVersion() {
 }  // namespace
 
 MicroBert::MicroBert(const MicroBertConfig& config, uint64_t seed)
+    : MicroBert(config, seed, /*draw_init=*/true) {}
+
+std::unique_ptr<MicroBert> MicroBert::ShapeOnly(const MicroBertConfig& config,
+                                                uint64_t seed) {
+  return std::unique_ptr<MicroBert>(
+      new MicroBert(config, seed, /*draw_init=*/false));
+}
+
+MicroBert::MicroBert(const MicroBertConfig& config, uint64_t seed,
+                     bool draw_init)
     : config_(config), model_version_(NextModelVersion()),
       subwords_(config.subword_buckets), dropout_rng_(seed ^ 0x9e37ULL) {
-  Rng rng(seed);
+  // A null init Rng makes every layer allocate its parameters zero-filled.
+  Rng init(seed);
+  Rng* rng = draw_init ? &init : nullptr;
   subword_table_ = std::make_unique<nn::Embedding>(config.subword_buckets,
-                                                   config.d_model, &rng);
+                                                   config.d_model, rng);
   position_table_ =
-      std::make_unique<nn::Embedding>(config.max_seq_len, config.d_model, &rng);
+      std::make_unique<nn::Embedding>(config.max_seq_len, config.d_model, rng);
   kind_table_ =
-      std::make_unique<nn::Embedding>(kNumTokenKinds, config.d_model, &rng);
+      std::make_unique<nn::Embedding>(kNumTokenKinds, config.d_model, rng);
   for (size_t i = 0; i < config.num_layers; ++i) {
     layers_.push_back(std::make_unique<nn::TransformerEncoderLayer>(
-        config.d_model, config.num_heads, config.ff_mult, config.dropout, &rng));
+        config.d_model, config.num_heads, config.ff_mult, config.dropout, rng));
   }
   final_norm_ = std::make_unique<nn::LayerNorm>(config.d_model);
   head_ = std::make_unique<nn::Linear>(config.d_model,
-                                       static_cast<size_t>(config.num_labels), &rng);
+                                       static_cast<size_t>(config.num_labels), rng);
 }
 
 ag::Var MicroBert::EmbedTokens(const std::vector<text::Token>& tokens) const {

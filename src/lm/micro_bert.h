@@ -63,7 +63,20 @@ struct EncodeOptions {
 /// linear head. Plays the role of BERTweet in the paper's Local NER step.
 class MicroBert : public nn::Module {
  public:
+  /// Rows of the token-kind embedding table, one per text::TokenKind.
+  static constexpr size_t kNumTokenKinds = 7;
+
+  /// Draws every parameter from Rng(seed); `seed` also seeds the dropout
+  /// stream.
   MicroBert(const MicroBertConfig& config, uint64_t seed);
+
+  /// Shape-only construction for a loader that overwrites every parameter
+  /// (ModelBundle::Load): each parameter is allocated zero-filled at the
+  /// shape MicroBert(config, seed) gives it, and nothing is drawn. Model
+  /// version, subword hasher and dropout stream are as for that
+  /// constructor.
+  static std::unique_ptr<MicroBert> ShapeOnly(const MicroBertConfig& config,
+                                              uint64_t seed);
 
   /// Training-mode forward; both outputs participate in the graph.
   struct ForwardResult {
@@ -126,6 +139,8 @@ class MicroBert : public nn::Module {
   void BumpModelVersion();
 
  private:
+  MicroBert(const MicroBertConfig& config, uint64_t seed, bool draw_init);
+
   /// Builds the (T, d) input embedding matrix for a token sequence.
   ag::Var EmbedTokens(const std::vector<text::Token>& tokens) const;
 

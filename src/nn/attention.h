@@ -12,6 +12,7 @@ namespace nerglob::nn {
 /// Input/output shape (T, d_model).
 class MultiHeadSelfAttention : public Module {
  public:
+  /// A null `rng` builds shape only (see Linear).
   MultiHeadSelfAttention(size_t d_model, size_t num_heads, Rng* rng);
 
   ag::Var Forward(const ag::Var& x) const;
@@ -42,6 +43,7 @@ class MultiHeadSelfAttention : public Module {
 /// with a ReLU feed-forward of width ff_mult * d_model.
 class TransformerEncoderLayer : public Module {
  public:
+  /// A null `rng` builds shape only (see Linear).
   TransformerEncoderLayer(size_t d_model, size_t num_heads, size_t ff_mult,
                           float dropout, Rng* rng);
 

@@ -13,8 +13,11 @@ namespace nerglob::nn {
 Linear::Linear(size_t in_features, size_t out_features, Rng* rng) {
   const float limit =
       std::sqrt(6.0f / static_cast<float>(in_features + out_features));
-  weight_ = ag::Var(Matrix::RandUniform(in_features, out_features, limit, rng),
-                    /*requires_grad=*/true);
+  weight_ = ag::Var(
+      rng != nullptr
+          ? Matrix::RandUniform(in_features, out_features, limit, rng)
+          : Matrix(in_features, out_features),
+      /*requires_grad=*/true);
   bias_ = ag::Var(Matrix(1, out_features), /*requires_grad=*/true);
 }
 
@@ -41,7 +44,8 @@ void Linear::ApplyInto(const Matrix& x, Matrix* out) const {
 }
 
 Embedding::Embedding(size_t vocab_size, size_t dim, Rng* rng) {
-  table_ = ag::Var(Matrix::Randn(vocab_size, dim, 0.1f, rng),
+  table_ = ag::Var(rng != nullptr ? Matrix::Randn(vocab_size, dim, 0.1f, rng)
+                                   : Matrix(vocab_size, dim),
                    /*requires_grad=*/true);
 }
 

@@ -14,6 +14,9 @@ namespace nerglob::nn {
 /// Fully-connected layer: y = x W + b. Glorot-uniform initialized.
 class Linear : public Module {
  public:
+  /// Draws the weight from `rng`. A null `rng` allocates the weight
+  /// zero-filled instead (shape only, for a loader that overwrites every
+  /// parameter); the bias is zero either way.
   Linear(size_t in_features, size_t out_features, Rng* rng);
 
   /// x: (m, in) -> (m, out). Builds graph nodes (training / autograd path).
@@ -40,6 +43,8 @@ class Linear : public Module {
 /// Token embedding table with gather-based lookup.
 class Embedding : public Module {
  public:
+  /// Draws the table from `rng`; a null `rng` allocates it zero-filled
+  /// (shape only, as for Linear).
   Embedding(size_t vocab_size, size_t dim, Rng* rng);
 
   /// ids (each in [0, vocab)) -> (ids.size(), dim).
@@ -108,6 +113,7 @@ class BatchNorm1d : public Module {
 class Mlp : public Module {
  public:
   /// dims = {in, h1, ..., out}. Hidden layers get ReLU; the last is linear.
+  /// A null `rng` builds shape only (see Linear).
   Mlp(const std::vector<size_t>& dims, Rng* rng);
 
   ag::Var Forward(const ag::Var& x) const;

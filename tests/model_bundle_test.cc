@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "artifact_records.h"
+#include "common/rng.h"
 #include "core/model_bundle.h"
 #include "core/ner_globalizer.h"
 #include "data/generator.h"
@@ -138,6 +141,197 @@ TEST_F(ModelBundleTest, WrongFormatVersionIsCleanError) {
   Result<core::ModelBundle> loaded = core::ModelBundle::Load(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+/// Writes a bundle-config record with `config`'s fields in Save's order and
+/// `fingerprint`, and nothing after it.
+void WriteConfigOnly(const std::string& path,
+                     const core::ModelBundleConfig& config,
+                     const std::string& fingerprint) {
+  io::TensorWriter writer(path);
+  writer.PutU32(1);  // bundle layout version
+  writer.PutU64(config.lm.d_model);
+  writer.PutU64(config.lm.num_heads);
+  writer.PutU64(config.lm.num_layers);
+  writer.PutU64(config.lm.ff_mult);
+  writer.PutU64(config.lm.max_seq_len);
+  writer.PutU64(config.lm.subword_buckets);
+  writer.PutF32(config.lm.dropout);
+  writer.PutI64(config.lm.num_labels);
+  writer.PutU64(config.classifier_hidden);
+  writer.PutU32(static_cast<uint32_t>(config.pooling));
+  writer.PutU32(config.normalize_embedder ? 1 : 0);
+  writer.PutF32(config.cluster_threshold);
+  writer.PutU64(config.seed);
+  writer.PutString(fingerprint);
+  ASSERT_TRUE(writer.EndRecord(io::kTagBundleConfig).ok());
+  ASSERT_TRUE(writer.Finish().ok());
+}
+
+TEST_F(ModelBundleTest, OversizedConfigIsTypedErrorBeforeAllocating) {
+  // Every field is within the loader's per-field limits, but the 2^20 x
+  // 65536 subword table alone would take 256 GiB. A ~150-byte file must
+  // be refused from its config record, before anything is allocated.
+  core::ModelBundleConfig config;
+  config.lm.d_model = 65536;
+  config.lm.subword_buckets = 1u << 20;
+  config.lm.num_layers = 1;
+  const std::string path = TempPath("bundle_oversized.ngb");
+
+  WriteConfigOnly(path, config, "0123456789abcdef");
+  Result<core::ModelBundle> loaded = core::ModelBundle::Load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("fingerprint mismatch"),
+            std::string::npos)
+      << loaded.status().ToString();
+
+  WriteConfigOnly(path, config, core::ModelBundle::FingerprintOf(config));
+  EXPECT_LE(test_util::ReadBytes(path).size(), 160u);
+  loaded = core::ModelBundle::Load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("parameter bytes"),
+            std::string::npos)
+      << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
+// --- Untrained bundles: shape-only construction, round trip, fuzz -------
+
+/// Small configs covering both pooling modes, normalize on and off, and 1
+/// and 2 encoder layers.
+std::vector<core::ModelBundleConfig> SmallConfigs() {
+  std::vector<core::ModelBundleConfig> configs;
+  for (const core::PoolingMode pooling :
+       {core::PoolingMode::kAttention, core::PoolingMode::kMean}) {
+    for (const bool normalize : {true, false}) {
+      for (const size_t layers : {1, 2}) {
+        core::ModelBundleConfig c;
+        c.lm.d_model = 16;
+        c.lm.num_heads = 2;
+        c.lm.num_layers = layers;
+        c.lm.max_seq_len = 12;
+        c.lm.subword_buckets = 128;
+        c.classifier_hidden = 8;
+        c.pooling = pooling;
+        c.normalize_embedder = normalize;
+        c.seed = 11 + configs.size();
+        configs.push_back(c);
+      }
+    }
+  }
+  return configs;
+}
+
+void ExpectSameShapes(const nn::Module& want, const nn::Module& got,
+                      const char* module) {
+  const std::vector<ag::Var> a = want.Parameters();
+  const std::vector<ag::Var> b = got.Parameters();
+  ASSERT_EQ(a.size(), b.size()) << module;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].rows(), b[i].rows()) << module << " parameter " << i;
+    EXPECT_EQ(a[i].cols(), b[i].cols()) << module << " parameter " << i;
+  }
+}
+
+void ExpectSameBits(const nn::Module& want, const nn::Module& got,
+                    const char* module) {
+  const std::vector<ag::Var> a = want.Parameters();
+  const std::vector<ag::Var> b = got.Parameters();
+  ASSERT_EQ(a.size(), b.size()) << module;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const Matrix& x = a[i].value();
+    const Matrix& y = b[i].value();
+    ASSERT_EQ(x.size(), y.size()) << module << " parameter " << i;
+    EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size() * sizeof(float)), 0)
+        << module << " parameter " << i;
+  }
+}
+
+TEST(UntrainedBundleTest, ShapeOnlyConstructionMatchesSeededShapes) {
+  for (const core::ModelBundleConfig& c : SmallConfigs()) {
+    SCOPED_TRACE(core::ModelBundle::FingerprintOf(c));
+    const size_t d = c.lm.d_model;
+    Rng rng(c.seed);
+    ExpectSameShapes(lm::MicroBert(c.lm, c.seed),
+                     *lm::MicroBert::ShapeOnly(c.lm, c.seed), "micro_bert");
+    ExpectSameShapes(core::PhraseEmbedder(d, &rng, c.normalize_embedder),
+                     core::PhraseEmbedder(d, nullptr, c.normalize_embedder),
+                     "phrase_embedder");
+    ExpectSameShapes(
+        core::EntityClassifier(d, c.classifier_hidden, &rng, c.pooling),
+        core::EntityClassifier(d, c.classifier_hidden, nullptr, c.pooling),
+        "entity_classifier");
+  }
+}
+
+TEST(UntrainedBundleTest, SaveLoadRoundTripIsBitExact) {
+  const std::string path = TempPath("bundle_bits.ngb");
+  for (const core::ModelBundleConfig& c : SmallConfigs()) {
+    SCOPED_TRACE(core::ModelBundle::FingerprintOf(c));
+    const core::ModelBundle bundle(c);
+    ASSERT_TRUE(bundle.Save(path).ok());
+    Result<core::ModelBundle> loaded = core::ModelBundle::Load(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->Fingerprint(), bundle.Fingerprint());
+    ExpectSameBits(bundle.model(), loaded->model(), "micro_bert");
+    ExpectSameBits(bundle.embedder(), loaded->embedder(), "phrase_embedder");
+    ExpectSameBits(bundle.classifier(), loaded->classifier(),
+                   "entity_classifier");
+  }
+  std::remove(path.c_str());
+}
+
+TEST(UntrainedBundleTest, MutatedPayloadsLoadToATypedStatus) {
+  // Deterministic mutational fuzz of the five `.ngb` records. Each mutated
+  // payload is re-framed with a valid checksum, so it reaches the parsers:
+  // every one must come back as a Status (OK or a typed error), never a
+  // crash. Run under the sanitizer build it also rules out memory errors.
+  core::ModelBundleConfig config;
+  config.lm.d_model = 8;
+  config.lm.num_heads = 2;
+  config.lm.num_layers = 1;
+  config.lm.max_seq_len = 8;
+  config.lm.subword_buckets = 64;
+  config.classifier_hidden = 4;
+  core::ModelBundle bundle(config);
+  bundle.set_training_stats({0.5, 2.0});
+  const std::string path = TempPath("bundle_fuzz.ngb");
+  ASSERT_TRUE(bundle.Save(path).ok());
+  const auto records = test_util::SplitRecords(test_util::ReadBytes(path));
+  ASSERT_EQ(records.size(), 5u);
+
+  size_t rejected = 0;
+  auto load_mutated = [&](size_t r, const std::string& payload) {
+    ASSERT_TRUE(test_util::WriteRecords(path, records, r, payload).ok());
+    const Result<core::ModelBundle> loaded = core::ModelBundle::Load(path);
+    const Status& st = loaded.status();
+    rejected += st.ok() ? 0 : 1;
+    EXPECT_TRUE(st.ok() || st.code() == StatusCode::kInvalidArgument ||
+                st.code() == StatusCode::kIoError ||
+                st.code() == StatusCode::kFailedPrecondition)
+        << "record " << r << ": " << st.ToString();
+  };
+  for (size_t r = 0; r < records.size(); ++r) {
+    const std::string& payload = records[r].second;
+    for (size_t i = 0; i < payload.size(); ++i) {
+      for (const unsigned char mask : {0x01, 0x80, 0xff}) {
+        std::string mutated = payload;
+        mutated[i] = static_cast<char>(mutated[i] ^ mask);
+        load_mutated(r, mutated);
+      }
+    }
+    for (size_t len = 0; len < payload.size(); ++len) {
+      load_mutated(r, payload.substr(0, len));
+    }
+  }
+  // Every truncation of every record drops a field or a value, so at
+  // least those mutants must have reached a parser and been refused.
+  size_t truncations = 0;
+  for (const auto& record : records) truncations += record.second.size();
+  EXPECT_GE(rejected, truncations);
   std::remove(path.c_str());
 }
 

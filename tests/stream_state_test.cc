@@ -6,11 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iterator>
 #include <string>
 
+#include "artifact_records.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "core/phrase_embedder.h"
@@ -27,10 +25,7 @@ std::string TempPath(const std::string& name) {
   return std::string(::testing::TempDir()) + "/" + name;
 }
 
-std::string ReadBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in), {});
-}
+using test_util::ReadBytes;
 
 Status SaveTo(const StreamState& state, const std::string& path) {
   io::TensorWriter writer(path);
@@ -437,23 +432,6 @@ TEST_F(StreamStateTest, ExplicitTokensRoundTripByteIdentically) {
   std::remove(path.c_str());
 }
 
-/// Splits an artifact file into its records' (tag, payload) pairs.
-std::vector<std::pair<uint32_t, std::string>> SplitRecords(
-    const std::string& bytes) {
-  std::vector<std::pair<uint32_t, std::string>> records;
-  size_t at = sizeof(io::kMagic) + 2 * sizeof(uint32_t);
-  while (at < bytes.size()) {
-    uint32_t tag = 0;
-    uint64_t len = 0;
-    std::memcpy(&tag, bytes.data() + at, sizeof(tag));
-    std::memcpy(&len, bytes.data() + at + sizeof(tag), sizeof(len));
-    at += sizeof(tag) + sizeof(len);
-    records.emplace_back(tag, bytes.substr(at, len));
-    at += len + sizeof(uint64_t);
-  }
-  return records;
-}
-
 TEST_F(StreamStateTest, MutatedPayloadsLoadToATypedStatus) {
   // Deterministic mutational fuzz of the four state records. Each mutated
   // payload is re-framed with a valid checksum, so it reaches the parsers:
@@ -474,7 +452,7 @@ TEST_F(StreamStateTest, MutatedPayloadsLoadToATypedStatus) {
   state.evicted_messages = 300;
   const std::string path = TempPath("state_fuzz.bin");
   ASSERT_TRUE(SaveTo(state, path).ok());
-  const auto records = SplitRecords(ReadBytes(path));
+  const auto records = test_util::SplitRecords(ReadBytes(path));
   ASSERT_EQ(records.size(), 4u);
   {
     StreamState restored;
@@ -483,14 +461,7 @@ TEST_F(StreamStateTest, MutatedPayloadsLoadToATypedStatus) {
 
   size_t rejected = 0;
   auto load_mutated = [&](size_t r, const std::string& payload) {
-    {
-      io::TensorWriter writer(path);
-      for (size_t i = 0; i < records.size(); ++i) {
-        writer.PutBytes(i == r ? payload : records[i].second);
-        ASSERT_TRUE(writer.EndRecord(records[i].first).ok());
-      }
-      ASSERT_TRUE(writer.Finish().ok());
-    }
+    ASSERT_TRUE(test_util::WriteRecords(path, records, r, payload).ok());
     StreamState target;
     const Status st = LoadFrom(path, &target);
     rejected += st.ok() ? 0 : 1;
