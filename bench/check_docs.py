@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Docs gate: broken links, broken anchors, and stale knob references.
+"""Docs gate: broken links, broken anchors, stale knob references and a
+stale checkpoint layout version.
 
 Usage:
     check_docs.py [ROOT]
 
-Three checks over every tracked ``*.md`` file under ROOT (default: the
+Four checks over the tracked ``*.md`` files under ROOT (default: the
 repo root, i.e. the parent of this script's directory):
 
 1. **Relative links** — every ``[text](target)`` / ``![alt](target)``
@@ -19,6 +20,9 @@ repo root, i.e. the parent of this script's directory):
    the README's operations table must actually appear in the source tree
    (``src/``, ``bench/``, ``examples/``, ``tests/``), so the "single
    reference table" can never drift from the code.
+4. **Checkpoint layout version** — the "checkpoint layout version
+   (currently N)" in ``docs/FORMATS.md`` must equal
+   ``kCheckpointLayoutVersion`` in ``src/core/ner_globalizer.cc``.
 
 Stdlib-only on purpose: CI runs it before anything is built.
 """
@@ -39,6 +43,13 @@ SKIP_DIRS = {".git", "build", "build-asan", "build-tsan", "nerglob_cache",
              "node_modules", ".cache"}
 
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
+
+# The checkpoint layout version: its constant and the sentence that
+# documents it.
+LAYOUT_SOURCE = pathlib.Path("src", "core", "ner_globalizer.cc")
+LAYOUT_DOC = pathlib.Path("docs", "FORMATS.md")
+LAYOUT_CONST_RE = re.compile(r"kCheckpointLayoutVersion\s*=\s*(\d+)")
+LAYOUT_DOC_RE = re.compile(r"checkpoint layout version\s+\(currently\s+(\d+)\)")
 
 KNOB_SOURCE_DIRS = ("src", "bench", "examples", "tests")
 KNOB_SOURCE_SUFFIXES = {".cc", ".h", ".py", ".cmake", ".txt", ".yml"}
@@ -183,6 +194,28 @@ def check_knob_table(root: pathlib.Path):
     return errors
 
 
+def check_layout_version(root: pathlib.Path):
+    """The documented checkpoint layout version against the constant."""
+    found = []
+    for path, regex in ((LAYOUT_SOURCE, LAYOUT_CONST_RE),
+                        (LAYOUT_DOC, LAYOUT_DOC_RE)):
+        try:
+            text = (root / path).read_text(encoding="utf-8")
+        except OSError:
+            return [f"{path}: missing (checkpoint layout version check)"]
+        match = regex.search(text)
+        if match is None:
+            return [f"{path}: no checkpoint layout version found "
+                    f"(pattern {regex.pattern!r})"]
+        found.append(int(match.group(1)))
+    code, doc = found
+    if code != doc:
+        return [f"{LAYOUT_DOC}: documents checkpoint layout version "
+                f"(currently {doc}) but {LAYOUT_SOURCE} sets "
+                f"kCheckpointLayoutVersion = {code}"]
+    return []
+
+
 def main(argv):
     root = pathlib.Path(argv[1]) if len(argv) > 1 else \
         pathlib.Path(__file__).resolve().parent.parent
@@ -195,15 +228,15 @@ def main(argv):
             failures += 1
             print(f"{path.relative_to(root)}:{lineno}: broken link "
                   f"'{target}' ({why})")
-    for message in check_knob_table(root):
+    for message in check_knob_table(root) + check_layout_version(root):
         failures += 1
         print(message)
     if failures:
         print(f"FAIL: {failures} problem(s) across {total_files} "
               f"markdown file(s)")
         return 1
-    print(f"OK: links, anchors, and the README knob table check out "
-          f"across {total_files} markdown file(s)")
+    print(f"OK: links, anchors, the README knob table and the checkpoint "
+          f"layout version check out across {total_files} markdown file(s)")
     return 0
 
 

@@ -1,5 +1,7 @@
 #include "core/local_ner.h"
 
+#include <unordered_set>
+
 #include "common/check.h"
 #include "common/metrics.h"
 
@@ -28,8 +30,7 @@ std::string SpanSurfaceString(const stream::Message& message,
 
 std::vector<LocalNerOutput> IngestEncodedBatch(
     const std::vector<stream::Message>& batch,
-    std::vector<lm::EncodeResult>* encoded, stream::TweetBase* tweet_base,
-    trie::CandidateTrie* trie) {
+    std::vector<lm::EncodeResult>* encoded, StreamState* state) {
   NERGLOB_CHECK_EQ(encoded->size(), batch.size());
   std::vector<lm::EncodeResult>& encoded_batch = *encoded;
   // Serial merge, input order: TweetBase puts and trie inserts happen
@@ -38,8 +39,17 @@ std::vector<LocalNerOutput> IngestEncodedBatch(
   // encode batching).
   std::vector<LocalNerOutput> outputs;
   outputs.reserve(batch.size());
+  std::unordered_set<int64_t> batch_ids;
+  size_t duplicates = 0;
   for (size_t i = 0; i < batch.size(); ++i) {
     const stream::Message& message = batch[i];
+    // A repeated id would replace a live record whose support and
+    // mentions stay behind, so the window would no longer derive them.
+    if (!batch_ids.insert(message.id).second ||
+        state->tweet_base.Find(message.id) != nullptr) {
+      ++duplicates;
+      continue;
+    }
     LocalNerOutput out;
     out.message_id = message.id;
     if (message.tokens.empty()) {
@@ -51,17 +61,10 @@ std::vector<LocalNerOutput> IngestEncodedBatch(
     stream::SentenceRecord record;
     record.message = message;
     record.token_embeddings = std::move(result.embeddings);
-    record.local_bio = result.bio_labels;
-    tweet_base->Put(std::move(record));
-
-    out.local_spans = text::DecodeBio(result.bio_labels);
-    for (const text::EntitySpan& span : out.local_spans) {
-      auto tokens = SpanMatchTokens(message, span.begin_token, span.end_token);
-      if (trie->Insert(tokens)) {
-        out.new_surfaces.push_back(
-            SpanSurfaceString(message, span.begin_token, span.end_token));
-      }
-    }
+    record.local_bio = std::move(result.bio_labels);
+    state->tweet_base.Put(std::move(record));
+    out.local_spans = state->SeedLocalSpans(
+        *state->tweet_base.Find(message.id), &out.new_surfaces);
     outputs.push_back(std::move(out));
   }
   if (metrics::Enabled()) {
@@ -72,6 +75,8 @@ std::vector<LocalNerOutput> IngestEncodedBatch(
         registry.GetCounter("pipeline.local_spans_total");
     static metrics::Counter* const new_surfaces =
         registry.GetCounter("pipeline.new_surfaces_total");
+    static metrics::Counter* const dropped =
+        registry.GetCounter("pipeline.duplicate_messages_dropped_total");
     size_t span_count = 0, surface_count = 0;
     for (const LocalNerOutput& out : outputs) {
       span_count += out.local_spans.size();
@@ -80,6 +85,7 @@ std::vector<LocalNerOutput> IngestEncodedBatch(
     sentences->Increment(batch.size());
     local_spans->Increment(span_count);
     new_surfaces->Increment(surface_count);
+    dropped->Increment(duplicates);
   }
   return outputs;
 }

@@ -5,11 +5,10 @@
 #include <string>
 #include <vector>
 
+#include "core/stream_state.h"
 #include "lm/micro_bert.h"
 #include "stream/message.h"
-#include "stream/tweet_base.h"
 #include "text/bio.h"
-#include "trie/candidate_trie.h"
 
 namespace nerglob::core {
 
@@ -25,21 +24,24 @@ struct LocalNerOutput {
 /// Local NER (Sec. IV) is the fine-tuned encoder run over each message in
 /// isolation (lm::MicroBert::EncodeMany) followed by this serial ingest:
 /// it stores each sentence record (entity-aware token embeddings + BIO
-/// labels) in the TweetBase and registers the detected surface forms, the
-/// seed entity candidates, in the CandidateTrie. The encoder is a weak
+/// labels) in the state's TweetBase and seeds the CandidateTrie and the
+/// seed support with the detected surface forms, the seed entity
+/// candidates (StreamState::SeedLocalSpans). The encoder is a weak
 /// labeller here: its spans seed the CTrie and its embeddings feed the
 /// Phrase Embedder, but its labels are not the system output.
 ///
-/// Merges the pre-computed encode results into the TweetBase/CTrie in
-/// input order (so new-surface discovery order and all downstream state
-/// are independent of how — and where — the encoding ran).
-/// `(*encoded)[i]` must be the encoder output for `batch[i].tokens`
-/// (default-constructed for empty messages); its embeddings are consumed
-/// (moved into the stored SentenceRecords).
+/// Merges the pre-computed encode results into `state` in input order (so
+/// new-surface discovery order and all downstream state are independent
+/// of how — and where — the encoding ran). `(*encoded)[i]` must be the
+/// encoder output for `batch[i].tokens` (default-constructed for empty
+/// messages); its embeddings are consumed (moved into the stored
+/// SentenceRecords). Message ids must be unique within the live window: a
+/// message whose id is already live, or repeats an earlier message of the
+/// batch, is dropped — it gets no output, no record and no seed support —
+/// and counted in `pipeline.duplicate_messages_dropped_total`.
 std::vector<LocalNerOutput> IngestEncodedBatch(
     const std::vector<stream::Message>& batch,
-    std::vector<lm::EncodeResult>* encoded, stream::TweetBase* tweet_base,
-    trie::CandidateTrie* trie);
+    std::vector<lm::EncodeResult>* encoded, StreamState* state);
 
 /// The matching-form token sequence of a span ("andy beshear" tokens).
 std::vector<std::string> SpanMatchTokens(const stream::Message& message,

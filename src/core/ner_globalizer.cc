@@ -1,14 +1,15 @@
 #include "core/ner_globalizer.h"
 
 #include <algorithm>
-#include <set>
-#include <unordered_set>
+#include <array>
+#include <unordered_map>
 
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "common/trace.h"
+#include "core/local_ner.h"
 #include "core/stages.h"
 #include "io/tensor_io.h"
 
@@ -17,14 +18,13 @@ namespace nerglob::core {
 namespace {
 
 /// Layout of a session checkpoint's pipeline records, written first in the
-/// kTagCheckpoint header. Version 4 stores each message as its text (its
-/// tokens only when they are not the tokenizer's output) and codes every
-/// integer of the session records as a varint: restore re-tokenizes and
-/// re-encodes the window, then recomputes the phrase embeddings. Version 3
-/// stored every token and fixed-width integers; version 2 also stored the
-/// token embeddings and BIO labels; version 1 also stored phrase
-/// embeddings and had no version field.
-constexpr uint32_t kCheckpointLayoutVersion = 4;
+/// kTagCheckpoint header. Version 5 stores only what the window cannot
+/// give back: the messages as text, the mention pools with their
+/// partitions, the finalized buffer and the evicted count. Restore
+/// re-tokenizes and re-encodes the window, seeds the trie and the seed
+/// support from it, then recomputes the phrase embeddings. The layouts
+/// before it are described in docs/FORMATS.md.
+constexpr uint32_t kCheckpointLayoutVersion = 5;
 
 }  // namespace
 
@@ -85,7 +85,6 @@ Status NerGlobalizer::Checkpoint(io::TensorWriter* writer) const {
   writer->PutF32(config_.cluster_threshold);
   writer->PutU64(config_.max_mention_span);
   writer->PutU64(config_.window_messages);
-  writer->PutU32(config_.incremental_refresh ? 1 : 0);
   writer->PutF64(local_seconds_);
   writer->PutF64(global_seconds_);
   NERGLOB_RETURN_IF_ERROR(writer->EndRecord(io::kTagCheckpoint));
@@ -98,11 +97,10 @@ Status NerGlobalizer::Restore(io::TensorReader* reader) {
   std::string fingerprint;
   float threshold = 0.0f;
   uint64_t max_span = 0, window = 0;
-  uint32_t incremental = 0;
   double local_s = 0.0, global_s = 0.0;
   if (!reader->GetString(&fingerprint) || !reader->GetF32(&threshold) ||
       !reader->GetU64(&max_span) || !reader->GetU64(&window) ||
-      !reader->GetU32(&incremental) || !reader->GetF64(&local_s) ||
+      !reader->GetF64(&local_s) ||
       !reader->GetF64(&global_s)) {
     return reader->Corrupt("checkpoint header", "fields");
   }
@@ -117,14 +115,13 @@ Status NerGlobalizer::Restore(io::TensorReader* reader) {
   }
   if (threshold != config_.cluster_threshold ||
       max_span != config_.max_mention_span ||
-      window != config_.window_messages ||
-      (incremental != 0) != config_.incremental_refresh) {
+      window != config_.window_messages) {
     return Status::FailedPrecondition(StrFormat(
         "'%s': checkpoint pipeline config (threshold=%.6f span=%llu "
-        "window=%llu incremental=%u) does not match this pipeline's",
+        "window=%llu) does not match this pipeline's",
         reader->path().c_str(), static_cast<double>(threshold),
         static_cast<unsigned long long>(max_span),
-        static_cast<unsigned long long>(window), incremental));
+        static_cast<unsigned long long>(window)));
   }
   // StreamState::Load is itself two-phase, so a corrupt state record
   // leaves this pipeline untouched; only the timing counters must wait
@@ -209,38 +206,6 @@ std::vector<FinalizedMessage> NerGlobalizer::TakeFinalized() {
   return out;
 }
 
-std::vector<std::vector<text::EntitySpan>> NerGlobalizer::EmdGlobalizerPredictions()
-    const {
-  const std::vector<int64_t>& ids = state_.tweet_base.ids();
-  std::unordered_map<int64_t, size_t> index_of;
-  index_of.reserve(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) index_of[ids[i]] = i;
-  std::vector<std::vector<text::EntitySpan>> out(ids.size());
-
-  const EntityClassifier& classifier = bundle_->classifier();
-  for (const std::string& surface : state_.candidate_base.surfaces()) {
-    const auto& pool = state_.candidate_base.Mentions(surface);
-    if (pool.empty()) continue;
-    const size_t dim = pool[0].local_embedding.cols();
-    // One candidate per surface form: pool ALL mentions together
-    // (no ambiguity-resolving clustering).
-    const size_t take = std::min(pool.size(), stages::kMaxClusterPool);
-    Matrix members(take, dim);
-    for (size_t i = 0; i < take; ++i) {
-      std::copy(pool[i].local_embedding.Row(0),
-                pool[i].local_embedding.Row(0) + dim, members.Row(i));
-    }
-    const EntityClassifier::Prediction pred = classifier.Predict(members);
-    if (!pred.is_entity()) continue;
-    for (const auto& mention : pool) {
-      out[index_of.at(mention.message_id)].push_back(
-          {mention.begin_token, mention.end_token, text::EntityType::kPerson});
-    }
-  }
-  for (auto& spans : out) spans = stages::ResolveOverlaps(std::move(spans));
-  return out;
-}
-
 std::vector<std::vector<text::EntitySpan>> NerGlobalizer::Predictions(
     PipelineStage stage) {
   const std::vector<int64_t>& ids = state_.tweet_base.ids();
@@ -262,10 +227,22 @@ std::vector<std::vector<text::EntitySpan>> NerGlobalizer::Predictions(
       return out;  // no overlap resolution needed: BIO is non-overlapping
     }
     case PipelineStage::kMentionExtraction: {
+      // Each surface is typed by the most frequent type its live local
+      // spans carry (lowest type on a tie; kPerson when it has none).
+      std::unordered_map<std::string, std::array<int, text::kNumEntityTypes>>
+          votes;
+      for (int64_t id : ids) {
+        const stream::SentenceRecord* rec = state_.tweet_base.Find(id);
+        for (const text::EntitySpan& span : text::DecodeBio(rec->local_bio)) {
+          ++votes[SpanSurfaceString(rec->message, span.begin_token,
+                                    span.end_token)]
+                 [static_cast<size_t>(span.type)];
+        }
+      }
       for (const std::string& surface : state_.candidate_base.surfaces()) {
-        auto it = state_.local_type_votes.find(surface);
+        auto it = votes.find(surface);
         text::EntityType type = text::EntityType::kPerson;
-        if (it != state_.local_type_votes.end()) {
+        if (it != votes.end()) {
           size_t best = 0;
           for (size_t t = 1; t < text::kNumEntityTypes; ++t) {
             if (it->second[t] > it->second[best]) best = t;

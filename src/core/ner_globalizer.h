@@ -77,7 +77,10 @@ class NerGlobalizer {
   /// chaining the stage graph (core/stages.h): LocalEncode → IngestLocal →
   /// ExtractMentions → RefreshCandidates → Evict. Cost is O(batch work +
   /// dirty surfaces); with a window it is independent of how many messages
-  /// the stream has seen in total.
+  /// the stream has seen in total. Message ids must be unique within the
+  /// live window: a message whose id is live, or repeats one earlier in the
+  /// batch, is dropped (no record, no output) and counted in
+  /// `pipeline.duplicate_messages_dropped_total`.
   void ProcessBatch(const std::vector<stream::Message>& batch);
 
   /// ProcessBatch with the LocalEncode stage's work supplied by the caller:
@@ -105,14 +108,6 @@ class NerGlobalizer {
   /// Drains the buffer of messages finalized by eviction since the last
   /// call, in stream order. Empty when window_messages == 0.
   std::vector<FinalizedMessage> TakeFinalized();
-
-  /// EMD Globalizer (the predecessor system, paper ref. [8]): collective
-  /// processing *without* type-aware clustering — every surface form is one
-  /// candidate (all mentions pooled together) and the classifier only
-  /// decides entity vs non-entity. Spans carry a dummy type; score with
-  /// NerScores::emd. Sec. VI-D: the full pipeline improves EMD over this by
-  /// resolving entity/non-entity surface-form ambiguity per cluster.
-  std::vector<std::vector<text::EntitySpan>> EmdGlobalizerPredictions() const;
 
   /// Appends the session state (one kTagCheckpoint header record: layout
   /// version, bundle fingerprint, config echo, timing counters — then the

@@ -27,7 +27,8 @@ struct NerGlobalizerConfig {
   /// only the surfaces whose mention pool changed this cycle (the dirty
   /// set). When false every surface is rebuilt every cycle — the reference
   /// path; both produce bit-identical Predictions() (enforced by test),
-  /// the full path just wastes work re-deriving unchanged candidates.
+  /// the full path just wastes work re-deriving unchanged candidates. The
+  /// state does not depend on it, so it is NOT echoed into checkpoints.
   bool incremental_refresh = true;
   /// Batch size used by ProcessAll when the caller passes 0 (the default),
   /// and messages per EncodeMany call when Restore re-encodes the window.

@@ -24,11 +24,12 @@ namespace {
 /// present in their surface's pool are skipped — the eviction rescan
 /// path, where live sentences are re-scanned after a surface prune. Every
 /// appended mention is embedded here, once; the pool holds the only copy.
+/// Touched surfaces are appended to ctx.dirty_surfaces.
 void ExtractMentionsInto(const ModelBundle& bundle, StreamState& state,
-                         const NerGlobalizerConfig& config,
-                         const std::vector<int64_t>& ids,
+                         StageContext& ctx, const std::vector<int64_t>& ids,
                          const trie::CandidateTrie& trie, bool dedup = false) {
   if (trie.size() == 0) return;
+  const NerGlobalizerConfig& config = *ctx.config;
   static const trace::TraceStage kStage("mention_extraction");
   trace::TraceSpan span(kStage);
   const PhraseEmbedder& embedder = bundle.embedder();
@@ -84,7 +85,7 @@ void ExtractMentionsInto(const ModelBundle& bundle, StreamState& state,
       touched.insert(std::move(f.surface));
     }
   }
-  for (const auto& surface : touched) state.dirty_surfaces.push_back(surface);
+  for (const auto& surface : touched) ctx.dirty_surfaces.push_back(surface);
 
   if (metrics::Enabled()) {
     auto& registry = metrics::MetricsRegistry::Global();
@@ -188,42 +189,6 @@ std::vector<stream::CandidateEntry> BuildCandidates(
   return entries;
 }
 
-/// Re-clusters and re-classifies every surface form whose pool changed
-/// (or all surfaces when incremental_refresh is off). Per-surface work
-/// (clustering + classification) runs in parallel; the CandidateBase
-/// writes happen serially in sorted-surface order.
-void RefreshCandidatesImpl(const ModelBundle& bundle, StreamState& state,
-                           const NerGlobalizerConfig& config) {
-  static const trace::TraceStage kStage("refresh_candidates");
-  trace::TraceSpan span(kStage);
-  if (!config.incremental_refresh) {
-    // Reference path: rebuild every surface, not just the dirty set. The
-    // per-surface build is a pure function of the mention pool, so this
-    // produces bit-identical candidates while doing strictly more work.
-    state.dirty_surfaces = state.candidate_base.surfaces();
-  }
-  std::sort(state.dirty_surfaces.begin(), state.dirty_surfaces.end());
-  state.dirty_surfaces.erase(
-      std::unique(state.dirty_surfaces.begin(), state.dirty_surfaces.end()),
-      state.dirty_surfaces.end());
-
-  // Phase 1 (parallel): per-surface clustering + classification only reads
-  // the CandidateBase. Phase 2 writes the results back serially in sorted
-  // surface order, so the base's state is thread-count independent.
-  const EntityClassifier& classifier = bundle.classifier();
-  std::vector<std::vector<stream::CandidateEntry>> built(state.dirty_surfaces.size());
-  ParallelFor(0, state.dirty_surfaces.size(), /*grain=*/1, [&](size_t i) {
-    built[i] =
-        BuildCandidates(classifier, state, config, state.dirty_surfaces[i]);
-  });
-  for (size_t i = 0; i < state.dirty_surfaces.size(); ++i) {
-    // Empty means the surface had no mentions (seed behavior: skip).
-    if (built[i].empty()) continue;
-    state.candidate_base.SetCandidates(state.dirty_surfaces[i], std::move(built[i]));
-  }
-  state.dirty_surfaces.clear();
-}
-
 }  // namespace
 
 std::vector<text::EntitySpan> ResolveOverlaps(std::vector<text::EntitySpan> spans) {
@@ -275,40 +240,53 @@ void IngestLocal(const ModelBundle& bundle, StreamState& state,
   // Snapshot before this batch lands: these are the sentences that only
   // need rescanning against the delta trie.
   ctx.old_ids = state.tweet_base.ids();
-  ctx.outputs = IngestEncodedBatch(*ctx.batch, &ctx.encoded,
-                                   &state.tweet_base, &state.trie);
-  for (const LocalNerOutput& out : ctx.outputs) {
+  for (const LocalNerOutput& out :
+       IngestEncodedBatch(*ctx.batch, &ctx.encoded, &state)) {
     if (state.tweet_base.Find(out.message_id) != nullptr) {
       ctx.new_ids.push_back(out.message_id);
     }
     for (const std::string& surface : out.new_surfaces) {
       ctx.delta.Insert(SplitChar(surface, ' '));
     }
-    // Record local-type votes for the mention-extraction ablation stage,
-    // and seed support for the eviction bookkeeping: every live local span
-    // counts one unit of support for its surface form. Eviction decrements
-    // symmetrically by re-decoding the stored BIO labels.
-    const stream::SentenceRecord* rec = state.tweet_base.Find(out.message_id);
-    for (const text::EntitySpan& span : out.local_spans) {
-      const std::string surface =
-          SpanSurfaceString(rec->message, span.begin_token, span.end_token);
-      ++state.local_type_votes[surface][static_cast<size_t>(span.type)];
-      ++state.seed_support[surface];
-    }
   }
 }
 
 void ExtractMentions(const ModelBundle& bundle, StreamState& state,
                      StageContext& ctx) {
-  ExtractMentionsInto(bundle, state, *ctx.config, ctx.new_ids, state.trie);
+  ExtractMentionsInto(bundle, state, ctx, ctx.new_ids, state.trie);
   if (ctx.delta.size() > 0) {
-    ExtractMentionsInto(bundle, state, *ctx.config, ctx.old_ids, ctx.delta);
+    ExtractMentionsInto(bundle, state, ctx, ctx.old_ids, ctx.delta);
   }
 }
 
 void RefreshCandidates(const ModelBundle& bundle, StreamState& state,
                        StageContext& ctx) {
-  RefreshCandidatesImpl(bundle, state, *ctx.config);
+  static const trace::TraceStage kStage("refresh_candidates");
+  trace::TraceSpan span(kStage);
+  std::vector<std::string>& dirty = ctx.dirty_surfaces;
+  if (!ctx.config->incremental_refresh) {
+    // Reference path: rebuild every surface, not just the dirty set. The
+    // per-surface build is a pure function of the mention pool, so this
+    // produces bit-identical candidates while doing strictly more work.
+    dirty = state.candidate_base.surfaces();
+  }
+  std::sort(dirty.begin(), dirty.end());
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+
+  // Phase 1 (parallel): per-surface clustering + classification only reads
+  // the CandidateBase. Phase 2 writes the results back serially in sorted
+  // surface order, so the base's state is thread-count independent.
+  const EntityClassifier& classifier = bundle.classifier();
+  std::vector<std::vector<stream::CandidateEntry>> built(dirty.size());
+  ParallelFor(0, dirty.size(), /*grain=*/1, [&](size_t i) {
+    built[i] = BuildCandidates(classifier, state, *ctx.config, dirty[i]);
+  });
+  for (size_t i = 0; i < dirty.size(); ++i) {
+    // Empty means the surface had no mentions (seed behavior: skip).
+    if (built[i].empty()) continue;
+    state.candidate_base.SetCandidates(dirty[i], std::move(built[i]));
+  }
+  dirty.clear();
 }
 
 void Evict(const ModelBundle& bundle, StreamState& state, StageContext& ctx) {
@@ -356,10 +334,6 @@ void Evict(const ModelBundle& bundle, StreamState& state, StageContext& ctx) {
     for (const text::EntitySpan& span : text::DecodeBio(rec->local_bio)) {
       const std::string surface =
           SpanSurfaceString(rec->message, span.begin_token, span.end_token);
-      auto votes = state.local_type_votes.find(surface);
-      if (votes != state.local_type_votes.end()) {
-        --votes->second[static_cast<size_t>(span.type)];
-      }
       auto it = state.seed_support.find(surface);
       if (it == state.seed_support.end()) continue;
       if (--it->second <= 0) {
@@ -386,13 +360,12 @@ void Evict(const ModelBundle& bundle, StreamState& state, StageContext& ctx) {
                    rescan_ids.end());
 
   // 4. Drop evicted mentions everywhere, then remove pruned surfaces
-  // wholesale (trie entry, pool, candidates, votes).
+  // wholesale (trie entry, pool, candidates).
   std::vector<std::string> changed = state.candidate_base.RemoveMentionsOf(evicted);
   const std::unordered_set<std::string> pruned_set(pruned.begin(), pruned.end());
   for (const std::string& surface : pruned) {
     state.trie.Remove(SplitChar(surface, ' '));
     state.candidate_base.RemoveSurface(surface);
-    state.local_type_votes.erase(surface);
   }
 
   // 5. Retire the records themselves.
@@ -402,12 +375,12 @@ void Evict(const ModelBundle& bundle, StreamState& state, StageContext& ctx) {
   // 6. Re-scan affected live sentences (dedup: only genuinely new spans
   // are added and embedded), then rebuild every eviction-touched surface
   // so candidates never dangle.
-  ExtractMentionsInto(bundle, state, config, rescan_ids, state.trie,
+  ExtractMentionsInto(bundle, state, ctx, rescan_ids, state.trie,
                       /*dedup=*/true);
   for (const std::string& surface : changed) {
-    if (pruned_set.count(surface) == 0) state.dirty_surfaces.push_back(surface);
+    if (pruned_set.count(surface) == 0) ctx.dirty_surfaces.push_back(surface);
   }
-  RefreshCandidatesImpl(bundle, state, config);
+  RefreshCandidates(bundle, state, ctx);
 
   if (metrics::Enabled()) {
     auto& registry = metrics::MetricsRegistry::Global();

@@ -2,6 +2,7 @@
 #define NERGLOB_CORE_STAGES_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/local_ner.h"
@@ -54,7 +55,6 @@ struct StageContext {
   bool pre_encoded = false;
 
   /// IngestLocal products.
-  std::vector<LocalNerOutput> outputs;
   /// Ids of sentences that existed before this batch (delta-rescan input).
   std::vector<int64_t> old_ids;
   /// Ids of this batch's sentences now present in the TweetBase.
@@ -62,6 +62,10 @@ struct StageContext {
   /// Surface forms first seen in this batch; old sentences are rescanned
   /// against only these.
   trie::CandidateTrie delta;
+
+  /// Surfaces whose mention pool changed since the last refresh: mention
+  /// extraction appends, RefreshCandidates (which Evict also runs) drains.
+  std::vector<std::string> dirty_surfaces;
 };
 
 /// Stage 1 — the per-message, model-only stage: runs the encoder forward
@@ -71,23 +75,24 @@ struct StageContext {
 void LocalEncode(const ModelBundle& bundle, StreamState& state,
                  StageContext& ctx);
 
-/// Stage 2 — serial ingest of the encode results, in stream order:
-/// snapshots ctx.old_ids, stores SentenceRecords in the TweetBase, seeds
-/// the CTrie with locally-detected surface forms, and accumulates
-/// local-type votes / seed support / the delta trie. First state-mutating
-/// stage.
+/// Stage 2 — serial ingest of the encode results, in stream order
+/// (IngestEncodedBatch): snapshots ctx.old_ids, stores SentenceRecords in
+/// the TweetBase, seeds the CTrie and the seed support with
+/// locally-detected surface forms, and builds the delta trie. First
+/// state-mutating stage.
 void IngestLocal(const ModelBundle& bundle, StreamState& state,
                  StageContext& ctx);
 
 /// Stage 3 — mention extraction (Sec. III step 3): scans the new sentences
 /// against the full trie and the old sentences against the delta trie,
 /// appending mention records (with phrase embeddings) to the CandidateBase
-/// and marking touched surfaces dirty.
+/// and touched surfaces to ctx.dirty_surfaces.
 void ExtractMentions(const ModelBundle& bundle, StreamState& state,
                      StageContext& ctx);
 
-/// Stage 4 — clustering + classification of every dirty surface form
-/// (all surfaces when config->incremental_refresh is off).
+/// Stage 4 — clustering + classification of every surface in
+/// ctx.dirty_surfaces (all surfaces when config->incremental_refresh is
+/// off), leaving the dirty set empty.
 void RefreshCandidates(const ModelBundle& bundle, StreamState& state,
                        StageContext& ctx);
 
@@ -101,7 +106,7 @@ void Evict(const ModelBundle& bundle, StreamState& state, StageContext& ctx);
 /// Pools larger than this are clustered on a prefix sample; the remaining
 /// mentions join the nearest cluster centroid. Keeps the O(n^3) linkage
 /// bounded for head entities with thousands of mentions. (Shared with the
-/// EMD-Globalizer baseline pooling in NerGlobalizer.)
+/// EMD-Globalizer baseline pooling in harness.)
 inline constexpr size_t kMaxClusterPool = 64;
 
 /// Greedy longest-first overlap resolution within one sentence (used by

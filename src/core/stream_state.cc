@@ -5,6 +5,7 @@
 
 #include "common/string_util.h"
 #include "common/trace.h"
+#include "core/local_ner.h"
 #include "core/phrase_embedder.h"
 #include "io/tensor_io.h"
 #include "lm/encode_cache.h"
@@ -38,6 +39,23 @@ bool GetFinalized(io::TensorReader* reader,
   return true;
 }
 
+std::vector<text::EntitySpan> StreamState::SeedLocalSpans(
+    const stream::SentenceRecord& record,
+    std::vector<std::string>* new_surfaces) {
+  std::vector<text::EntitySpan> spans = text::DecodeBio(record.local_bio);
+  for (const text::EntitySpan& span : spans) {
+    std::string surface =
+        SpanSurfaceString(record.message, span.begin_token, span.end_token);
+    if (trie.Insert(SpanMatchTokens(record.message, span.begin_token,
+                                    span.end_token)) &&
+        new_surfaces != nullptr) {
+      new_surfaces->push_back(surface);
+    }
+    ++seed_support[std::move(surface)];
+  }
+  return spans;
+}
+
 PipelineMemoryUsage StreamState::MemoryUsage() const {
   PipelineMemoryUsage usage;
   usage.tweet_base_bytes = tweet_base.MemoryUsageBytes();
@@ -55,35 +73,6 @@ PipelineMemoryUsage StreamState::MemoryUsage() const {
 Status StreamState::Save(io::TensorWriter* writer) const {
   NERGLOB_RETURN_IF_ERROR(tweet_base.Save(writer));
   NERGLOB_RETURN_IF_ERROR(candidate_base.Save(writer));
-
-  // Trie: the registered form set fully determines scan behavior; Forms()
-  // returns it sorted, so the record bytes are history-independent.
-  const std::vector<std::vector<std::string>> forms = trie.Forms();
-  writer->PutVarint(forms.size());
-  for (const auto& form : forms) {
-    writer->PutVarint(form.size());
-    for (const std::string& tok : form) writer->PutString(tok);
-  }
-  NERGLOB_RETURN_IF_ERROR(writer->EndRecord(io::kTagTrie));
-
-  // Pipeline bookkeeping. Unordered containers are serialized in sorted
-  // key order so identical states write identical bytes.
-  writer->PutVarint(local_type_votes.size());
-  for (const auto& [surface, votes] : local_type_votes) {
-    writer->PutString(surface);
-    for (int v : votes) writer->PutVarint(io::ZigZag(v));
-  }
-  writer->PutVarint(dirty_surfaces.size());
-  for (const std::string& s : dirty_surfaces) writer->PutString(s);
-
-  std::vector<std::pair<std::string, int>> support(seed_support.begin(),
-                                                   seed_support.end());
-  std::sort(support.begin(), support.end());
-  writer->PutVarint(support.size());
-  for (const auto& [surface, count] : support) {
-    writer->PutString(surface);
-    writer->PutVarint(io::ZigZag(count));
-  }
 
   PutFinalized(writer, finalized);
   writer->PutVarint(evicted_messages);
@@ -119,6 +108,9 @@ Status StreamState::Load(io::TensorReader* reader, const lm::MicroBert& model,
       }
     }
   }
+  for (int64_t id : restored.tweet_base.ids()) {
+    restored.SeedLocalSpans(*restored.tweet_base.Find(id), nullptr);
+  }
 
   auto fail = [&](const char* what) {
     return reader->Corrupt("stream-state record", what);
@@ -147,57 +139,7 @@ Status StreamState::Load(io::TensorReader* reader, const lm::MicroBert& model,
   };
   NERGLOB_RETURN_IF_ERROR(restored.candidate_base.Load(reader, embed));
 
-  NERGLOB_RETURN_IF_ERROR(reader->NextRecord(io::kTagTrie));
-  uint64_t num_forms = 0;
-  if (!reader->GetVarint(&num_forms)) return fail("trie count");
-  for (uint64_t i = 0; i < num_forms; ++i) {
-    uint64_t num_tokens = 0;
-    if (!reader->GetVarint(&num_tokens) ||
-        num_tokens > reader->RemainingInRecord()) {
-      return fail("trie form");
-    }
-    std::vector<std::string> form(num_tokens);
-    for (std::string& tok : form) {
-      if (!reader->GetString(&tok)) return fail("trie token");
-    }
-    restored.trie.Insert(form);
-  }
-  NERGLOB_RETURN_IF_ERROR(reader->ExpectRecordEnd());
-
   NERGLOB_RETURN_IF_ERROR(reader->NextRecord(io::kTagPipelineState));
-  uint64_t count = 0;
-  if (!reader->GetVarint(&count)) return fail("votes count");
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string surface;
-    if (!reader->GetString(&surface)) return fail("vote surface");
-    std::array<int, text::kNumEntityTypes> votes{};
-    for (int& v : votes) {
-      uint64_t raw = 0;
-      if (!reader->GetVarint(&raw)) return fail("vote");
-      v = static_cast<int>(io::UnZigZag(raw));
-    }
-    restored.local_type_votes.emplace(std::move(surface), votes);
-  }
-
-  if (!reader->GetVarint(&count) || count > reader->RemainingInRecord()) {
-    return fail("dirty count");
-  }
-  restored.dirty_surfaces.resize(count);
-  for (std::string& s : restored.dirty_surfaces) {
-    if (!reader->GetString(&s)) return fail("dirty surface");
-  }
-
-  if (!reader->GetVarint(&count)) return fail("support count");
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string surface;
-    uint64_t support = 0;
-    if (!reader->GetString(&surface) || !reader->GetVarint(&support)) {
-      return fail("support entry");
-    }
-    restored.seed_support.emplace(std::move(surface),
-                                  static_cast<int>(io::UnZigZag(support)));
-  }
-
   if (!GetFinalized(reader, &restored.finalized)) return fail("finalized");
   uint64_t evicted = 0;
   if (!reader->GetVarint(&evicted)) return fail("counters");

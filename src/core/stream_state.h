@@ -1,9 +1,7 @@
 #ifndef NERGLOB_CORE_STREAM_STATE_H_
 #define NERGLOB_CORE_STREAM_STATE_H_
 
-#include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -63,29 +61,26 @@ struct PipelineMemoryUsage {
 };
 
 /// All mutable state one stream session accumulates: the three stores
-/// (TweetBase, CTrie, CandidateBase), the incremental-refresh and eviction
-/// bookkeeping, and the finalized-output buffer. The counterpart of the
+/// (TweetBase, CTrie, CandidateBase), the seed support that drives
+/// eviction, and the finalized-output buffer. The counterpart of the
 /// immutable ModelBundle in the model/session split — NerGlobalizer is a
 /// thin engine owning one StreamState and borrowing one const ModelBundle.
 ///
-/// Serializable: Save writes only what cannot be recomputed (unordered
-/// containers in sorted key order, integers as varints). A message's
-/// tokens are the tokenizer's output for its text, token embeddings and
-/// local BIO labels a pure function of the encoder and those tokens, and
-/// mention phrase embeddings of those token embeddings and the
-/// PhraseEmbedder, so Save omits all four and Load recomputes them
-/// bit-identically; a restored session's Predictions() at every
-/// PipelineStage equal the uninterrupted run's.
+/// Serializable: Save writes only what the live window cannot give back
+/// (the messages, the mention pools with their partitions, the finalized
+/// buffer and the evicted count; integers as varints). A message's tokens
+/// are the tokenizer's output for its text, its token embeddings and
+/// local BIO labels a pure function of the encoder and those tokens, the
+/// CTrie and the seed support a function of every live message's local
+/// BIO (SeedLocalSpans), and mention phrase embeddings of the token
+/// embeddings and the PhraseEmbedder, so Save omits all of them and Load
+/// recomputes them bit-identically; a restored session's Predictions() at
+/// every PipelineStage equal the uninterrupted run's.
 struct StreamState {
   stream::TweetBase tweet_base;
+  /// Holds exactly the matching forms of the live local-NER spans.
   trie::CandidateTrie trie;
   stream::CandidateBase candidate_base;
-  /// Most-frequent-local-type votes per surface (for kMentionExtraction).
-  /// Decremented on eviction so the votes always describe the live window.
-  std::map<std::string, std::array<int, text::kNumEntityTypes>>
-      local_type_votes;
-  /// Surfaces whose mention pool changed since the last RefreshCandidates.
-  std::vector<std::string> dirty_surfaces;
   /// Per-surface count of live local-NER spans that seeded it. A surface
   /// whose support reaches zero under eviction is pruned from the CTrie and
   /// the CandidateBase — exactly the surfaces a from-scratch rebuild of the
@@ -96,21 +91,33 @@ struct StreamState {
 
   size_t evicted_messages = 0;
 
+  /// Seeds the CTrie and the seed support with one live record's local
+  /// spans (the decode of its local BIO): each span's matching form joins
+  /// the trie and adds one unit of support to its surface string. Returns
+  /// the spans and appends the surfaces new to the trie to `new_surfaces`
+  /// (may be null). Ingest and Load both seed through here, so the trie
+  /// and the support are one function of the live window.
+  std::vector<text::EntitySpan> SeedLocalSpans(
+      const stream::SentenceRecord& record,
+      std::vector<std::string>* new_surfaces);
+
   /// Approximate heap footprint per store. O(state size).
   PipelineMemoryUsage MemoryUsage() const;
 
   /// Appends the state as a sequence of checksummed records (tweet base,
-  /// candidate base, trie, pipeline bookkeeping), without encoder outputs
-  /// or phrase embeddings.
+  /// candidate base, pipeline state), without encoder outputs, phrase
+  /// embeddings, the trie or the seed support.
   Status Save(io::TensorWriter* writer) const;
 
   /// Restores a state saved with Save. Re-tokenizes the messages stored
   /// as text (TweetBase::Load), re-encodes the live window with
   /// `model` (EncodeMany, `encode_batch_size` messages per call, under the
-  /// `restore_encode` trace stage), then recomputes every mention's phrase
-  /// embedding with `embedder`. A mention that does not start inside its
-  /// sentence's re-encoded prefix, or that names a message the TweetBase
-  /// does not hold, fails with InvalidArgument. Two-phase: `*this` is
+  /// `restore_encode` trace stage), seeds the trie and the seed support
+  /// from every live record in stream order (SeedLocalSpans), then
+  /// recomputes every mention's phrase embedding with `embedder`. A
+  /// mention that does not start inside its sentence's re-encoded prefix,
+  /// or that names a message the TweetBase does not hold, fails with
+  /// InvalidArgument. Two-phase: `*this` is
   /// replaced only once every record validates, so a corrupt checkpoint
   /// leaves the state untouched.
   Status Load(io::TensorReader* reader, const lm::MicroBert& model,

@@ -270,19 +270,18 @@ std::vector<MentionExample> CollectMentionExamples(
     sentences.push_back(&message.tokens);
   }
   std::vector<lm::EncodeResult> encoded = model.EncodeMany(sentences);
-  stream::TweetBase tweet_base;
-  trie::CandidateTrie trie;
-  IngestEncodedBatch(labeled, &encoded, &tweet_base, &trie);
+  StreamState state;
+  IngestEncodedBatch(labeled, &encoded, &state);
 
   std::vector<MentionExample> examples;
   for (const stream::Message& message : labeled) {
-    const stream::SentenceRecord* record = tweet_base.Find(message.id);
+    const stream::SentenceRecord* record = state.tweet_base.Find(message.id);
     if (record == nullptr) continue;
     std::vector<std::string> match_tokens;
     for (const auto& tok : message.tokens) match_tokens.push_back(tok.match);
 
     for (const trie::TokenSpan& span :
-         trie.FindLongestMatches(match_tokens, max_mention_span)) {
+         state.trie.FindLongestMatches(match_tokens, max_mention_span)) {
       if (span.begin >= record->token_embeddings.rows()) continue;
       const size_t emb_end = std::min(span.end, record->token_embeddings.rows());
 

@@ -1,10 +1,12 @@
 #include "harness/experiment.h"
 
+#include <algorithm>
 #include <array>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <unordered_map>
 
 #include "common/check.h"
 #include "common/env.h"
@@ -12,6 +14,7 @@
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/trace.h"
+#include "core/stages.h"
 #include "io/tensor_io.h"
 
 namespace nerglob::harness {
@@ -227,6 +230,39 @@ TrainedSystem BuildTrainedSystem(const BuildOptions& options) {
   return system;
 }
 
+std::vector<std::vector<text::EntitySpan>> EmdGlobalizerPredictions(
+    const core::NerGlobalizer& pipeline,
+    const core::EntityClassifier& classifier) {
+  const std::vector<int64_t>& ids = pipeline.message_ids();
+  std::unordered_map<int64_t, size_t> index_of;
+  index_of.reserve(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) index_of[ids[i]] = i;
+  std::vector<std::vector<text::EntitySpan>> out(ids.size());
+
+  const stream::CandidateBase& candidates = pipeline.candidate_base();
+  for (const std::string& surface : candidates.surfaces()) {
+    const auto& pool = candidates.Mentions(surface);
+    if (pool.empty()) continue;
+    const size_t dim = pool[0].local_embedding.cols();
+    // One candidate per surface form: pool ALL mentions together
+    // (no ambiguity-resolving clustering).
+    const size_t take = std::min(pool.size(), core::stages::kMaxClusterPool);
+    Matrix members(take, dim);
+    for (size_t i = 0; i < take; ++i) {
+      std::copy(pool[i].local_embedding.Row(0),
+                pool[i].local_embedding.Row(0) + dim, members.Row(i));
+    }
+    const core::EntityClassifier::Prediction pred = classifier.Predict(members);
+    if (!pred.is_entity()) continue;
+    for (const auto& mention : pool) {
+      out[index_of.at(mention.message_id)].push_back(
+          {mention.begin_token, mention.end_token, text::EntityType::kPerson});
+    }
+  }
+  for (auto& spans : out) spans = core::stages::ResolveOverlaps(std::move(spans));
+  return out;
+}
+
 DatasetRun RunDataset(const TrainedSystem& system, const std::string& dataset,
                       double scale, size_t batch_size) {
   // Top-level span: every per-batch pipeline span nests under this one, so
@@ -258,7 +294,8 @@ DatasetRun RunDataset(const TrainedSystem& system, const std::string& dataset,
     run.stage_scores[static_cast<size_t>(s)] =
         eval::EvaluateNer(gold, run.stage_predictions[static_cast<size_t>(s)]);
   }
-  run.emd_globalizer_predictions = pipeline.EmdGlobalizerPredictions();
+  run.emd_globalizer_predictions =
+      EmdGlobalizerPredictions(pipeline, system.bundle.classifier());
   run.emd_globalizer_scores =
       eval::EvaluateNer(gold, run.emd_globalizer_predictions);
   run.local_seconds = pipeline.local_seconds();

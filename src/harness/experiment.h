@@ -80,13 +80,25 @@ struct DatasetRun {
   /// Predictions per stage, index = static_cast<int>(PipelineStage).
   std::array<std::vector<std::vector<text::EntitySpan>>, 4> stage_predictions;
   std::array<eval::NerScores, 4> stage_scores;
-  /// EMD-Globalizer-variant output (untyped; see
-  /// NerGlobalizer::EmdGlobalizerPredictions) and its scores.
+  /// EMD-Globalizer-variant output (untyped; see EmdGlobalizerPredictions)
+  /// and its scores.
   std::vector<std::vector<text::EntitySpan>> emd_globalizer_predictions;
   eval::NerScores emd_globalizer_scores;
   double local_seconds = 0.0;
   double global_seconds = 0.0;
 };
+
+/// EMD Globalizer (the predecessor system, paper ref. [8]) read off a
+/// pipeline's live window: collective processing *without* type-aware
+/// clustering — every surface form is one candidate (the first
+/// core::stages::kMaxClusterPool mentions pooled together) and
+/// `classifier` only decides entity vs non-entity. Spans carry a dummy
+/// type; score with NerScores::emd. Sec. VI-D: the full pipeline improves
+/// EMD over this by resolving entity/non-entity surface-form ambiguity
+/// per cluster. Aligned with pipeline.message_ids().
+std::vector<std::vector<text::EntitySpan>> EmdGlobalizerPredictions(
+    const core::NerGlobalizer& pipeline,
+    const core::EntityClassifier& classifier);
 
 /// Generates a dataset from the eval world and runs the full pipeline over
 /// it in batches, scoring every ablation stage. `batch_size == 0` (the

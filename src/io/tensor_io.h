@@ -39,8 +39,8 @@ enum RecordTag : uint32_t {
   kTagCheckpoint = 4,    // NerGlobalizer checkpoint header
   kTagTweetBase = 5,
   kTagCandidateBase = 6,
-  kTagTrie = 7,
-  kTagPipelineState = 8, // votes/support/cache/finalized/counters
+  // 7 was kTagTrie (checkpoint layouts up to 4); never reuse it.
+  kTagPipelineState = 8, // finalized buffer + evicted count
   kTagSession = 9,       // StreamingSession counters + finalized buffer
   kTagBlob = 10,         // free-form (harness baseline caches, tests)
   kTagServeManifest = 11,  // serve::SessionManager fleet checkpoint index

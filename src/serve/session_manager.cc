@@ -1,6 +1,7 @@
 #include "serve/session_manager.h"
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <filesystem>
 #include <utility>
@@ -157,6 +158,24 @@ Status SessionManager::Close(const std::string& stream_id) {
 
 Status SessionManager::Submit(const std::string& stream_id,
                               std::vector<stream::Message> batch) {
+  // A span's surface joins its tokens' matching forms with ' ', and
+  // eviction splits the surface on ' ' to remove its trie form, so a form
+  // that is empty or holds whitespace would stay in the trie forever. The
+  // tokenizer never emits one; caller-built tokens are checked here.
+  for (const stream::Message& message : batch) {
+    for (size_t t = 0; t < message.tokens.size(); ++t) {
+      const std::string& match = message.tokens[t].match;
+      if (match.empty() ||
+          std::any_of(match.begin(), match.end(), [](unsigned char c) {
+            return std::isspace(c) != 0;
+          })) {
+        return Status::InvalidArgument(StrFormat(
+            "Submit: message %lld token %zu has an empty or whitespace-"
+            "bearing matching form",
+            static_cast<long long>(message.id), t));
+      }
+    }
+  }
   std::lock_guard<std::mutex> lock(sessions_mu_);
   if (!accepting_) {
     return Status::FailedPrecondition("SessionManager is shut down");

@@ -155,12 +155,18 @@ class SessionManager {
   /// (dropping any uncollected finalized output). NotFound if unknown.
   Status Close(const std::string& stream_id);
 
-  /// Enqueues one batch for `stream_id`'s shard. Never blocks.
+  /// Enqueues one batch for `stream_id`'s shard. Never blocks. Message
+  /// ids must be unique within the session's live window: a message whose
+  /// id is live, or repeats one earlier in its batch, is dropped unseen
+  /// (core::NerGlobalizer::ProcessBatch).
   ///   NotFound            — no such session
   ///   Unavailable         — shard overloaded (admission control; retry)
   ///   DataLoss            — session is quarantined (see class comment)
   ///   FailedPrecondition  — manager shut down
-  ///   InvalidArgument     — empty batch
+  ///   InvalidArgument     — empty batch, or a token whose matching form
+  ///                         is empty or holds whitespace (the message and
+  ///                         token index are named; checked before any
+  ///                         lock is taken)
   Status Submit(const std::string& stream_id, std::vector<stream::Message> batch);
 
   /// Blocks until every queued batch (across all shards) has completed.

@@ -39,8 +39,9 @@ struct StreamingRunStats {
 /// collects the predictions of messages that left the sliding window —
 /// the *finalized* checkpoint stream. Flush (called automatically by Run)
 /// finalizes whatever is still live when the source ends, so after a full
-/// run `finalized()` holds exactly one entry per stream message, in
-/// stream order.
+/// run `finalized()` holds exactly one entry per stored stream message, in
+/// stream order (a message without tokens, or whose id was live when it
+/// arrived, is never stored).
 ///
 /// State machine:
 ///

@@ -182,39 +182,37 @@ class LocalNerTest : public ::testing::Test {
 
   /// Local NER as the pipeline runs it: EncodeMany, then the serial ingest.
   std::vector<LocalNerOutput> RunLocalNer(
-      const std::vector<stream::Message>& batch, stream::TweetBase* base,
-      trie::CandidateTrie* trie) const {
+      const std::vector<stream::Message>& batch, StreamState* state) const {
     std::vector<const std::vector<text::Token>*> sentences;
     for (const stream::Message& message : batch) {
       sentences.push_back(&message.tokens);
     }
     std::vector<lm::EncodeResult> encoded = model_->EncodeMany(sentences);
-    return IngestEncodedBatch(batch, &encoded, base, trie);
+    return IngestEncodedBatch(batch, &encoded, state);
   }
 
   std::unique_ptr<lm::MicroBert> model_;
 };
 
 TEST_F(LocalNerTest, StoresRecordsAndSeedsTrie) {
-  stream::TweetBase base;
-  trie::CandidateTrie trie;
-  auto outs = RunLocalNer({MakeMsg(1, "omega speaks now")}, &base, &trie);
+  StreamState state;
+  auto outs = RunLocalNer({MakeMsg(1, "omega speaks now")}, &state);
   ASSERT_EQ(outs.size(), 1u);
-  ASSERT_NE(base.Find(1), nullptr);
-  EXPECT_EQ(base.Find(1)->token_embeddings.rows(), 3u);
-  EXPECT_EQ(base.Find(1)->local_bio.size(), 3u);
+  const stream::SentenceRecord* rec = state.tweet_base.Find(1);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->token_embeddings.rows(), 3u);
+  EXPECT_EQ(rec->local_bio.size(), 3u);
   ASSERT_FALSE(outs[0].local_spans.empty());
-  EXPECT_TRUE(trie.Contains({"omega"}));
+  EXPECT_TRUE(state.trie.Contains({"omega"}));
   ASSERT_EQ(outs[0].new_surfaces.size(), 1u);
   EXPECT_EQ(outs[0].new_surfaces[0], "omega");
 }
 
 TEST_F(LocalNerTest, DuplicateSurfaceNotReRegistered) {
-  stream::TweetBase base;
-  trie::CandidateTrie trie;
+  StreamState state;
   auto outs = RunLocalNer(
-      {MakeMsg(1, "omega speaks now"), MakeMsg(2, "we saw omega")}, &base, &trie);
-  EXPECT_EQ(trie.size(), 1u);
+      {MakeMsg(1, "omega speaks now"), MakeMsg(2, "we saw omega")}, &state);
+  EXPECT_EQ(state.trie.size(), 1u);
   EXPECT_EQ(outs[0].new_surfaces.size() + outs[1].new_surfaces.size(), 1u);
 }
 

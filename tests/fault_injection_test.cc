@@ -462,17 +462,26 @@ void TruncateAfterHeader(const std::string& path) {
 }
 
 // Replaces the file with the start of a session checkpoint in an older
-// layout: a session record in that layout's fixed-width fields, then a
-// pipeline header that opens with `layout`. Layout 2 also stored encoder
-// outputs and layout 3 every token; layout 4 versions the session record
-// too, so this build refuses both before misparsing a field.
+// layout: a session record in that layout, then a pipeline header that
+// opens with `layout`. Layouts 2 and 3 wrote the session record at fixed
+// width with no layout field (layout 2 also stored encoder outputs, layout
+// 3 every token); layout 4 opened it with its layout version and stored
+// the trie and pipeline bookkeeping this build derives from the window.
+// This build refuses all three before misparsing a field.
 void WriteOldLayoutSession(const std::string& path,
                            const std::string& fingerprint, uint32_t layout) {
   io::TensorWriter writer(path);
-  writer.PutU64(1);  // batches
-  writer.PutU64(8);  // messages
-  writer.PutU32(0);  // flushed
-  writer.PutU64(0);  // finalized count
+  if (layout >= 4) {
+    writer.PutU32(layout);
+    for (const uint64_t field : {1, 8, 0, 0}) {  // batches .. finalized
+      writer.PutVarint(field);
+    }
+  } else {
+    writer.PutU64(1);  // batches
+    writer.PutU64(8);  // messages
+    writer.PutU32(0);  // flushed
+    writer.PutU64(0);  // finalized count
+  }
   ASSERT_TRUE(writer.EndRecord(io::kTagSession).ok());
   writer.PutU32(layout);
   writer.PutString(fingerprint);
@@ -491,12 +500,13 @@ TEST_F(FaultInjectionTest, RecoverLatestSkipsEveryKindOfTornGeneration) {
     kTruncateSession,
     kDeleteSession,
     kLayoutTwoSession,
-    kLayoutThreeSession
+    kLayoutThreeSession,
+    kLayoutFourSession
   };
   for (const Corruption corruption :
        {Corruption::kBitFlipManifest, Corruption::kTruncateSession,
         Corruption::kDeleteSession, Corruption::kLayoutTwoSession,
-        Corruption::kLayoutThreeSession}) {
+        Corruption::kLayoutThreeSession, Corruption::kLayoutFourSession}) {
     const std::string dir = TempPath(
         "torn_" + std::to_string(static_cast<int>(corruption)));
     fs::remove_all(dir);
@@ -531,6 +541,10 @@ TEST_F(FaultInjectionTest, RecoverLatestSkipsEveryKindOfTornGeneration) {
         WriteOldLayoutSession(gen2 + "/session_0.ckpt",
                               system_->bundle.Fingerprint(), 3);
         break;
+      case Corruption::kLayoutFourSession:
+        WriteOldLayoutSession(gen2 + "/session_0.ckpt",
+                              system_->bundle.Fingerprint(), 4);
+        break;
     }
 
     // Strict restore refuses the corrupt newest generation outright...
@@ -538,7 +552,8 @@ TEST_F(FaultInjectionTest, RecoverLatestSkipsEveryKindOfTornGeneration) {
     const Status strict_status = strict.RestoreAll(dir);
     EXPECT_FALSE(strict_status.ok());
     if (corruption == Corruption::kLayoutTwoSession ||
-        corruption == Corruption::kLayoutThreeSession) {
+        corruption == Corruption::kLayoutThreeSession ||
+        corruption == Corruption::kLayoutFourSession) {
       EXPECT_EQ(strict_status.code(), StatusCode::kFailedPrecondition)
           << strict_status.ToString();
       EXPECT_NE(strict_status.message().find("layout version"),

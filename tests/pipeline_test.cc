@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "common/metrics.h"
@@ -44,6 +45,36 @@ class PipelineTest : public ::testing::Test {
                                        double scale = 0.08) const {
     data::StreamGenerator gen(&system_->kb_eval);
     return gen.Generate(data::MakeDatasetSpec(name, scale));
+  }
+
+  /// Checkpoints `from` and restores it into a fresh pipeline with the
+  /// same config.
+  core::NerGlobalizer Reload(const core::NerGlobalizer& from) const {
+    const std::string path =
+        std::string(::testing::TempDir()) + "/pipeline_reload.bin";
+    {
+      io::TensorWriter writer(path);
+      EXPECT_TRUE(from.Checkpoint(&writer).ok());
+      EXPECT_TRUE(writer.Finish().ok());
+    }
+    core::NerGlobalizer to(&system_->bundle, from.config());
+    io::TensorReader reader(path);
+    const Status s = to.Restore(&reader);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    std::remove(path.c_str());
+    return to;
+  }
+
+  /// Expects equal live windows, tries and Predictions() at every stage.
+  static void ExpectSameWindow(core::NerGlobalizer& a, core::NerGlobalizer& b,
+                               const std::string& label) {
+    ASSERT_EQ(a.message_ids(), b.message_ids()) << label;
+    EXPECT_EQ(a.trie().Forms(), b.trie().Forms()) << label;
+    for (int s = 0; s < 4; ++s) {
+      const auto stage = static_cast<core::PipelineStage>(s);
+      EXPECT_EQ(a.Predictions(stage), b.Predictions(stage))
+          << label << " " << core::PipelineStageName(stage);
+    }
   }
 
   static harness::TrainedSystem* system_;
@@ -244,7 +275,8 @@ TEST_F(PipelineTest, EmdGlobalizerVariantEmitsUntypedMentions) {
   auto messages = Dataset("D2");
   auto pipeline = MakePipeline();
   pipeline.ProcessAll(messages, 64);
-  auto emd = pipeline.EmdGlobalizerPredictions();
+  auto emd = harness::EmdGlobalizerPredictions(pipeline,
+                                               system_->bundle.classifier());
   ASSERT_EQ(emd.size(), messages.size());
   size_t total = 0;
   for (const auto& spans : emd) total += spans.size();
@@ -444,7 +476,7 @@ TEST_F(PipelineTest, WindowedRunEmbedsEveryExtractedMentionOnce) {
 }
 
 TEST_F(PipelineTest, RestoreRejectsEmptyBundleFingerprint) {
-  // A layout-4 header whose fingerprint is empty, followed by a valid empty
+  // A layout-5 header whose fingerprint is empty, followed by a valid empty
   // stream state: the fingerprint is compared like any other, so the file
   // does not restore onto this bundle.
   const std::string path =
@@ -453,12 +485,11 @@ TEST_F(PipelineTest, RestoreRejectsEmptyBundleFingerprint) {
       core::DefaultPipelineConfig(system_->bundle);
   {
     io::TensorWriter writer(path);
-    writer.PutU32(4);      // layout version
+    writer.PutU32(5);      // layout version
     writer.PutString("");  // bundle fingerprint
     writer.PutF32(config.cluster_threshold);
     writer.PutU64(config.max_mention_span);
     writer.PutU64(config.window_messages);
-    writer.PutU32(config.incremental_refresh ? 1 : 0);
     writer.PutF64(0.0);  // local seconds
     writer.PutF64(0.0);  // global seconds
     ASSERT_TRUE(writer.EndRecord(io::kTagCheckpoint).ok());
@@ -471,6 +502,87 @@ TEST_F(PipelineTest, RestoreRejectsEmptyBundleFingerprint) {
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
   EXPECT_NE(s.message().find("bundle"), std::string::npos) << s.ToString();
   std::remove(path.c_str());
+}
+
+TEST_F(PipelineTest, RestoredWindowDerivesTheSameStateAfterEveryBatch) {
+  // The trie, the seed support and the local type votes are not in a
+  // checkpoint: restore derives them from the re-encoded window. After
+  // every batch a restored pipeline must hold the same trie and
+  // predictions, and run the next batch to the same finalized output.
+  const auto messages = Dataset("D2");
+  struct Config {
+    size_t window, batch;
+  };
+  for (const Config& c : {Config{40, 20}, Config{22, 7}, Config{32, 37},
+                          Config{0, 48}}) {
+    const std::string config = "window " + std::to_string(c.window) +
+                               " batch " + std::to_string(c.batch);
+    auto pipeline = MakePipeline(c.window);
+    std::optional<core::NerGlobalizer> restored;
+    for (size_t begin = 0; begin < messages.size(); begin += c.batch) {
+      const std::vector<stream::Message> chunk(
+          messages.begin() + static_cast<std::ptrdiff_t>(begin),
+          messages.begin() + static_cast<std::ptrdiff_t>(
+                                 std::min(messages.size(), begin + c.batch)));
+      const std::string label = config + " at " + std::to_string(begin);
+      pipeline.ProcessBatch(chunk);
+      const auto finalized = pipeline.TakeFinalized();
+      if (restored) {
+        restored->ProcessBatch(chunk);
+        EXPECT_EQ(restored->TakeFinalized(), finalized) << label;
+        ExpectSameWindow(pipeline, *restored, label + " continued");
+      }
+      restored.emplace(Reload(pipeline));
+      ExpectSameWindow(pipeline, *restored, label + " restored");
+    }
+  }
+}
+
+TEST_F(PipelineTest, ReusedLiveIdIsDroppedAndTheWindowStaysRestorable) {
+  // A message reusing a live id would replace the live record while its
+  // seed support and mentions stayed behind. Ingest drops it instead, so
+  // the run equals one that never saw it and its checkpoint restores.
+  const auto messages = Dataset("D2");
+  ASSERT_GE(messages.size(), 48u);
+  auto slice = [&](size_t begin, size_t end) {
+    return std::vector<stream::Message>(
+        messages.begin() + static_cast<std::ptrdiff_t>(begin),
+        messages.begin() + static_cast<std::ptrdiff_t>(end));
+  };
+  stream::Message reused;
+  reused.id = messages[5].id;
+  reused.text = "ok";
+  reused.tokens = text::Tokenizer().Tokenize(reused.text);
+
+  auto clean = MakePipeline();
+  auto pipeline = MakePipeline();
+  metrics::SetEnabled(true);
+  metrics::MetricsRegistry::Global().ResetAll();
+  metrics::Counter* const dropped = metrics::MetricsRegistry::Global().GetCounter(
+      "pipeline.duplicate_messages_dropped_total");
+  clean.ProcessBatch(slice(0, 16));
+  pipeline.ProcessBatch(slice(0, 16));
+  std::vector<stream::Message> second = slice(16, 32);
+  second.insert(second.begin() + 3, reused);
+  clean.ProcessBatch(slice(16, 32));
+  pipeline.ProcessBatch(second);
+  EXPECT_EQ(dropped->value(), 1u);
+  EXPECT_EQ(pipeline.tweet_base().Find(reused.id)->message.text,
+            messages[5].text);
+  ExpectSameWindow(clean, pipeline, "after the reused id");
+
+  auto restored = Reload(pipeline);
+  ExpectSameWindow(pipeline, restored, "restored");
+  // A repeat within one batch is dropped the same way.
+  std::vector<stream::Message> third = slice(32, 48);
+  third.push_back(third.front());
+  clean.ProcessBatch(slice(32, 48));
+  pipeline.ProcessBatch(third);
+  restored.ProcessBatch(third);
+  EXPECT_EQ(dropped->value(), 3u);
+  metrics::SetEnabled(false);
+  ExpectSameWindow(clean, pipeline, "continued");
+  ExpectSameWindow(pipeline, restored, "restored and continued");
 }
 
 TEST_F(PipelineTest, RunDatasetAlignsScoresAndPredictions) {

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/string_util.h"
 #include "harness/experiment.h"
 #include "serve/session_manager.h"
 #include "stream/message.h"
@@ -391,6 +392,30 @@ TEST_F(ServeTest, LifecycleErrorsAreTyped) {
   EXPECT_EQ(manager.Submit("s", batches[0]).code(), StatusCode::kNotFound);
   EXPECT_EQ(manager.stats().open_sessions, 0u);
   EXPECT_EQ(manager.stats().processed_batches, 1u);
+}
+
+TEST_F(ServeTest, SubmitRejectsMatchFormsEvictionCannotSplit) {
+  // Eviction splits a surface on ' ' to remove its trie form, so a
+  // caller-built token whose matching form is empty or holds whitespace
+  // would pin its form in the trie. Submit names the message and token.
+  auto batches = Batches(Dataset("D1"), 8);
+  serve::SessionManager manager(&system_->bundle, ManagerConfig(2, 16));
+  ASSERT_TRUE(manager.Open("s").ok());
+  for (const char* bad : {"new york", "", "tab\there"}) {
+    std::vector<stream::Message> batch = batches[0];
+    ASSERT_GE(batch[3].tokens.size(), 2u);
+    batch[3].tokens[1].match = bad;
+    const Status s = manager.Submit("s", batch);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+    EXPECT_NE(s.message().find(StrFormat(
+                  "message %lld token 1",
+                  static_cast<long long>(batch[3].id))),
+              std::string::npos)
+        << s.ToString();
+  }
+  EXPECT_TRUE(manager.Submit("s", batches[0]).ok());
+  manager.Drain();
+  EXPECT_EQ(manager.stats().submitted_batches, 1u);
 }
 
 TEST_F(ServeTest, ShardPinningIsDeterministic) {

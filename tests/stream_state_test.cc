@@ -1,16 +1,21 @@
 // StreamState checkpoints hold only what cannot be recomputed: a
 // message's tokens are the tokenizer's output for its text, token
 // embeddings and BIO labels a pure function of the encoder and those
-// tokens, and mention phrase embeddings of the token embeddings and the
+// tokens, the trie and the seed support of the live BIO labels, and
+// mention phrase embeddings of the token embeddings and the
 // PhraseEmbedder, so Save omits them and Load recomputes them.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "artifact_records.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
+#include "core/local_ner.h"
 #include "core/phrase_embedder.h"
 #include "core/stream_state.h"
 #include "harness/experiment.h"
@@ -102,7 +107,6 @@ class StreamStateTest : public ::testing::Test {
     cands[0].type = text::EntityType::kLocation;
     cands[0].confidence = 0.75f;
     state->candidate_base.SetCandidates("beta gamma", cands);
-    state->seed_support["beta gamma"] = 2;
   }
 
   /// Saves `state`, then expects Load to fail with InvalidArgument and to
@@ -202,7 +206,23 @@ TEST_F(StreamStateTest, LoadRecomputesPhraseEmbeddingsBitwise) {
         EXPECT_EQ(got_cands[c].confidence, want_cands[c].confidence);
       }
     }
-    EXPECT_EQ(restored.seed_support, state.seed_support);
+    // The trie and the seed support come back as the live window's local
+    // spans: one form per distinct span, one unit of support per span.
+    std::set<std::vector<std::string>> want_forms;
+    std::unordered_map<std::string, int> want_support;
+    for (int64_t id : state.tweet_base.ids()) {
+      const stream::SentenceRecord* rec = state.tweet_base.Find(id);
+      for (const text::EntitySpan& span : text::DecodeBio(rec->local_bio)) {
+        want_forms.insert(
+            SpanMatchTokens(rec->message, span.begin_token, span.end_token));
+        ++want_support[SpanSurfaceString(rec->message, span.begin_token,
+                                         span.end_token)];
+      }
+    }
+    EXPECT_EQ(restored.trie.Forms(),
+              std::vector<std::vector<std::string>>(want_forms.begin(),
+                                                    want_forms.end()));
+    EXPECT_EQ(restored.seed_support, want_support);
 
     // Saving the restored state writes the same bytes again.
     const std::string again = TempPath("state_roundtrip_again.bin");
@@ -433,7 +453,7 @@ TEST_F(StreamStateTest, ExplicitTokensRoundTripByteIdentically) {
 }
 
 TEST_F(StreamStateTest, MutatedPayloadsLoadToATypedStatus) {
-  // Deterministic mutational fuzz of the four state records. Each mutated
+  // Deterministic mutational fuzz of the three state records. Each mutated
   // payload is re-framed with a valid checksum, so it reaches the parsers:
   // every one must come back as a Status (OK or a typed error), never a
   // crash. Run under the sanitizer build it also rules out memory errors.
@@ -444,16 +464,12 @@ TEST_F(StreamStateTest, MutatedPayloadsLoadToATypedStatus) {
       -7, "U.S. open!",
       {MakeToken("U.S.", 0), MakeToken("open", 5),
        MakeToken("!", 9, text::TokenKind::kPunct)}));
-  state.trie.Insert({"beta", "gamma"});
-  state.trie.Insert({"alpha"});
-  state.local_type_votes["alpha"] = {0, 2, 1, 0};
-  state.dirty_surfaces = {"alpha"};
   state.finalized = {{-1, {{0, 2, text::EntityType::kPerson}}}};
   state.evicted_messages = 300;
   const std::string path = TempPath("state_fuzz.bin");
   ASSERT_TRUE(SaveTo(state, path).ok());
   const auto records = test_util::SplitRecords(ReadBytes(path));
-  ASSERT_EQ(records.size(), 4u);
+  ASSERT_EQ(records.size(), 3u);
   {
     StreamState restored;
     ASSERT_TRUE(LoadFrom(path, &restored).ok());

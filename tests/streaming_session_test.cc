@@ -8,7 +8,9 @@
 #include <iterator>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "artifact_records.h"
 #include "common/metrics.h"
 #include "common/scratch_arena.h"
 #include "common/string_util.h"
@@ -415,6 +417,30 @@ TEST_F(StreamingSessionTest, RestoreRecomputesEveryPhraseEmbedding) {
   std::remove(path.c_str());
 }
 
+TEST_F(StreamingSessionTest, CheckpointHoldsOnlyWhatTheWindowCannotGiveBack) {
+  // The trie, the seed support, the local type votes and the dirty set
+  // are all derived from the live window, so a checkpoint has no record
+  // for them.
+  const std::string path =
+      std::string(::testing::TempDir()) + "/session_records.bin";
+  auto messages = Dataset("D2");
+  const size_t window = messages.size() / 4;
+  stream::StreamSource source(messages, window / 2);
+  auto session = MakeSession(window);
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(session.Step(&source));
+  ASSERT_GT(session.pipeline().trie().size(), 0u);
+  ASSERT_TRUE(session.Checkpoint(path).ok());
+  std::vector<uint32_t> tags;
+  for (const auto& record : test_util::SplitRecords(test_util::ReadBytes(path))) {
+    tags.push_back(record.first);
+  }
+  EXPECT_EQ(tags, (std::vector<uint32_t>{io::kTagSession, io::kTagCheckpoint,
+                                         io::kTagTweetBase,
+                                         io::kTagCandidateBase,
+                                         io::kTagPipelineState}));
+  std::remove(path.c_str());
+}
+
 TEST_F(StreamingSessionTest, RestoreRejectsCheckpointWithoutLayoutVersion) {
   // Checkpoints from before the layout version (which also stored phrase
   // embeddings) open with the bundle fingerprint. They are refused as a
@@ -445,10 +471,11 @@ TEST_F(StreamingSessionTest, RestoreRejectsCheckpointWithoutLayoutVersion) {
 TEST_F(StreamingSessionTest, RestoreRejectsLayoutThreeSessionRecord) {
   // A layout-3 session record opens with a u64 batch count, not the
   // layout. Its low half is refused as a version mismatch, and a count
-  // that happens to equal the current version still fails as layout drift.
+  // that happens to equal the current version (5) still fails as layout
+  // drift.
   const std::string path =
       std::string(::testing::TempDir()) + "/session_layout3.bin";
-  for (const uint64_t batches : {1u, 4u}) {
+  for (const uint64_t batches : {1u, 5u}) {
     {
       io::TensorWriter writer(path);
       writer.PutU64(batches);
