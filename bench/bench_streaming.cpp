@@ -5,12 +5,11 @@
 // window — recording the wall time of every batch. The claim under test:
 // with eviction on, per-batch cost stops growing with stream length, so a
 // late batch (#50) costs about the same as an early one (#5); unbounded,
-// the trie/candidate scans keep growing. Also checks the incremental
-// dirty-set refresh is bit-identical to rebuilding every surface per batch.
+// the trie/candidate scans keep growing.
 //
 // Writes BENCH_streaming.json (schema nerglob.streaming.v1) with the raw
 // per-batch timings, the late/early ratio, memory numbers, and the
-// equivalence bit; bench/check_regression.py consumes the timings via the
+// cold-start comparison; bench/check_regression.py consumes the timings via the
 // embedded calibration like every other BENCH_*.json.
 #include <algorithm>
 #include <cstdio>
@@ -65,25 +64,6 @@ double SmoothedBatchSeconds(const std::vector<double>& batch_seconds,
   return window[window.size() / 2];
 }
 
-bool IncrementalEqualsFull(const harness::TrainedSystem& system,
-                           const std::vector<stream::Message>& messages,
-                           size_t batch_size) {
-  core::NerGlobalizerConfig config = core::DefaultPipelineConfig(system.bundle);
-  config.incremental_refresh = true;
-  core::NerGlobalizer incremental(&system.bundle, config);
-  incremental.ProcessAll(messages, batch_size);
-  config.incremental_refresh = false;
-  core::NerGlobalizer full(&system.bundle, config);
-  full.ProcessAll(messages, batch_size);
-  auto a = incremental.Predictions();
-  auto b = full.Predictions();
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!(a[i] == b[i])) return false;
-  }
-  return true;
-}
-
 /// Cold-start comparison: seconds to obtain a servable system by retraining
 /// from scratch versus loading a saved `.ngb` bundle.
 struct ColdStart {
@@ -132,7 +112,7 @@ ColdStart MeasureColdStart(const harness::BuildOptions& base_options,
 void WriteJson(const StreamRun& windowed, const StreamRun& unbounded,
                size_t messages, size_t batch_size, size_t window, double scale,
                double calibration_seconds, double early, double late,
-               bool bounded_ok, bool equals_full, const ColdStart& cold) {
+               bool bounded_ok, const ColdStart& cold) {
   std::FILE* json = std::fopen("BENCH_streaming.json", "w");
   if (json == nullptr) {
     std::printf("FAILED to open BENCH_streaming.json\n");
@@ -147,10 +127,9 @@ void WriteJson(const StreamRun& windowed, const StreamRun& unbounded,
   std::fprintf(json,
                "  \"batch5_seconds\": %.6f,\n  \"batch50_seconds\": %.6f,\n"
                "  \"late_over_early_ratio\": %.4f,\n"
-               "  \"bounded_per_batch_cost\": %s,\n"
-               "  \"incremental_equals_full\": %s,\n",
+               "  \"bounded_per_batch_cost\": %s,\n",
                early, late, early > 0 ? late / early : 0.0,
-               bounded_ok ? "true" : "false", equals_full ? "true" : "false");
+               bounded_ok ? "true" : "false");
   std::fprintf(json,
                "  \"cold_start\": {\n"
                "    \"retrain_seconds\": %.6f,\n"
@@ -229,10 +208,6 @@ int main() {
                         static_cast<double>(windowed.peak_memory_bytes)
                   : 0.0);
 
-  const bool equals_full = IncrementalEqualsFull(system, messages, batch_size);
-  std::printf("incremental dirty-set refresh == full refresh: %s\n",
-              equals_full ? "PASS (bit-identical predictions)" : "FAIL");
-
   std::printf("\ncold start (train-once / load-many):\n");
   const ColdStart cold = MeasureColdStart(options, &system);
   std::printf("  retrain %.2fs  vs  bundle load %.3fs "
@@ -246,6 +221,6 @@ int main() {
 
   WriteJson(windowed, unbounded, messages.size(), batch_size, window,
             options.scale, calibration_seconds, early, late, bounded_ok,
-            equals_full, cold);
-  return equals_full && cold.load_ok ? 0 : 1;
+            cold);
+  return cold.load_ok ? 0 : 1;
 }

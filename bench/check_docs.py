@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Docs gate: broken links, broken anchors, stale knob references and a
-stale checkpoint layout version.
+"""Docs gate: broken links, broken anchors, stale knob references, a
+stale checkpoint layout version and a stale stage-span table.
 
 Usage:
     check_docs.py [ROOT]
 
-Four checks over the tracked ``*.md`` files under ROOT (default: the
+Five checks over the tracked ``*.md`` files under ROOT (default: the
 repo root, i.e. the parent of this script's directory):
 
 1. **Relative links** — every ``[text](target)`` / ``![alt](target)``
@@ -23,6 +23,9 @@ repo root, i.e. the parent of this script's directory):
 4. **Checkpoint layout version** — the "checkpoint layout version
    (currently N)" in ``docs/FORMATS.md`` must equal
    ``kCheckpointLayoutVersion`` in ``src/core/ner_globalizer.cc``.
+5. **Stage spans** — the ``stage.<name>`` rows of the span table in
+   ``docs/OBSERVABILITY.md`` must name exactly the ``trace::TraceStage``
+   stages declared under ``src/``, in both directions.
 
 Stdlib-only on purpose: CI runs it before anything is built.
 """
@@ -50,6 +53,11 @@ LAYOUT_SOURCE = pathlib.Path("src", "core", "ner_globalizer.cc")
 LAYOUT_DOC = pathlib.Path("docs", "FORMATS.md")
 LAYOUT_CONST_RE = re.compile(r"kCheckpointLayoutVersion\s*=\s*(\d+)")
 LAYOUT_DOC_RE = re.compile(r"checkpoint layout version\s+\(currently\s+(\d+)\)")
+
+# The stage spans: their declarations in src/ and the documented rows.
+SPAN_DOC = pathlib.Path("docs", "OBSERVABILITY.md")
+SPAN_DECL_RE = re.compile(r'trace::TraceStage\s+\w+\s*\(\s*"([^"]+)"\s*\)')
+SPAN_ROW_RE = re.compile(r"^\|\s*`stage\.([a-z0-9_]+)`\s*\|")
 
 KNOB_SOURCE_DIRS = ("src", "bench", "examples", "tests")
 KNOB_SOURCE_SUFFIXES = {".cc", ".h", ".py", ".cmake", ".txt", ".yml"}
@@ -216,6 +224,32 @@ def check_layout_version(root: pathlib.Path):
     return []
 
 
+def check_stage_spans(root: pathlib.Path):
+    """The documented stage-span rows against the declared TraceStages."""
+    declared = set()
+    for path in sorted((root / "src").rglob("*")):
+        if path.suffix in (".cc", ".h") and path.is_file():
+            text = path.read_text(encoding="utf-8", errors="ignore")
+            declared.update(SPAN_DECL_RE.findall(text))
+    try:
+        doc = (root / SPAN_DOC).read_text(encoding="utf-8")
+    except OSError:
+        return [f"{SPAN_DOC}: missing (stage span check)"]
+    documented = set()
+    for line in doc.splitlines():
+        match = SPAN_ROW_RE.match(line.strip())
+        if match:
+            documented.add(match.group(1))
+    errors = []
+    for name in sorted(declared - documented):
+        errors.append(f"{SPAN_DOC}: no `stage.{name}` row, but src/ "
+                      f"declares trace::TraceStage \"{name}\"")
+    for name in sorted(documented - declared):
+        errors.append(f"{SPAN_DOC}: documents `stage.{name}`, but no "
+                      f"trace::TraceStage \"{name}\" is declared in src/")
+    return errors
+
+
 def main(argv):
     root = pathlib.Path(argv[1]) if len(argv) > 1 else \
         pathlib.Path(__file__).resolve().parent.parent
@@ -228,15 +262,17 @@ def main(argv):
             failures += 1
             print(f"{path.relative_to(root)}:{lineno}: broken link "
                   f"'{target}' ({why})")
-    for message in check_knob_table(root) + check_layout_version(root):
+    for message in (check_knob_table(root) + check_layout_version(root) +
+                    check_stage_spans(root)):
         failures += 1
         print(message)
     if failures:
         print(f"FAIL: {failures} problem(s) across {total_files} "
               f"markdown file(s)")
         return 1
-    print(f"OK: links, anchors, the README knob table and the checkpoint "
-          f"layout version check out across {total_files} markdown file(s)")
+    print(f"OK: links, anchors, the README knob table, the checkpoint "
+          f"layout version and the stage spans check out across "
+          f"{total_files} markdown file(s)")
     return 0
 
 

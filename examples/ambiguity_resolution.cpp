@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   std::printf("== candidate clusters per ambiguous surface form ==\n");
   for (const std::string surface : {"washington", "us"}) {  // NOLINT
     const auto& pool = pipeline.candidate_base().Mentions(surface);
-    const auto& candidates = pipeline.candidate_base().Candidates(surface);
+    const auto candidates = pipeline.Candidates(surface);
     std::printf("\nsurface \"%s\": %zu mentions -> %zu candidate cluster(s)\n",
                 surface.c_str(), pool.size(), candidates.size());
     for (size_t c = 0; c < candidates.size(); ++c) {

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
               "clusters");
   for (int i = 0; i < top_n && i < static_cast<int>(ranked.size()); ++i) {
     const auto& [surface, count] = ranked[static_cast<size_t>(i)];
-    const auto& candidates = cb.Candidates(surface);
+    const auto candidates = pipeline.Candidates(surface);
     std::printf("%-26s %9zu %9zu ", surface.c_str(), count, candidates.size());
     for (const auto& cand : candidates) {
       std::printf(" %s(%zu,%.2f)",
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   std::map<size_t, int> cluster_histogram;
   size_t entity_clusters = 0, total_clusters = 0;
   for (const auto& surface : cb.surfaces()) {
-    const auto& candidates = cb.Candidates(surface);
+    const auto candidates = pipeline.Candidates(surface);
     ++cluster_histogram[candidates.size()];
     total_clusters += candidates.size();
     for (const auto& cand : candidates) entity_clusters += cand.is_entity ? 1 : 0;
@@ -82,6 +82,11 @@ int main(int argc, char** argv) {
               total_clusters, entity_clusters, total_clusters - entity_clusters);
   std::printf("clusters-per-surface histogram:");
   for (const auto& [k, v] : cluster_histogram) std::printf(" %zu:%d", k, v);
+  // Partitions are computed when read: reading the system output clusters
+  // every surface, and global_seconds() counts that work.
+  size_t output_spans = 0;
+  for (const auto& spans : pipeline.Predictions()) output_spans += spans.size();
+  std::printf("\nsystem output: %zu entity spans", output_spans);
   std::printf("\nlocal %.2fs + global %.2fs (overhead %.1f%%)\n",
               pipeline.local_seconds(), pipeline.global_seconds(),
               pipeline.local_seconds() > 0

@@ -18,13 +18,13 @@ namespace nerglob::core {
 namespace {
 
 /// Layout of a session checkpoint's pipeline records, written first in the
-/// kTagCheckpoint header. Version 5 stores only what the window cannot
-/// give back: the messages as text, the mention pools with their
-/// partitions, the finalized buffer and the evicted count. Restore
+/// kTagCheckpoint header. Version 6 stores only what the window cannot
+/// give back: the messages as text, the mention pools (spans only, no
+/// partitions), the finalized buffer and the evicted count. Restore
 /// re-tokenizes and re-encodes the window, seeds the trie and the seed
 /// support from it, then recomputes the phrase embeddings. The layouts
 /// before it are described in docs/FORMATS.md.
-constexpr uint32_t kCheckpointLayoutVersion = 5;
+constexpr uint32_t kCheckpointLayoutVersion = 6;
 
 }  // namespace
 
@@ -175,7 +175,6 @@ void NerGlobalizer::RunStages(const std::vector<stream::Message>& batch,
 
   WallTimer global_timer;
   stages::ExtractMentions(bundle, state_, ctx);
-  stages::RefreshCandidates(bundle, state_, ctx);
   stages::Evict(bundle, state_, ctx);
   global_seconds_ += global_timer.ElapsedSeconds();
 
@@ -267,9 +266,18 @@ std::vector<std::vector<text::EntitySpan>> NerGlobalizer::Predictions(
       break;
     }
     case PipelineStage::kFullGlobal: {
-      for (const std::string& surface : state_.candidate_base.surfaces()) {
-        const auto& pool = state_.candidate_base.Mentions(surface);
-        for (const auto& entry : state_.candidate_base.Candidates(surface)) {
+      // Partitions are not stored: every live surface is clustered here,
+      // and that is global-phase work (Table IV).
+      WallTimer global_timer;
+      const std::vector<std::string>& surfaces =
+          state_.candidate_base.surfaces();
+      const std::vector<std::vector<stream::CandidateEntry>> partitions =
+          stages::BuildCandidates(bundle_->classifier(), state_, config_,
+                                  surfaces);
+      global_seconds_ += global_timer.ElapsedSeconds();
+      for (size_t s = 0; s < surfaces.size(); ++s) {
+        const auto& pool = state_.candidate_base.Mentions(surfaces[s]);
+        for (const auto& entry : partitions[s]) {
           if (!entry.is_entity) continue;
           for (size_t mention_id : entry.mention_ids) {
             add_mention(pool[mention_id], entry.type);
@@ -281,6 +289,13 @@ std::vector<std::vector<text::EntitySpan>> NerGlobalizer::Predictions(
   }
   for (auto& spans : out) spans = stages::ResolveOverlaps(std::move(spans));
   return out;
+}
+
+std::vector<stream::CandidateEntry> NerGlobalizer::Candidates(
+    const std::string& surface) const {
+  return std::move(stages::BuildCandidates(bundle_->classifier(), state_,
+                                           config_, {surface})
+                       .front());
 }
 
 }  // namespace nerglob::core

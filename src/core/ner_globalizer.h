@@ -60,6 +60,12 @@ NerGlobalizerConfig DefaultPipelineConfig(const ModelBundle& bundle);
 /// batch (their final predictions buffered for TakeFinalized()) and
 /// Predictions() covers the live window only.
 ///
+/// The CandidateBase stores only mention pools, no partitions: clustering
+/// and classification run when an output is read — by eviction's flush for
+/// the surfaces of departing messages, by Predictions(kFullGlobal) for
+/// every live surface, and by Candidates(). A batch therefore clusters
+/// nothing unless it evicts.
+///
 /// Thread-safety: the pipeline parallelizes internally (encoder forwards,
 /// trie scans, per-surface clustering fan out over the process thread
 /// pool) but its public interface is NOT thread-safe — call ProcessBatch /
@@ -75,12 +81,12 @@ class NerGlobalizer {
 
   /// Processes one batch of the stream (Sec. III execution cycle) by
   /// chaining the stage graph (core/stages.h): LocalEncode → IngestLocal →
-  /// ExtractMentions → RefreshCandidates → Evict. Cost is O(batch work +
-  /// dirty surfaces); with a window it is independent of how many messages
-  /// the stream has seen in total. Message ids must be unique within the
-  /// live window: a message whose id is live, or repeats one earlier in the
-  /// batch, is dropped (no record, no output) and counted in
-  /// `pipeline.duplicate_messages_dropped_total`.
+  /// ExtractMentions → Evict. Cost is O(batch work + the surfaces holding
+  /// evicted mentions, which are clustered to flush them); with a window it
+  /// is independent of how many messages the stream has seen in total.
+  /// Message ids must be unique within the live window: a message whose id
+  /// is live, or repeats one earlier in the batch, is dropped (no record,
+  /// no output) and counted in `pipeline.duplicate_messages_dropped_total`.
   void ProcessBatch(const std::vector<stream::Message>& batch);
 
   /// ProcessBatch with the LocalEncode stage's work supplied by the caller:
@@ -101,9 +107,19 @@ class NerGlobalizer {
   /// Final spans per live message (stream order), produced by the given
   /// pipeline prefix. kFullGlobal is the system output. With eviction
   /// enabled this covers the current window; evicted messages' outputs are
-  /// returned once via TakeFinalized(). O(live mentions + candidates).
+  /// returned once via TakeFinalized(). kFullGlobal clusters and classifies
+  /// every live surface (no partition is stored) and adds that time to
+  /// global_seconds(): O(sum over surfaces of min(pool, 64)^3 + pool). The
+  /// other stages are O(live mentions).
   std::vector<std::vector<text::EntitySpan>> Predictions(
       PipelineStage stage = PipelineStage::kFullGlobal);
+
+  /// The candidate partition of one surface form (Sec. V-D): its mention
+  /// pool clustered, each cluster classified. Computed on every call, so it
+  /// always reflects the current pool; empty for a surface without
+  /// mentions. O(min(pool, 64)^3 + pool).
+  std::vector<stream::CandidateEntry> Candidates(
+      const std::string& surface) const;
 
   /// Drains the buffer of messages finalized by eviction since the last
   /// call, in stream order. Empty when window_messages == 0.

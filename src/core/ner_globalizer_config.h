@@ -23,13 +23,6 @@ struct NerGlobalizerConfig {
   /// entries and CandidateBase surfaces whose support in the live window
   /// drops to zero, and keeping MemoryUsage() bounded.
   size_t window_messages = 0;
-  /// When true (default) RefreshCandidates re-clusters and re-classifies
-  /// only the surfaces whose mention pool changed this cycle (the dirty
-  /// set). When false every surface is rebuilt every cycle — the reference
-  /// path; both produce bit-identical Predictions() (enforced by test),
-  /// the full path just wastes work re-deriving unchanged candidates. The
-  /// state does not depend on it, so it is NOT echoed into checkpoints.
-  bool incremental_refresh = true;
   /// Batch size used by ProcessAll when the caller passes 0 (the default),
   /// and messages per EncodeMany call when Restore re-encodes the window.
   /// A driver knob, not state semantics: it is NOT echoed into checkpoints

@@ -24,12 +24,11 @@ namespace {
 /// present in their surface's pool are skipped — the eviction rescan
 /// path, where live sentences are re-scanned after a surface prune. Every
 /// appended mention is embedded here, once; the pool holds the only copy.
-/// Touched surfaces are appended to ctx.dirty_surfaces.
 void ExtractMentionsInto(const ModelBundle& bundle, StreamState& state,
-                         StageContext& ctx, const std::vector<int64_t>& ids,
+                         const NerGlobalizerConfig& config,
+                         const std::vector<int64_t>& ids,
                          const trie::CandidateTrie& trie, bool dedup = false) {
   if (trie.size() == 0) return;
-  const NerGlobalizerConfig& config = *ctx.config;
   static const trace::TraceStage kStage("mention_extraction");
   trace::TraceSpan span(kStage);
   const PhraseEmbedder& embedder = bundle.embedder();
@@ -76,16 +75,13 @@ void ExtractMentionsInto(const ModelBundle& bundle, StreamState& state,
   // Phase 2 (serial merge, sentence order): AddMention assigns mention ids
   // by arrival, so merging in id order keeps the CandidateBase identical to
   // a sequential pass for any thread count.
-  std::unordered_set<std::string> touched;
   size_t mention_count = 0;
   for (std::vector<Found>& per_id : found) {
     mention_count += per_id.size();
     for (Found& f : per_id) {
       state.candidate_base.AddMention(f.surface, std::move(f.mention));
-      touched.insert(std::move(f.surface));
     }
   }
-  for (const auto& surface : touched) ctx.dirty_surfaces.push_back(surface);
 
   if (metrics::Enabled()) {
     auto& registry = metrics::MetricsRegistry::Global();
@@ -101,7 +97,7 @@ void ExtractMentionsInto(const ModelBundle& bundle, StreamState& state,
 /// Clusters one surface form's mention pool and classifies each cluster.
 /// Pure read of the CandidateBase — safe to run concurrently across
 /// surfaces.
-std::vector<stream::CandidateEntry> BuildCandidates(
+std::vector<stream::CandidateEntry> ClusterSurface(
     const EntityClassifier& classifier, const StreamState& state,
     const NerGlobalizerConfig& config, const std::string& surface) {
   const auto& pool = state.candidate_base.Mentions(surface);
@@ -179,17 +175,35 @@ std::vector<stream::CandidateEntry> BuildCandidates(
         registry.GetCounter("pipeline.clusters_formed_total");
     static metrics::Counter* const dropped =
         registry.GetCounter("pipeline.false_positives_dropped_total");
+    static metrics::Counter* const over_cap =
+        registry.GetCounter("cluster.pools_over_cap");
     size_t non_entity = 0;
     for (const auto& entry : entries) {
       if (!entry.is_entity) ++non_entity;
     }
     clusters->Increment(entries.size());
     dropped->Increment(non_entity);
+    if (n > head) over_cap->Increment();
   }
   return entries;
 }
 
 }  // namespace
+
+std::vector<std::vector<stream::CandidateEntry>> BuildCandidates(
+    const EntityClassifier& classifier, const StreamState& state,
+    const NerGlobalizerConfig& config,
+    const std::vector<std::string>& surfaces) {
+  static const trace::TraceStage kStage("refresh_candidates");
+  trace::TraceSpan span(kStage);
+  // Each surface is an independent read of its pool; every result lands in
+  // its own slot, so the output is the same for any thread count.
+  std::vector<std::vector<stream::CandidateEntry>> built(surfaces.size());
+  ParallelFor(0, surfaces.size(), /*grain=*/1, [&](size_t i) {
+    built[i] = ClusterSurface(classifier, state, config, surfaces[i]);
+  });
+  return built;
+}
 
 std::vector<text::EntitySpan> ResolveOverlaps(std::vector<text::EntitySpan> spans) {
   std::sort(spans.begin(), spans.end(),
@@ -253,40 +267,10 @@ void IngestLocal(const ModelBundle& bundle, StreamState& state,
 
 void ExtractMentions(const ModelBundle& bundle, StreamState& state,
                      StageContext& ctx) {
-  ExtractMentionsInto(bundle, state, ctx, ctx.new_ids, state.trie);
+  ExtractMentionsInto(bundle, state, *ctx.config, ctx.new_ids, state.trie);
   if (ctx.delta.size() > 0) {
-    ExtractMentionsInto(bundle, state, ctx, ctx.old_ids, ctx.delta);
+    ExtractMentionsInto(bundle, state, *ctx.config, ctx.old_ids, ctx.delta);
   }
-}
-
-void RefreshCandidates(const ModelBundle& bundle, StreamState& state,
-                       StageContext& ctx) {
-  static const trace::TraceStage kStage("refresh_candidates");
-  trace::TraceSpan span(kStage);
-  std::vector<std::string>& dirty = ctx.dirty_surfaces;
-  if (!ctx.config->incremental_refresh) {
-    // Reference path: rebuild every surface, not just the dirty set. The
-    // per-surface build is a pure function of the mention pool, so this
-    // produces bit-identical candidates while doing strictly more work.
-    dirty = state.candidate_base.surfaces();
-  }
-  std::sort(dirty.begin(), dirty.end());
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-
-  // Phase 1 (parallel): per-surface clustering + classification only reads
-  // the CandidateBase. Phase 2 writes the results back serially in sorted
-  // surface order, so the base's state is thread-count independent.
-  const EntityClassifier& classifier = bundle.classifier();
-  std::vector<std::vector<stream::CandidateEntry>> built(dirty.size());
-  ParallelFor(0, dirty.size(), /*grain=*/1, [&](size_t i) {
-    built[i] = BuildCandidates(classifier, state, *ctx.config, dirty[i]);
-  });
-  for (size_t i = 0; i < dirty.size(); ++i) {
-    // Empty means the surface had no mentions (seed behavior: skip).
-    if (built[i].empty()) continue;
-    state.candidate_base.SetCandidates(dirty[i], std::move(built[i]));
-  }
-  dirty.clear();
 }
 
 void Evict(const ModelBundle& bundle, StreamState& state, StageContext& ctx) {
@@ -304,13 +288,18 @@ void Evict(const ModelBundle& bundle, StreamState& state, StageContext& ctx) {
   const std::unordered_set<int64_t> evicted(evict_order.begin(),
                                             evict_order.end());
 
-  // 1. Flush the final Global NER output of every departing message while
-  // its candidates are still live (RefreshCandidates just ran, so the
-  // partition reflects everything up to and including this batch).
+  // 1. Flush the final Global NER output of every departing message. Only
+  // the surfaces holding a departing mention are read, each clustered from
+  // its pool as it stands before removal: the partition a reader of the
+  // whole window would compute after this batch's extraction.
+  const std::vector<std::string> departing =
+      state.candidate_base.SurfacesWithMentionsOf(evicted);
+  const std::vector<std::vector<stream::CandidateEntry>> partitions =
+      BuildCandidates(bundle.classifier(), state, config, departing);
   std::unordered_map<int64_t, std::vector<text::EntitySpan>> flushed;
-  for (const std::string& surface : state.candidate_base.surfaces()) {
-    const auto& pool = state.candidate_base.Mentions(surface);
-    for (const auto& entry : state.candidate_base.Candidates(surface)) {
+  for (size_t s = 0; s < departing.size(); ++s) {
+    const auto& pool = state.candidate_base.Mentions(departing[s]);
+    for (const auto& entry : partitions[s]) {
       if (!entry.is_entity) continue;
       for (size_t mention_id : entry.mention_ids) {
         const stream::MentionRecord& m = pool[mention_id];
@@ -359,10 +348,9 @@ void Evict(const ModelBundle& bundle, StreamState& state, StageContext& ctx) {
   rescan_ids.erase(std::unique(rescan_ids.begin(), rescan_ids.end()),
                    rescan_ids.end());
 
-  // 4. Drop evicted mentions everywhere, then remove pruned surfaces
-  // wholesale (trie entry, pool, candidates).
-  std::vector<std::string> changed = state.candidate_base.RemoveMentionsOf(evicted);
-  const std::unordered_set<std::string> pruned_set(pruned.begin(), pruned.end());
+  // 4. Drop evicted mentions from the pools that hold them, then remove
+  // pruned surfaces wholesale (trie entry and pool).
+  state.candidate_base.RemoveMentionsOf(evicted, departing);
   for (const std::string& surface : pruned) {
     state.trie.Remove(SplitChar(surface, ' '));
     state.candidate_base.RemoveSurface(surface);
@@ -373,14 +361,9 @@ void Evict(const ModelBundle& bundle, StreamState& state, StageContext& ctx) {
   state.evicted_messages += count;
 
   // 6. Re-scan affected live sentences (dedup: only genuinely new spans
-  // are added and embedded), then rebuild every eviction-touched surface
-  // so candidates never dangle.
-  ExtractMentionsInto(bundle, state, ctx, rescan_ids, state.trie,
+  // are added and embedded).
+  ExtractMentionsInto(bundle, state, config, rescan_ids, state.trie,
                       /*dedup=*/true);
-  for (const std::string& surface : changed) {
-    if (pruned_set.count(surface) == 0) ctx.dirty_surfaces.push_back(surface);
-  }
-  RefreshCandidates(bundle, state, ctx);
 
   if (metrics::Enabled()) {
     auto& registry = metrics::MetricsRegistry::Global();

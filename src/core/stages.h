@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "core/entity_classifier.h"
 #include "core/local_ner.h"
 #include "core/model_bundle.h"
 #include "core/ner_globalizer_config.h"
@@ -18,8 +19,8 @@ namespace nerglob::core::stages {
 
 /// The explicit stage graph behind NerGlobalizer::ProcessBatch (Fig. 2):
 ///
-///   LocalEncode ─▶ IngestLocal ─▶ ExtractMentions ─▶ RefreshCandidates ─▶ Evict
-///   (model-only)  (state writes begin here ────────────────────────────────▶)
+///   LocalEncode ─▶ IngestLocal ─▶ ExtractMentions ─▶ Evict
+///   (model-only)  (state writes begin here ──────────────▶)
 ///
 /// Every stage is a free function with the uniform signature
 /// `(const ModelBundle&, StreamState&, StageContext&)`. The split exists for
@@ -34,6 +35,11 @@ namespace nerglob::core::stages {
 ///
 /// The bundle is the driving NerGlobalizer's, borrowed const. A stage binds
 /// the components it needs once per call, outside any ParallelFor.
+///
+/// No stage clusters eagerly: the state holds only the mention pools, and a
+/// surface's candidate partition is computed by BuildCandidates when a
+/// reader needs it (Evict's flush, NerGlobalizer::Predictions and
+/// NerGlobalizer::Candidates).
 
 /// Per-batch products flowing between stages. A fresh context is built for
 /// every ProcessBatch; nothing in it outlives the batch (all cross-batch
@@ -62,10 +68,6 @@ struct StageContext {
   /// Surface forms first seen in this batch; old sentences are rescanned
   /// against only these.
   trie::CandidateTrie delta;
-
-  /// Surfaces whose mention pool changed since the last refresh: mention
-  /// extraction appends, RefreshCandidates (which Evict also runs) drains.
-  std::vector<std::string> dirty_surfaces;
 };
 
 /// Stage 1 — the per-message, model-only stage: runs the encoder forward
@@ -85,28 +87,36 @@ void IngestLocal(const ModelBundle& bundle, StreamState& state,
 
 /// Stage 3 — mention extraction (Sec. III step 3): scans the new sentences
 /// against the full trie and the old sentences against the delta trie,
-/// appending mention records (with phrase embeddings) to the CandidateBase
-/// and touched surfaces to ctx.dirty_surfaces.
+/// appending mention records (with phrase embeddings) to the CandidateBase.
 void ExtractMentions(const ModelBundle& bundle, StreamState& state,
                      StageContext& ctx);
 
-/// Stage 4 — clustering + classification of every surface in
-/// ctx.dirty_surfaces (all surfaces when config->incremental_refresh is
-/// off), leaving the dirty set empty.
-void RefreshCandidates(const ModelBundle& bundle, StreamState& state,
-                       StageContext& ctx);
-
-/// Stage 5 — windowed eviction: retires the oldest records beyond
-/// config->window_messages (flushing their final predictions to
-/// state.finalized), prunes unsupported surfaces, rescans affected live
-/// sentences, and refreshes eviction-touched candidates. No-op when the
-/// window is unbounded or not yet exceeded.
+/// Stage 4 — windowed eviction: retires the oldest records beyond
+/// config->window_messages, flushing their final predictions to
+/// state.finalized from the partitions of the surfaces that hold their
+/// mentions (clustered before the pools shrink), then prunes unsupported
+/// surfaces and rescans affected live sentences. No-op when the window is
+/// unbounded or not yet exceeded.
 void Evict(const ModelBundle& bundle, StreamState& state, StageContext& ctx);
+
+/// Candidate clustering + classification (Sec. V-C/D): clusters each
+/// surface's mention pool and classifies every cluster, returning one
+/// partition per entry of `surfaces`, aligned with it (empty for a surface
+/// without mentions). A pure function of the pools, which are the only
+/// stored state: partitions are computed here whenever a reader needs
+/// them, never cached. Surfaces run in parallel and merge in order, so the
+/// result is thread-count independent. Traced as `refresh_candidates`.
+/// O(sum over surfaces of min(pool, kMaxClusterPool)^3 + pool).
+std::vector<std::vector<stream::CandidateEntry>> BuildCandidates(
+    const EntityClassifier& classifier, const StreamState& state,
+    const NerGlobalizerConfig& config,
+    const std::vector<std::string>& surfaces);
 
 /// Pools larger than this are clustered on a prefix sample; the remaining
 /// mentions join the nearest cluster centroid. Keeps the O(n^3) linkage
 /// bounded for head entities with thousands of mentions. (Shared with the
-/// EMD-Globalizer baseline pooling in harness.)
+/// EMD-Globalizer baseline pooling in harness.) Each BuildCandidates pool
+/// over the cap counts in `cluster.pools_over_cap`.
 inline constexpr size_t kMaxClusterPool = 64;
 
 /// Greedy longest-first overlap resolution within one sentence (used by

@@ -67,7 +67,7 @@ struct PipelineMemoryUsage {
 /// thin engine owning one StreamState and borrowing one const ModelBundle.
 ///
 /// Serializable: Save writes only what the live window cannot give back
-/// (the messages, the mention pools with their partitions, the finalized
+/// (the messages, the mention pools as spans, the finalized
 /// buffer and the evicted count; integers as varints). A message's tokens
 /// are the tokenizer's output for its text, its token embeddings and
 /// local BIO labels a pure function of the encoder and those tokens, the

@@ -39,7 +39,8 @@ using MentionEmbedder =
 
 /// One entity candidate = one cluster of mentions of a surface form
 /// (Sec. V-D: "every candidate cluster corresponds to a unique entity
-/// candidate in the CandidateBase").
+/// candidate in the CandidateBase"). A pure function of the surface's pool,
+/// computed by core::stages::BuildCandidates when read; never stored.
 struct CandidateEntry {
   std::string surface;               ///< canonical lowercased surface form
   std::vector<size_t> mention_ids;   ///< indices into the pool for `surface`
@@ -50,17 +51,14 @@ struct CandidateEntry {
 };
 
 /// CandidateBase: for each surface form, the growing pool of mention
-/// records plus the current cluster -> candidate partition. Pools are
+/// records. The pools are the only stored state: a surface's candidate
+/// partition is a pure function of its pool, computed when read. Pools are
 /// append-only between eviction rounds; windowed eviction
 /// (RemoveMentionsOf / RemoveSurface) is the only operation that shrinks
 /// or reindexes a pool.
 ///
 /// Thread-safety: const methods may run concurrently with each other; all
-/// mutating methods must be serialized against everything else. Candidate
-/// mention_ids index into the pool at the time SetCandidates was called —
-/// after RemoveMentionsOf compacts a pool, the affected surfaces must be
-/// re-clustered before their Candidates() are dereferenced again (the
-/// pipeline marks them dirty and refreshes within the same batch).
+/// mutating methods must be serialized against everything else.
 class CandidateBase {
  public:
   CandidateBase() = default;
@@ -78,26 +76,23 @@ class CandidateBase {
   bool ContainsMention(const std::string& surface, int64_t message_id,
                        size_t begin_token, size_t end_token) const;
 
-  /// Replaces the candidate partition for a surface form (after
-  /// re-clustering).
-  void SetCandidates(const std::string& surface,
-                     std::vector<CandidateEntry> candidates);
-
-  const std::vector<CandidateEntry>& Candidates(const std::string& surface) const;
-
   /// All surface forms with at least one mention, in first-seen order.
   const std::vector<std::string>& surfaces() const { return surface_order_; }
 
   size_t TotalMentions() const;
 
-  /// Drops every mention whose message id is in `ids`, compacting the
-  /// affected pools (indices shift!) and clearing their now-stale candidate
-  /// partitions. Survivors keep their pool order. Returns the surfaces whose
-  /// pools changed (callers must re-cluster them). O(total mentions).
-  std::vector<std::string> RemoveMentionsOf(
-      const std::unordered_set<int64_t>& ids);
+  /// The surfaces whose pool holds a mention of a message in `ids`, in
+  /// first-seen order. O(total mentions).
+  std::vector<std::string> SurfacesWithMentionsOf(
+      const std::unordered_set<int64_t>& ids) const;
 
-  /// Erases a surface form entirely — pool, candidates, and its slot in
+  /// Drops from the pools of `surfaces` (SurfacesWithMentionsOf(ids)) every
+  /// mention whose message id is in `ids`, compacting them (indices
+  /// shift). Survivors keep their pool order. O(mentions of `surfaces`).
+  void RemoveMentionsOf(const std::unordered_set<int64_t>& ids,
+                        const std::vector<std::string>& surfaces);
+
+  /// Erases a surface form entirely — its pool and its slot in
   /// surfaces(). Used when a surface's seed support drops to zero under
   /// eviction. O(number of surfaces) for the order compaction.
   void RemoveSurface(const std::string& surface);
@@ -114,8 +109,8 @@ class CandidateBase {
 
   /// Appends the full store as one checksummed record
   /// (io::kTagCandidateBase), surfaces in first-seen order: each pool's
-  /// mention spans and its cluster partition. Local embeddings are not
-  /// written; Load recomputes them.
+  /// mention spans. Local embeddings are not written; Load recomputes
+  /// them.
   Status Save(io::TensorWriter* writer) const;
 
   /// Restores a store saved with Save, filling every mention's
@@ -126,12 +121,7 @@ class CandidateBase {
   Status Load(io::TensorReader* reader, const MentionEmbedder& embed);
 
  private:
-  struct SurfaceData {
-    std::vector<MentionRecord> mentions;
-    std::vector<CandidateEntry> candidates;
-  };
-
-  std::unordered_map<std::string, SurfaceData> by_surface_;
+  std::unordered_map<std::string, std::vector<MentionRecord>> by_surface_;
   std::vector<std::string> surface_order_;
 };
 

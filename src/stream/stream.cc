@@ -225,10 +225,6 @@ const std::vector<MentionRecord>& EmptyMentions() {
   return kEmpty;
 }
 
-const std::vector<CandidateEntry>& EmptyCandidates() {
-  static const auto& kEmpty = *new std::vector<CandidateEntry>();
-  return kEmpty;
-}
 
 }  // namespace
 
@@ -237,9 +233,9 @@ size_t CandidateBase::AddMention(const std::string& surface,
   auto it = by_surface_.find(surface);
   if (it == by_surface_.end()) {
     surface_order_.push_back(surface);
-    it = by_surface_.emplace(surface, SurfaceData{}).first;
+    it = by_surface_.emplace(surface, std::vector<MentionRecord>{}).first;
   }
-  std::vector<MentionRecord>& mentions = it->second.mentions;
+  std::vector<MentionRecord>& mentions = it->second;
   mentions.push_back(std::move(mention));
   return mentions.size() - 1;
 }
@@ -262,26 +258,12 @@ Matrix CandidateBase::MeanEmbedding(const std::string& surface) const {
 const std::vector<MentionRecord>& CandidateBase::Mentions(
     const std::string& surface) const {
   auto it = by_surface_.find(surface);
-  return it == by_surface_.end() ? EmptyMentions() : it->second.mentions;
-}
-
-void CandidateBase::SetCandidates(const std::string& surface,
-                                  std::vector<CandidateEntry> candidates) {
-  auto it = by_surface_.find(surface);
-  NERGLOB_CHECK(it != by_surface_.end())
-      << "SetCandidates for unknown surface form: " << surface;
-  it->second.candidates = std::move(candidates);
-}
-
-const std::vector<CandidateEntry>& CandidateBase::Candidates(
-    const std::string& surface) const {
-  auto it = by_surface_.find(surface);
-  return it == by_surface_.end() ? EmptyCandidates() : it->second.candidates;
+  return it == by_surface_.end() ? EmptyMentions() : it->second;
 }
 
 size_t CandidateBase::TotalMentions() const {
   size_t total = 0;
-  for (const auto& [surface, data] : by_surface_) total += data.mentions.size();
+  for (const auto& [surface, pool] : by_surface_) total += pool.size();
   return total;
 }
 
@@ -290,7 +272,7 @@ bool CandidateBase::ContainsMention(const std::string& surface,
                                     size_t end_token) const {
   auto it = by_surface_.find(surface);
   if (it == by_surface_.end()) return false;
-  for (const MentionRecord& m : it->second.mentions) {
+  for (const MentionRecord& m : it->second) {
     if (m.message_id == message_id && m.begin_token == begin_token &&
         m.end_token == end_token) {
       return true;
@@ -299,32 +281,33 @@ bool CandidateBase::ContainsMention(const std::string& surface,
   return false;
 }
 
-std::vector<std::string> CandidateBase::RemoveMentionsOf(
-    const std::unordered_set<int64_t>& ids) {
-  std::vector<std::string> changed;
-  if (ids.empty()) return changed;
-  // Iterate in first-seen order so the returned list is deterministic.
+std::vector<std::string> CandidateBase::SurfacesWithMentionsOf(
+    const std::unordered_set<int64_t>& ids) const {
+  std::vector<std::string> holding;
+  if (ids.empty()) return holding;
   for (const std::string& surface : surface_order_) {
-    SurfaceData& data = by_surface_.at(surface);
-    bool any_removed = false;
-    for (const MentionRecord& m : data.mentions) {
+    for (const MentionRecord& m : by_surface_.at(surface)) {
       if (ids.count(m.message_id) > 0) {
-        any_removed = true;
+        holding.push_back(surface);
         break;
       }
     }
-    if (!any_removed) continue;
+  }
+  return holding;
+}
+
+void CandidateBase::RemoveMentionsOf(const std::unordered_set<int64_t>& ids,
+                                     const std::vector<std::string>& surfaces) {
+  for (const std::string& surface : surfaces) {
+    auto it = by_surface_.find(surface);
+    if (it == by_surface_.end()) continue;
     std::vector<MentionRecord> kept;
-    kept.reserve(data.mentions.size());
-    for (MentionRecord& m : data.mentions) {
+    kept.reserve(it->second.size());
+    for (MentionRecord& m : it->second) {
       if (ids.count(m.message_id) == 0) kept.push_back(std::move(m));
     }
-    data.mentions = std::move(kept);
-    // Indices shifted: the old partition is meaningless until re-clustered.
-    data.candidates.clear();
-    changed.push_back(surface);
+    it->second = std::move(kept);
   }
-  return changed;
 }
 
 void CandidateBase::RemoveSurface(const std::string& surface) {
@@ -340,23 +323,13 @@ void CandidateBase::RemoveSurface(const std::string& surface) {
 Status CandidateBase::Save(io::TensorWriter* writer) const {
   writer->PutVarint(surface_order_.size());
   for (const std::string& surface : surface_order_) {
-    const SurfaceData& data = by_surface_.at(surface);
+    const std::vector<MentionRecord>& pool = by_surface_.at(surface);
     writer->PutString(surface);
-    writer->PutVarint(data.mentions.size());
-    for (const MentionRecord& m : data.mentions) {
+    writer->PutVarint(pool.size());
+    for (const MentionRecord& m : pool) {
       writer->PutVarint(io::ZigZag(m.message_id));
       writer->PutVarint(m.begin_token);
       writer->PutVarint(m.end_token);
-    }
-    // CandidateEntry::surface always equals the pool's surface, so only
-    // the partition structure is stored.
-    writer->PutVarint(data.candidates.size());
-    for (const CandidateEntry& c : data.candidates) {
-      writer->PutVarint(c.mention_ids.size());
-      for (size_t id : c.mention_ids) writer->PutVarint(id);
-      writer->PutVarint(c.is_entity ? 1 : 0);
-      writer->PutVarint(static_cast<uint64_t>(c.type));
-      writer->PutF32(c.confidence);
     }
   }
   return writer->EndRecord(io::kTagCandidateBase);
@@ -378,9 +351,8 @@ Status CandidateBase::Load(io::TensorReader* reader,
         num_mentions > reader->RemainingInRecord()) {
       return fail("surface header");
     }
-    SurfaceData data;
-    data.mentions.resize(num_mentions);
-    for (MentionRecord& m : data.mentions) {
+    std::vector<MentionRecord> pool(num_mentions);
+    for (MentionRecord& m : pool) {
       uint64_t id = 0, begin = 0, end = 0;
       if (!reader->GetVarint(&id) || !reader->GetVarint(&begin) ||
           !reader->GetVarint(&end)) {
@@ -390,35 +362,7 @@ Status CandidateBase::Load(io::TensorReader* reader,
       m.begin_token = begin;
       m.end_token = end;
     }
-    uint64_t num_candidates = 0;
-    if (!reader->GetVarint(&num_candidates) ||
-        num_candidates > reader->RemainingInRecord()) {
-      return fail("candidate count");
-    }
-    data.candidates.resize(num_candidates);
-    for (CandidateEntry& c : data.candidates) {
-      c.surface = surface;
-      uint64_t num_ids = 0;
-      if (!reader->GetVarint(&num_ids) ||
-          num_ids > reader->RemainingInRecord()) {
-        return fail("mention-id count");
-      }
-      c.mention_ids.resize(num_ids);
-      for (size_t& id : c.mention_ids) {
-        uint64_t raw = 0;
-        if (!reader->GetVarint(&raw) || raw >= data.mentions.size()) {
-          return fail("mention id out of range");
-        }
-        id = static_cast<size_t>(raw);
-      }
-      uint64_t is_entity = 0;
-      if (!reader->GetVarint(&is_entity) || !GetEntityType(reader, &c.type) ||
-          !reader->GetF32(&c.confidence)) {
-        return fail("candidate");
-      }
-      c.is_entity = is_entity != 0;
-    }
-    if (!restored.by_surface_.emplace(surface, std::move(data)).second) {
+    if (!restored.by_surface_.emplace(surface, std::move(pool)).second) {
       return fail("duplicate surface");
     }
     restored.surface_order_.push_back(std::move(surface));
@@ -430,7 +374,7 @@ Status CandidateBase::Load(io::TensorReader* reader,
   // reported, whatever the thread count.
   std::vector<MentionRecord*> pending;
   for (const std::string& surface : restored.surface_order_) {
-    for (MentionRecord& m : restored.by_surface_.at(surface).mentions) {
+    for (MentionRecord& m : restored.by_surface_.at(surface)) {
       pending.push_back(&m);
     }
   }
@@ -447,15 +391,11 @@ size_t CandidateBase::MemoryUsageBytes() const {
   size_t bytes = sizeof(CandidateBase);
   bytes += surface_order_.capacity() * sizeof(std::string);
   for (const std::string& surface : surface_order_) bytes += HeapBytes(surface);
-  for (const auto& [surface, data] : by_surface_) {
-    bytes += sizeof(std::string) + HeapBytes(surface) + sizeof(SurfaceData);
-    bytes += data.mentions.capacity() * sizeof(MentionRecord);
-    for (const MentionRecord& m : data.mentions) {
+  for (const auto& [surface, pool] : by_surface_) {
+    bytes += sizeof(std::string) + HeapBytes(surface) + sizeof(pool);
+    bytes += pool.capacity() * sizeof(MentionRecord);
+    for (const MentionRecord& m : pool) {
       bytes += m.local_embedding.size() * sizeof(float);
-    }
-    bytes += data.candidates.capacity() * sizeof(CandidateEntry);
-    for (const CandidateEntry& c : data.candidates) {
-      bytes += HeapBytes(c.surface) + c.mention_ids.capacity() * sizeof(size_t);
     }
   }
   return bytes;

@@ -1,5 +1,7 @@
 #include "text/bio.h"
 
+#include <ostream>
+
 #include "common/check.h"
 
 namespace nerglob::text {
@@ -16,6 +18,11 @@ const char* EntityTypeName(EntityType type) {
       return "MISC";
   }
   return "UNKNOWN";
+}
+
+std::ostream& operator<<(std::ostream& os, const EntitySpan& span) {
+  return os << '[' << span.begin_token << ',' << span.end_token << ") "
+            << EntityTypeName(span.type);
 }
 
 bool ParseEntityType(const std::string& name, EntityType* out) {

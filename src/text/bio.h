@@ -1,6 +1,7 @@
 #ifndef NERGLOB_TEXT_BIO_H_
 #define NERGLOB_TEXT_BIO_H_
 
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,10 @@ struct EntitySpan {
            a.type == b.type;
   }
 };
+
+/// Prints `[begin,end) TYPE`, e.g. `[2,4) LOC`; gtest uses it to show
+/// spans in failed expectations.
+std::ostream& operator<<(std::ostream& os, const EntitySpan& span);
 
 /// BIO tagging scheme (Ramshaw & Marcus): label ids are
 ///   0      -> O

@@ -1,7 +1,7 @@
 // Byte-level helpers for tests that take artifact files apart (see the
-// framing in io/tensor_io.h): read a file, split it into its records, and
-// write records back with fresh checksums so mutated payloads reach the
-// parsers.
+// framing in io/tensor_io.h): read a file, split it into its records,
+// derive a record's deterministic mutants, and write records back with
+// fresh checksums so mutated payloads reach the parsers.
 #ifndef NERGLOB_TESTS_ARTIFACT_RECORDS_H_
 #define NERGLOB_TESTS_ARTIFACT_RECORDS_H_
 
@@ -39,6 +39,23 @@ inline std::vector<Record> SplitRecords(const std::string& bytes) {
     at += len + sizeof(uint64_t);
   }
   return records;
+}
+
+/// The deterministic mutants of one record payload: every byte XORed with
+/// 0x01, 0x80 and 0xff in turn, then every proper prefix (the truncations).
+inline std::vector<std::string> Mutants(const std::string& payload) {
+  std::vector<std::string> mutants;
+  for (size_t i = 0; i < payload.size(); ++i) {
+    for (const unsigned char mask : {0x01, 0x80, 0xff}) {
+      std::string mutated = payload;
+      mutated[i] = static_cast<char>(mutated[i] ^ mask);
+      mutants.push_back(std::move(mutated));
+    }
+  }
+  for (size_t len = 0; len < payload.size(); ++len) {
+    mutants.push_back(payload.substr(0, len));
+  }
+  return mutants;
 }
 
 /// Writes `records` to `path`, with record `replace` carrying `payload`

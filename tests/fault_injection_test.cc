@@ -466,8 +466,9 @@ void TruncateAfterHeader(const std::string& path) {
 // opens with `layout`. Layouts 2 and 3 wrote the session record at fixed
 // width with no layout field (layout 2 also stored encoder outputs, layout
 // 3 every token); layout 4 opened it with its layout version and stored
-// the trie and pipeline bookkeeping this build derives from the window.
-// This build refuses all three before misparsing a field.
+// the trie and pipeline bookkeeping this build derives from the window,
+// and layout 5 stored each mention pool's cluster partition. This build
+// refuses all four before misparsing a field.
 void WriteOldLayoutSession(const std::string& path,
                            const std::string& fingerprint, uint32_t layout) {
   io::TensorWriter writer(path);
@@ -501,12 +502,14 @@ TEST_F(FaultInjectionTest, RecoverLatestSkipsEveryKindOfTornGeneration) {
     kDeleteSession,
     kLayoutTwoSession,
     kLayoutThreeSession,
-    kLayoutFourSession
+    kLayoutFourSession,
+    kLayoutFiveSession
   };
   for (const Corruption corruption :
        {Corruption::kBitFlipManifest, Corruption::kTruncateSession,
         Corruption::kDeleteSession, Corruption::kLayoutTwoSession,
-        Corruption::kLayoutThreeSession, Corruption::kLayoutFourSession}) {
+        Corruption::kLayoutThreeSession, Corruption::kLayoutFourSession,
+        Corruption::kLayoutFiveSession}) {
     const std::string dir = TempPath(
         "torn_" + std::to_string(static_cast<int>(corruption)));
     fs::remove_all(dir);
@@ -545,6 +548,10 @@ TEST_F(FaultInjectionTest, RecoverLatestSkipsEveryKindOfTornGeneration) {
         WriteOldLayoutSession(gen2 + "/session_0.ckpt",
                               system_->bundle.Fingerprint(), 4);
         break;
+      case Corruption::kLayoutFiveSession:
+        WriteOldLayoutSession(gen2 + "/session_0.ckpt",
+                              system_->bundle.Fingerprint(), 5);
+        break;
     }
 
     // Strict restore refuses the corrupt newest generation outright...
@@ -553,7 +560,8 @@ TEST_F(FaultInjectionTest, RecoverLatestSkipsEveryKindOfTornGeneration) {
     EXPECT_FALSE(strict_status.ok());
     if (corruption == Corruption::kLayoutTwoSession ||
         corruption == Corruption::kLayoutThreeSession ||
-        corruption == Corruption::kLayoutFourSession) {
+        corruption == Corruption::kLayoutFourSession ||
+        corruption == Corruption::kLayoutFiveSession) {
       EXPECT_EQ(strict_status.code(), StatusCode::kFailedPrecondition)
           << strict_status.ToString();
       EXPECT_NE(strict_status.message().find("layout version"),

@@ -315,16 +315,8 @@ TEST(UntrainedBundleTest, MutatedPayloadsLoadToATypedStatus) {
         << "record " << r << ": " << st.ToString();
   };
   for (size_t r = 0; r < records.size(); ++r) {
-    const std::string& payload = records[r].second;
-    for (size_t i = 0; i < payload.size(); ++i) {
-      for (const unsigned char mask : {0x01, 0x80, 0xff}) {
-        std::string mutated = payload;
-        mutated[i] = static_cast<char>(mutated[i] ^ mask);
-        load_mutated(r, mutated);
-      }
-    }
-    for (size_t len = 0; len < payload.size(); ++len) {
-      load_mutated(r, payload.substr(0, len));
+    for (const std::string& mutant : test_util::Mutants(records[r].second)) {
+      load_mutated(r, mutant);
     }
   }
   // Every truncation of every record drops a field or a value, so at

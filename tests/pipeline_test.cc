@@ -13,6 +13,8 @@
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "core/local_ner.h"
+#include "core/stages.h"
+#include "core/stream_state.h"
 #include "harness/experiment.h"
 #include "io/tensor_io.h"
 #include "text/tokenizer.h"
@@ -33,11 +35,9 @@ class PipelineTest : public ::testing::Test {
     system_ = nullptr;
   }
 
-  core::NerGlobalizer MakePipeline(
-      size_t window_messages = 0, bool incremental_refresh = true) const {
+  core::NerGlobalizer MakePipeline(size_t window_messages = 0) const {
     core::NerGlobalizerConfig config = core::DefaultPipelineConfig(system_->bundle);
     config.window_messages = window_messages;
-    config.incremental_refresh = incremental_refresh;
     return core::NerGlobalizer(&system_->bundle, config);
   }
 
@@ -216,7 +216,7 @@ TEST_F(PipelineTest, CandidateBaseConsistentWithTrie) {
     EXPECT_TRUE(pipeline.trie().Contains(tokens)) << surface;
     // Every mention id referenced by a candidate is within the pool.
     const auto& pool = pipeline.candidate_base().Mentions(surface);
-    for (const auto& cand : pipeline.candidate_base().Candidates(surface)) {
+    for (const auto& cand : pipeline.Candidates(surface)) {
       for (size_t id : cand.mention_ids) EXPECT_LT(id, pool.size());
     }
   }
@@ -225,27 +225,53 @@ TEST_F(PipelineTest, CandidateBaseConsistentWithTrie) {
 TEST_F(PipelineTest, LargeMentionPoolUsesCentroidTailAssignment) {
   // A surface with >64 mentions exercises the bounded-clustering path
   // (head sample + nearest-centroid assignment for the tail). Every
-  // mention must still land in some candidate cluster.
+  // mention must still land in some candidate cluster, and the pool counts
+  // once in cluster.pools_over_cap per clustering. The stream repeats two
+  // contexts of one surface: a message whose local NER seeds it and
+  // another message that mentions it.
+  const auto dataset = Dataset("D2");
+  auto probe = MakePipeline();
+  probe.ProcessAll(dataset, 64);
+  std::string surface;
+  const stream::Message* seed = nullptr;
+  const stream::Message* other = nullptr;
+  for (int64_t id : probe.message_ids()) {
+    const stream::SentenceRecord* rec = probe.tweet_base().Find(id);
+    for (const text::EntitySpan& span : text::DecodeBio(rec->local_bio)) {
+      const std::string form = core::SpanSurfaceString(
+          rec->message, span.begin_token, span.end_token);
+      for (const auto& m : probe.candidate_base().Mentions(form)) {
+        if (m.message_id == id) continue;
+        surface = form;
+        seed = &rec->message;
+        other = &probe.tweet_base().Find(m.message_id)->message;
+        break;
+      }
+      if (seed != nullptr) break;
+    }
+    if (seed != nullptr) break;
+  }
+  ASSERT_NE(seed, nullptr);
   std::vector<stream::Message> messages;
-  text::Tokenizer tokenizer;
   for (int i = 0; i < 90; ++i) {
-    stream::Message m;
-    m.id = 100000 + i;
-    m.text = (i % 2 == 0) ? "coronavirus cases are rising again"
-                          : "worried about coronavirus tonight";
-    m.tokens = tokenizer.Tokenize(m.text);
-    messages.push_back(std::move(m));
+    messages.push_back(i % 2 == 0 ? *seed : *other);
+    messages.back().id = 100000 + i;
   }
   auto pipeline = MakePipeline();
   pipeline.ProcessAll(messages, 30);
-  const auto& pool = pipeline.candidate_base().Mentions("coronavirus");
-  if (pool.size() > 64) {  // only meaningful if the local model seeded it
-    size_t assigned = 0;
-    for (const auto& cand : pipeline.candidate_base().Candidates("coronavirus")) {
-      assigned += cand.mention_ids.size();
-    }
-    EXPECT_EQ(assigned, pool.size());
-  }
+  const auto& pool = pipeline.candidate_base().Mentions(surface);
+  ASSERT_GT(pool.size(), core::stages::kMaxClusterPool) << surface;
+  metrics::SetEnabled(true);
+  metrics::MetricsRegistry::Global().ResetAll();
+  const auto candidates = pipeline.Candidates(surface);
+  const uint64_t over_cap = metrics::MetricsRegistry::Global()
+                                .GetCounter("cluster.pools_over_cap")
+                                ->value();
+  metrics::SetEnabled(false);
+  EXPECT_EQ(over_cap, 1u);
+  size_t assigned = 0;
+  for (const auto& cand : candidates) assigned += cand.mention_ids.size();
+  EXPECT_EQ(assigned, pool.size());
 }
 
 TEST_F(PipelineTest, MentionExtractionStageUsesMajorityLocalType) {
@@ -293,14 +319,21 @@ TEST_F(PipelineTest, EmdGlobalizerVariantEmitsUntypedMentions) {
 
 TEST_F(PipelineTest, InstrumentedCountsMatchPipelineOutputs) {
   // The observability counters are not estimates: for a single-batch run
-  // each one must equal the corresponding quantity recoverable from the
-  // pipeline's own state.
+  // and one read of the system output each one must equal the
+  // corresponding quantity recoverable from the pipeline's own state.
   auto messages = Dataset("D1");
   auto pipeline = MakePipeline();
 
   metrics::SetEnabled(true);
   metrics::MetricsRegistry::Global().ResetAll();
   pipeline.ProcessAll(messages, messages.size());
+  // An unwindowed batch stores pools only: nothing is clustered until the
+  // output is read, and the read clusters every surface once.
+  EXPECT_EQ(metrics::MetricsRegistry::Global()
+                .GetCounter("pipeline.clusters_formed_total")
+                ->value(),
+            0u);
+  pipeline.Predictions(core::PipelineStage::kFullGlobal);
   // Snapshot before any further pipeline calls so that evaluation-time work
   // cannot shift the counters.
   auto& registry = metrics::MetricsRegistry::Global();
@@ -335,10 +368,10 @@ TEST_F(PipelineTest, InstrumentedCountsMatchPipelineOutputs) {
   EXPECT_EQ(local_spans, spans);
   size_t candidates = 0;
   for (const auto& surface : pipeline.candidate_base().surfaces()) {
-    candidates += pipeline.candidate_base().Candidates(surface).size();
+    candidates += pipeline.Candidates(surface).size();
   }
   EXPECT_EQ(clusters, candidates);
-  // One classifier call per formed cluster.
+  // One classifier call per cluster formed by the read.
   EXPECT_EQ(classifications, clusters);
   // Stage histograms saw the run: every span that opened also closed.
   for (const char* stage :
@@ -353,26 +386,77 @@ TEST_F(PipelineTest, InstrumentedCountsMatchPipelineOutputs) {
   }
 }
 
-TEST_F(PipelineTest, IncrementalRefreshMatchesFullRefresh) {
-  // The dirty-set refresh is an optimization, not an approximation: over a
-  // multi-batch stream it must leave bit-identical predictions at every
-  // pipeline stage compared to rebuilding every surface after each batch.
-  auto messages = Dataset("D1");
-  const size_t batch = (messages.size() + 2) / 3;  // 3-batch stream
-  auto incremental = MakePipeline(0, /*incremental_refresh=*/true);
-  incremental.ProcessAll(messages, batch);
-  auto full = MakePipeline(0, /*incremental_refresh=*/false);
-  full.ProcessAll(messages, batch);
+TEST_F(PipelineTest, EvictFlushMatchesClusteringEverySurface) {
+  // Eviction flushes a departing message from the partitions of only the
+  // surfaces that hold its mentions. The oracle clusters every surface of
+  // the window just before Evict and reads the departing messages' spans
+  // off those partitions; the flush must equal it byte for byte.
+  const auto messages = Dataset("D1");
+  const core::NerGlobalizerConfig base =
+      core::DefaultPipelineConfig(system_->bundle);
+  const core::EntityClassifier& classifier = system_->bundle.classifier();
+  for (const size_t window : {22u, 40u}) {
+    for (const size_t batch : {7u, 20u}) {
+      const std::string config = "window " + std::to_string(window) +
+                                 " batch " + std::to_string(batch);
+      core::NerGlobalizerConfig pipeline_config = base;
+      pipeline_config.window_messages = window;
+      core::StreamState state;
+      size_t flushed = 0;
+      for (size_t begin = 0; begin < messages.size(); begin += batch) {
+        const std::vector<stream::Message> chunk(
+            messages.begin() + static_cast<std::ptrdiff_t>(begin),
+            messages.begin() + static_cast<std::ptrdiff_t>(
+                                   std::min(messages.size(), begin + batch)));
+        core::stages::StageContext ctx;
+        ctx.config = &pipeline_config;
+        ctx.batch = &chunk;
+        core::stages::LocalEncode(system_->bundle, state, ctx);
+        core::stages::IngestLocal(system_->bundle, state, ctx);
+        core::stages::ExtractMentions(system_->bundle, state, ctx);
 
-  for (auto stage :
-       {core::PipelineStage::kLocalOnly, core::PipelineStage::kMentionExtraction,
-        core::PipelineStage::kLocalEmbeddings, core::PipelineStage::kFullGlobal}) {
-    auto a = incremental.Predictions(stage);
-    auto b = full.Predictions(stage);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t m = 0; m < a.size(); ++m) {
-      EXPECT_TRUE(a[m] == b[m])
-          << "stage " << static_cast<int>(stage) << " message " << m;
+        const std::vector<int64_t>& ids = state.tweet_base.ids();
+        const size_t departing =
+            ids.size() > window ? ids.size() - window : 0;
+        std::map<int64_t, std::vector<text::EntitySpan>> spans_of;
+        for (size_t i = 0; i < departing; ++i) spans_of[ids[i]];
+        const std::vector<std::string>& surfaces =
+            state.candidate_base.surfaces();
+        const auto partitions = core::stages::BuildCandidates(
+            classifier, state, pipeline_config, surfaces);
+        for (size_t s = 0; s < surfaces.size(); ++s) {
+          const auto& pool = state.candidate_base.Mentions(surfaces[s]);
+          for (const stream::CandidateEntry& entry : partitions[s]) {
+            if (!entry.is_entity) continue;
+            for (const size_t mention : entry.mention_ids) {
+              auto it = spans_of.find(pool[mention].message_id);
+              if (it == spans_of.end()) continue;
+              it->second.push_back({pool[mention].begin_token,
+                                    pool[mention].end_token, entry.type});
+            }
+          }
+        }
+        std::vector<core::FinalizedMessage> want;
+        for (size_t i = 0; i < departing; ++i) {
+          want.push_back({ids[i], core::stages::ResolveOverlaps(
+                                      std::move(spans_of[ids[i]]))});
+        }
+
+        const size_t before = state.finalized.size();
+        core::stages::Evict(system_->bundle, state, ctx);
+        const std::vector<core::FinalizedMessage> got(
+            state.finalized.begin() + static_cast<std::ptrdiff_t>(before),
+            state.finalized.end());
+        const std::string label = config + " at " + std::to_string(begin);
+        ASSERT_EQ(got.size(), want.size()) << label;
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].message_id, want[i].message_id) << label;
+          EXPECT_EQ(got[i].spans, want[i].spans)
+              << label << " message " << want[i].message_id;
+        }
+        flushed += got.size();
+      }
+      EXPECT_EQ(flushed, messages.size() - window) << config;
     }
   }
 }
@@ -476,7 +560,7 @@ TEST_F(PipelineTest, WindowedRunEmbedsEveryExtractedMentionOnce) {
 }
 
 TEST_F(PipelineTest, RestoreRejectsEmptyBundleFingerprint) {
-  // A layout-5 header whose fingerprint is empty, followed by a valid empty
+  // A layout-6 header whose fingerprint is empty, followed by a valid empty
   // stream state: the fingerprint is compared like any other, so the file
   // does not restore onto this bundle.
   const std::string path =
@@ -485,7 +569,7 @@ TEST_F(PipelineTest, RestoreRejectsEmptyBundleFingerprint) {
       core::DefaultPipelineConfig(system_->bundle);
   {
     io::TensorWriter writer(path);
-    writer.PutU32(5);      // layout version
+    writer.PutU32(6);      // layout version
     writer.PutString("");  // bundle fingerprint
     writer.PutF32(config.cluster_threshold);
     writer.PutU64(config.max_mention_span);

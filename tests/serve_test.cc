@@ -11,8 +11,11 @@
 #include <thread>
 #include <vector>
 
+#include "artifact_records.h"
 #include "common/string_util.h"
 #include "harness/experiment.h"
+#include "io/checkpoint_io.h"
+#include "io/tensor_io.h"
 #include "serve/session_manager.h"
 #include "stream/message.h"
 
@@ -371,6 +374,50 @@ TEST_F(ServeTest, CheckpointAllRestoreAllContinuesBitIdentically) {
   Status clash = third.RestoreAll(dir);
   EXPECT_EQ(clash.code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(third.SessionIds(), std::vector<std::string>{ids[1]});
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(ServeTest, MutatedManifestRestoresToATypedStatus) {
+  // Deterministic mutational fuzz of the `.ngm` manifest. Each mutated
+  // payload is re-framed with a valid checksum, so it reaches the parser:
+  // every RestoreAll must return OK or a typed error, never crash, and a
+  // failed one opens no session.
+  const std::string dir =
+      std::string(::testing::TempDir()) + "/serve_manifest_fuzz";
+  std::filesystem::remove_all(dir);
+  auto batches = Batches(Dataset("D1"), 4);
+  {
+    serve::SessionManager manager(&system_->bundle, ManagerConfig(1, 6));
+    for (const char* id : {"a", "b"}) {
+      ASSERT_TRUE(manager.Open(id).ok());
+      SubmitAll(&manager, id, {batches[0], batches[1]});
+    }
+    ASSERT_TRUE(manager.CheckpointAll(dir).ok());
+  }
+  const std::string manifest =
+      dir + "/" + io::GenerationDirName(1) + "/manifest.ngm";
+  const auto records = test_util::SplitRecords(test_util::ReadBytes(manifest));
+  ASSERT_EQ(records.size(), 1u);
+  ASSERT_EQ(records[0].first, io::kTagServeManifest);
+
+  size_t rejected = 0;
+  for (const std::string& mutant : test_util::Mutants(records[0].second)) {
+    ASSERT_TRUE(test_util::WriteRecords(manifest, records, 0, mutant).ok());
+    serve::SessionManager target(&system_->bundle, ManagerConfig(1, 6));
+    const Status st = target.RestoreAll(dir);
+    if (st.ok()) continue;
+    ++rejected;
+    EXPECT_TRUE(st.code() == StatusCode::kInvalidArgument ||
+                st.code() == StatusCode::kIoError ||
+                st.code() == StatusCode::kFailedPrecondition ||
+                st.code() == StatusCode::kNotFound ||
+                st.code() == StatusCode::kAlreadyExists)
+        << st.ToString();
+    EXPECT_TRUE(target.SessionIds().empty()) << st.ToString();
+  }
+  // Every truncation drops a field, so at least those mutants must have
+  // reached the parser and been refused.
+  EXPECT_GE(rejected, records[0].second.size());
   std::filesystem::remove_all(dir);
 }
 

@@ -266,28 +266,6 @@ TEST(CandidateBaseTest, MentionsWithoutEmbeddingsSkippedInMean) {
   EXPECT_FLOAT_EQ(cb.MeanEmbedding("z").At(0, 0), 3.0f);  // count excludes empties
 }
 
-TEST(CandidateBaseTest, CandidatePartition) {
-  CandidateBase cb;
-  cb.AddMention("washington", {});
-  cb.AddMention("washington", {});
-  cb.AddMention("washington", {});
-  std::vector<CandidateEntry> cands(2);
-  cands[0].surface = "washington";
-  cands[0].mention_ids = {0, 2};
-  cands[0].is_entity = true;
-  cands[0].type = text::EntityType::kPerson;
-  cands[1].surface = "washington";
-  cands[1].mention_ids = {1};
-  cands[1].is_entity = true;
-  cands[1].type = text::EntityType::kLocation;
-  cb.SetCandidates("washington", cands);
-  const auto& got = cb.Candidates("washington");
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0].mention_ids.size(), 2u);
-  EXPECT_EQ(got[1].type, text::EntityType::kLocation);
-  EXPECT_TRUE(cb.Candidates("nope").empty());
-}
-
 MentionRecord MakeMention(int64_t message_id, size_t begin, size_t end,
                           std::vector<float> emb) {
   MentionRecord m;
@@ -314,10 +292,10 @@ TEST(CandidateBaseTest, RemoveMentionsOfDropsOnlyEvictedIds) {
   cb.AddMention("italy", MakeMention(3, 0, 1, {0, 0}));
   cb.AddMention("spain", MakeMention(2, 3, 4, {1, 1}));
 
-  auto changed = cb.RemoveMentionsOf({2});
-  ASSERT_EQ(changed.size(), 2u);  // first-seen order
-  EXPECT_EQ(changed[0], "italy");
-  EXPECT_EQ(changed[1], "spain");
+  const std::vector<std::string> holding = cb.SurfacesWithMentionsOf({2});
+  // First-seen order.
+  EXPECT_EQ(holding, (std::vector<std::string>{"italy", "spain"}));
+  cb.RemoveMentionsOf({2}, holding);
   ASSERT_EQ(cb.Mentions("italy").size(), 2u);
   EXPECT_EQ(cb.Mentions("italy")[0].message_id, 1);
   EXPECT_EQ(cb.Mentions("italy")[1].message_id, 3);
@@ -334,27 +312,14 @@ TEST(CandidateBaseTest, RemoveMentionsOfLeavesUntouchedSurfacesIntact) {
   // records behind when nothing was removed).
   CandidateBase cb;
   cb.AddMention("italy", MakeMention(1, 0, 1, {3, 5}));
-  auto changed = cb.RemoveMentionsOf({99});
-  EXPECT_TRUE(changed.empty());
+  EXPECT_TRUE(cb.SurfacesWithMentionsOf({99}).empty());
+  cb.RemoveMentionsOf({99}, {"italy"});
   ASSERT_EQ(cb.Mentions("italy").size(), 1u);
   const Matrix& emb = cb.Mentions("italy")[0].local_embedding;
   ASSERT_FALSE(emb.empty());
   ASSERT_EQ(emb.size(), 2u);
   EXPECT_FLOAT_EQ(emb.At(0, 0), 3.0f);
   EXPECT_FLOAT_EQ(emb.At(0, 1), 5.0f);
-}
-
-TEST(CandidateBaseTest, RemoveMentionsOfClearsStaleCandidates) {
-  CandidateBase cb;
-  cb.AddMention("italy", MakeMention(1, 0, 1, {1, 0}));
-  cb.AddMention("italy", MakeMention(2, 0, 1, {0, 1}));
-  std::vector<CandidateEntry> cands(1);
-  cands[0].surface = "italy";
-  cands[0].mention_ids = {0, 1};
-  cb.SetCandidates("italy", cands);
-  cb.RemoveMentionsOf({1});
-  // Pool indices shifted: the old partition is meaningless until rebuilt.
-  EXPECT_TRUE(cb.Candidates("italy").empty());
 }
 
 TEST(CandidateBaseTest, RemoveSurfaceErasesEverything) {
@@ -393,7 +358,7 @@ TEST(CandidateBaseTest, MemoryUsageTracksPoolSize) {
   }
   const size_t full_bytes = cb.MemoryUsageBytes();
   EXPECT_GT(full_bytes, empty_bytes);
-  cb.RemoveMentionsOf({0, 1, 2, 3, 4, 5});
+  cb.RemoveMentionsOf({0, 1, 2, 3, 4, 5}, {"coronavirus"});
   EXPECT_LT(cb.MemoryUsageBytes(), full_bytes);
 }
 

@@ -418,9 +418,9 @@ TEST_F(StreamingSessionTest, RestoreRecomputesEveryPhraseEmbedding) {
 }
 
 TEST_F(StreamingSessionTest, CheckpointHoldsOnlyWhatTheWindowCannotGiveBack) {
-  // The trie, the seed support, the local type votes and the dirty set
-  // are all derived from the live window, so a checkpoint has no record
-  // for them.
+  // The trie, the seed support, the local type votes and the cluster
+  // partitions are all derived from the live window, so a checkpoint has
+  // no record for them.
   const std::string path =
       std::string(::testing::TempDir()) + "/session_records.bin";
   auto messages = Dataset("D2");
@@ -438,6 +438,48 @@ TEST_F(StreamingSessionTest, CheckpointHoldsOnlyWhatTheWindowCannotGiveBack) {
                                          io::kTagTweetBase,
                                          io::kTagCandidateBase,
                                          io::kTagPipelineState}));
+  std::remove(path.c_str());
+}
+
+TEST_F(StreamingSessionTest, MutatedSessionAndHeaderRecordsRestoreToATypedStatus) {
+  // Deterministic mutational fuzz of the kTagSession record and the
+  // kTagCheckpoint header. Each mutated payload is re-framed with a valid
+  // checksum, so it reaches the parsers: every one must restore to OK or a
+  // typed error, never a crash, and a failed restore leaves the session
+  // untouched. A 6-message window keeps each restore's re-encode cheap.
+  const std::string path =
+      std::string(::testing::TempDir()) + "/session_fuzz.bin";
+  auto messages = Dataset("D1");
+  messages.resize(16);
+  stream::StreamSource source(messages, 4);
+  auto session = MakeSession(6);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(session.Step(&source));
+  ASSERT_FALSE(session.finalized().empty());  // the session record holds spans
+  ASSERT_TRUE(session.Checkpoint(path).ok());
+  const auto records = test_util::SplitRecords(test_util::ReadBytes(path));
+  ASSERT_GE(records.size(), 2u);
+  ASSERT_EQ(records[0].first, io::kTagSession);
+  ASSERT_EQ(records[1].first, io::kTagCheckpoint);
+
+  size_t rejected = 0;
+  for (size_t r = 0; r < 2; ++r) {
+    for (const std::string& mutant : test_util::Mutants(records[r].second)) {
+      ASSERT_TRUE(test_util::WriteRecords(path, records, r, mutant).ok());
+      auto target = MakeSession(6);
+      const Status st = target.Restore(path);
+      if (st.ok()) continue;
+      ++rejected;
+      EXPECT_TRUE(st.code() == StatusCode::kInvalidArgument ||
+                  st.code() == StatusCode::kIoError ||
+                  st.code() == StatusCode::kFailedPrecondition)
+          << "record " << r << ": " << st.ToString();
+      EXPECT_EQ(target.batches_processed(), 0u);
+      EXPECT_TRUE(target.pipeline().message_ids().empty());
+    }
+  }
+  // Every truncation of either record drops a field, so at least those
+  // mutants must have reached a parser and been refused.
+  EXPECT_GE(rejected, records[0].second.size() + records[1].second.size());
   std::remove(path.c_str());
 }
 
@@ -471,11 +513,11 @@ TEST_F(StreamingSessionTest, RestoreRejectsCheckpointWithoutLayoutVersion) {
 TEST_F(StreamingSessionTest, RestoreRejectsLayoutThreeSessionRecord) {
   // A layout-3 session record opens with a u64 batch count, not the
   // layout. Its low half is refused as a version mismatch, and a count
-  // that happens to equal the current version (5) still fails as layout
+  // that happens to equal the current version (6) still fails as layout
   // drift.
   const std::string path =
       std::string(::testing::TempDir()) + "/session_layout3.bin";
-  for (const uint64_t batches : {1u, 5u}) {
+  for (const uint64_t batches : {1u, 6u}) {
     {
       io::TensorWriter writer(path);
       writer.PutU64(batches);

@@ -152,6 +152,16 @@ TEST(BioTest, EntityTypeNamesParse) {
   EXPECT_FALSE(ParseEntityType("XYZ", &dummy));
 }
 
+TEST(BioTest, SpansPrintAsHalfOpenRangeAndType) {
+  // Failed expectations on span vectors show each span readably instead
+  // of as raw bytes.
+  EXPECT_EQ(::testing::PrintToString(EntitySpan{2, 4, EntityType::kLocation}),
+            "[2,4) LOC");
+  EXPECT_EQ(::testing::PrintToString(std::vector<EntitySpan>{
+                {0, 1, EntityType::kPerson}, {3, 5, EntityType::kMisc}}),
+            "{ [0,1) PER, [3,5) MISC }");
+}
+
 TEST(BioTest, EncodeDecodeRoundTrip) {
   std::vector<EntitySpan> spans = {
       {1, 3, EntityType::kPerson},
