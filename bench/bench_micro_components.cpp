@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <filesystem>
 
+#include <sys/resource.h>
+
 #include "cluster/agglomerative.h"
 #include "common/thread_pool.h"
 #include "core/entity_classifier.h"
@@ -206,6 +208,8 @@ BENCHMARK(BM_EncodeMany)->Arg(1)->Arg(2)->Arg(4);
 
 // Cold start of a served model: ModelBundle::Load of a default-size bundle
 // (d_model 64, 2 layers), saved to a temp file outside the timed loop.
+// minflt_per_load counts the minor page faults of each load: memory the
+// allocator had returned to the kernel and the load touches again.
 // Report-only.
 void BM_BundleLoad(benchmark::State& state) {
   const std::string path =
@@ -214,6 +218,8 @@ void BM_BundleLoad(benchmark::State& state) {
     state.SkipWithError("saving the bundle failed");
     return;
   }
+  rusage before{};
+  getrusage(RUSAGE_SELF, &before);
   for (auto _ : state) {
     Result<core::ModelBundle> bundle = core::ModelBundle::Load(path);
     if (!bundle.ok()) {
@@ -222,6 +228,11 @@ void BM_BundleLoad(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(bundle->has_models());
   }
+  rusage after{};
+  getrusage(RUSAGE_SELF, &after);
+  state.counters["minflt_per_load"] = benchmark::Counter(
+      static_cast<double>(after.ru_minflt - before.ru_minflt),
+      benchmark::Counter::kAvgIterations);
   std::remove(path.c_str());
 }
 BENCHMARK(BM_BundleLoad)->Unit(benchmark::kMillisecond);

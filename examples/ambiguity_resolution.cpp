@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
       std::string surface;
       for (size_t t = span.begin_token; t < span.end_token; ++t) {
         if (!surface.empty()) surface += ' ';
-        surface += tweets[m].tokens[t].text;
+        surface += text::TokenText(tweets[m].text, tweets[m].tokens[t]);
       }
       std::printf(" [%s:%s]", surface.c_str(), text::EntityTypeName(span.type));
     }

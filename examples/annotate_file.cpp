@@ -96,8 +96,10 @@ int main(int argc, char** argv) {
     const auto bio =
         text::EncodeBio(messages[m].tokens.size(), predictions[m]);
     for (size_t t = 0; t < messages[m].tokens.size(); ++t) {
-      std::printf("%s\t%s\n", messages[m].tokens[t].text.c_str(),
-                  text::BioLabelName(bio[t]).c_str());
+      const std::string_view spelling =
+          text::TokenText(messages[m].text, messages[m].tokens[t]);
+      std::printf("%.*s\t%s\n", static_cast<int>(spelling.size()),
+                  spelling.data(), text::BioLabelName(bio[t]).c_str());
     }
     std::printf("\n");
   }

@@ -3,21 +3,30 @@
 #include <cctype>
 #include <map>
 
+#include "common/string_util.h"
 #include "trie/candidate_trie.h"
 
 namespace nerglob::baselines {
 
 namespace {
 
-bool IsEntityLikeToken(const text::Token& token) {
+bool IsEntityLikeToken(const stream::Message& msg, size_t t) {
+  const text::Token& token = msg.tokens[t];
   if (token.kind == text::TokenKind::kHashtag) return true;
   if (token.kind != text::TokenKind::kWord) return false;
-  if (token.text.empty()) return false;
-  const unsigned char first = static_cast<unsigned char>(token.text[0]);
+  const std::string_view spelling = text::TokenText(msg.text, token);
+  if (spelling.empty()) return false;
+  const unsigned char first = static_cast<unsigned char>(spelling[0]);
   if (!std::isupper(first)) return false;
   // "RT" and other all-caps chatter shorter than 2 chars are noise, but
   // all-caps entity mentions ("NHS", "ITALY") are common; keep len >= 2.
-  return token.text.size() >= 2 || token.text.size() == 1;
+  return spelling.size() >= 2 || spelling.size() == 1;
+}
+
+/// The retweet marker, spelt "RT" in any case. The spelling is compared,
+/// not the matching form, which the hashtag "#RT" shares.
+bool IsRetweetMarker(const stream::Message& msg, size_t t) {
+  return EqualsIgnoreCase(text::TokenText(msg.text, msg.tokens[t]), "rt");
 }
 
 std::string SurfaceOf(const stream::Message& msg, size_t begin, size_t end) {
@@ -43,13 +52,13 @@ std::vector<std::vector<text::EntitySpan>> TwicsEmd::Predict(
   for (const auto& msg : messages) {
     size_t t = 0;
     while (t < msg.tokens.size()) {
-      if (!IsEntityLikeToken(msg.tokens[t]) || msg.tokens[t].lower == "rt") {
+      if (!IsEntityLikeToken(msg, t) || IsRetweetMarker(msg, t)) {
         ++t;
         continue;
       }
       size_t end = t;
       while (end < msg.tokens.size() && end - t < config_.max_phrase_len &&
-             IsEntityLikeToken(msg.tokens[end])) {
+             IsEntityLikeToken(msg, end)) {
         ++end;
       }
       const std::string surface = SurfaceOf(msg, t, end);

@@ -76,8 +76,7 @@ std::string_view TrimWhitespace(std::string_view s) {
   return s.substr(b, e - b);
 }
 
-uint64_t Fnv1aHash(std::string_view s) {
-  uint64_t h = 1469598103934665603ULL;
+uint64_t Fnv1aHash(std::string_view s, uint64_t h) {
   for (char c : s) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ULL;

@@ -1,6 +1,7 @@
 #ifndef NERGLOB_COMMON_STRING_UTIL_H_
 #define NERGLOB_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,8 +30,12 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 /// Trims ASCII whitespace from both ends.
 std::string_view TrimWhitespace(std::string_view s);
 
-/// FNV-1a 64-bit hash; used for hashed subword features.
-uint64_t Fnv1aHash(std::string_view s);
+/// FNV-1a 64-bit offset basis: the hash of the empty string.
+inline constexpr uint64_t kFnv1aBasis = 1469598103934665603ULL;
+
+/// FNV-1a 64-bit hash; used for hashed subword features. Given the hash
+/// `h` of a prefix, returns the hash of that prefix followed by `s`.
+uint64_t Fnv1aHash(std::string_view s, uint64_t h = kFnv1aBasis);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

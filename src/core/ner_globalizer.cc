@@ -18,13 +18,14 @@ namespace nerglob::core {
 namespace {
 
 /// Layout of a session checkpoint's pipeline records, written first in the
-/// kTagCheckpoint header. Version 6 stores only what the window cannot
-/// give back: the messages as text, the mention pools (spans only, no
+/// kTagCheckpoint header. Version 7 stores only what the window cannot
+/// give back: the messages as text (a hand-built token as its matching
+/// form, offsets and kind), the mention pools (spans only, no
 /// partitions), the finalized buffer and the evicted count. Restore
 /// re-tokenizes and re-encodes the window, seeds the trie and the seed
 /// support from it, then recomputes the phrase embeddings. The layouts
 /// before it are described in docs/FORMATS.md.
-constexpr uint32_t kCheckpointLayoutVersion = 6;
+constexpr uint32_t kCheckpointLayoutVersion = 7;
 
 }  // namespace
 

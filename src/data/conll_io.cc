@@ -45,17 +45,16 @@ stream::Message FinishSentence(int64_t id, std::vector<std::string> words,
   // re-run the tokenizer — CoNLL input defines the tokenization.
   size_t offset = 0;
   for (size_t t = 0; t < words.size(); ++t) {
+    const std::string& word = words[t];
     text::Token token;
-    token.text = words[t];
-    token.lower = ToLowerAscii(token.text);
-    token.match = (token.text.size() > 1 && token.text[0] == '#')
-                      ? token.lower.substr(1)
-                      : token.lower;
-    token.begin = offset;
-    token.end = offset + token.text.size();
+    token.match = ToLowerAscii(word.size() > 1 && word[0] == '#'
+                                   ? std::string_view(word).substr(1)
+                                   : std::string_view(word));
+    token.begin = static_cast<uint32_t>(offset);
+    token.end = static_cast<uint32_t>(offset + word.size());
     offset = token.end + 1;
     if (!msg.text.empty()) msg.text += ' ';
-    msg.text += token.text;
+    msg.text += word;
     msg.tokens.push_back(std::move(token));
   }
   msg.gold_spans = text::DecodeBio(bio);
@@ -117,7 +116,8 @@ Status WriteConll(std::ostream& out,
   for (size_t m = 0; m < messages.size(); ++m) {
     const auto labels = text::EncodeBio(messages[m].tokens.size(), spans[m]);
     for (size_t t = 0; t < messages[m].tokens.size(); ++t) {
-      out << messages[m].tokens[t].text << '\t' << text::BioLabelName(labels[t])
+      out << text::TokenText(messages[m].text, messages[m].tokens[t]) << '\t'
+          << text::BioLabelName(labels[t])
           << '\n';
     }
     out << '\n';

@@ -1,5 +1,6 @@
 #include "io/tensor_io.h"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
@@ -13,6 +14,9 @@ namespace {
 // real artifact in this repo (bundles are a few MB) but small enough that
 // a corrupt length can't drive a multi-gigabyte allocation.
 constexpr uint64_t kMaxReasonableBytes = 1ull << 32;  // 4 GiB
+
+// The reader verifies a record's checksum through a buffer of this size.
+constexpr size_t kVerifyChunkBytes = 64 << 10;
 
 }  // namespace
 
@@ -190,6 +194,8 @@ Status TensorReader::NextRecord(uint32_t expect_tag) {
         "'%s': truncated record header at offset %llu", path_.c_str(),
         static_cast<unsigned long long>(record_start))));
   }
+  // The previous record's fields may not all have been read.
+  in_.seekg(static_cast<std::streamoff>(record_start));
   in_.read(reinterpret_cast<char*>(&tag), sizeof(tag));
   in_.read(reinterpret_cast<char*>(&len), sizeof(len));
   file_offset_ += sizeof(tag) + sizeof(len);
@@ -205,7 +211,7 @@ Status TensorReader::NextRecord(uint32_t expect_tag) {
         expect_tag, tag)));
   }
   // The payload plus its trailing checksum must fit in the remaining file;
-  // checking before allocating means a corrupt length can't OOM us.
+  // checking before reading means a corrupt length can't OOM us.
   if (len > kMaxReasonableBytes ||
       len + sizeof(uint64_t) > file_size_ - file_offset_) {
     return Fail(Status::IoError(StrFormat(
@@ -215,8 +221,17 @@ Status TensorReader::NextRecord(uint32_t expect_tag) {
         static_cast<unsigned long long>(len),
         static_cast<unsigned long long>(file_size_ - file_offset_))));
   }
-  payload_.resize(len);
-  in_.read(payload_.data(), static_cast<std::streamsize>(len));
+  // Hash the payload chunk by chunk; its fields are read from the file
+  // once the checksum has passed.
+  const uint64_t payload_start = file_offset_;
+  uint64_t actual = kFnv1aBasis;
+  char chunk[kVerifyChunkBytes];
+  for (uint64_t left = len; left > 0 && in_;) {
+    const size_t n = static_cast<size_t>(std::min<uint64_t>(left, sizeof(chunk)));
+    in_.read(chunk, static_cast<std::streamsize>(n));
+    actual = Fnv1aHash(std::string_view(chunk, n), actual);
+    left -= n;
+  }
   uint64_t checksum = 0;
   in_.read(reinterpret_cast<char*>(&checksum), sizeof(checksum));
   file_offset_ += len + sizeof(checksum);
@@ -225,7 +240,6 @@ Status TensorReader::NextRecord(uint32_t expect_tag) {
         "'%s': read failed inside record at offset %llu", path_.c_str(),
         static_cast<unsigned long long>(record_start))));
   }
-  const uint64_t actual = Fnv1aHash(payload_);
   if (actual != checksum) {
     return Fail(Status::IoError(StrFormat(
         "'%s': checksum mismatch in record at offset %llu (expected "
@@ -234,22 +248,30 @@ Status TensorReader::NextRecord(uint32_t expect_tag) {
         static_cast<unsigned long long>(checksum),
         static_cast<unsigned long long>(actual))));
   }
+  in_.seekg(static_cast<std::streamoff>(payload_start));
+  record_size_ = static_cast<size_t>(len);
   cursor_ = 0;
   return Status::OK();
 }
 
 bool TensorReader::Take(void* bytes, size_t n) {
   if (!status_.ok()) return false;
-  if (payload_.size() - cursor_ < n) {
+  if (record_size_ - cursor_ < n) {
     Fail(Status::IoError(StrFormat(
         "'%s': record payload exhausted (want %zu bytes, %zu remain)",
-        path_.c_str(), n, payload_.size() - cursor_)));
+        path_.c_str(), n, record_size_ - cursor_)));
     return false;
   }
-  // An empty read may come with a null destination (an empty matrix) or a
-  // null source (an empty payload); memcpy must not see either.
+  // An empty read may come with a null destination (an empty matrix).
   if (n == 0) return true;
-  std::memcpy(bytes, payload_.data() + cursor_, n);
+  if (in_.rdbuf()->sgetn(static_cast<char*>(bytes),
+                         static_cast<std::streamsize>(n)) !=
+      static_cast<std::streamsize>(n)) {
+    Fail(Status::IoError(StrFormat(
+        "'%s': read failed inside record at payload byte %zu of %zu",
+        path_.c_str(), cursor_, record_size_)));
+    return false;
+  }
   cursor_ += n;
   return true;
 }
@@ -263,16 +285,15 @@ bool TensorReader::GetF64(double* v) { return Take(v, sizeof(*v)); }
 bool TensorReader::GetString(std::string* s) {
   uint64_t len = 0;
   if (!GetU64(&len)) return false;
-  if (len > payload_.size() - cursor_) {
+  if (len > record_size_ - cursor_) {
     Fail(Status::IoError(StrFormat(
         "'%s': string length %llu exceeds record remainder %zu",
         path_.c_str(), static_cast<unsigned long long>(len),
-        payload_.size() - cursor_)));
+        record_size_ - cursor_)));
     return false;
   }
-  s->assign(payload_.data() + cursor_, len);
-  cursor_ += len;
-  return true;
+  s->resize(static_cast<size_t>(len));
+  return Take(s->data(), s->size());
 }
 
 bool TensorReader::GetVarint(uint64_t* v) {
@@ -298,7 +319,7 @@ bool TensorReader::GetVarint(uint64_t* v) {
 bool TensorReader::GetMatrix(Matrix* m) {
   uint64_t rows = 0, cols = 0;
   if (!GetU64(&rows) || !GetU64(&cols)) return false;
-  const uint64_t remaining = payload_.size() - cursor_;
+  const uint64_t remaining = record_size_ - cursor_;
   // Validate the element count against the record remainder *before*
   // allocating — corrupt shapes must fail cleanly, not OOM. Capping each
   // dimension first keeps rows*cols*4 free of uint64 overflow.
@@ -325,11 +346,11 @@ Status TensorReader::Corrupt(const char* record, const char* what) {
 
 Status TensorReader::ExpectRecordEnd() {
   if (!status_.ok()) return status_;
-  if (cursor_ != payload_.size()) {
+  if (cursor_ != record_size_) {
     return Fail(Status::FailedPrecondition(StrFormat(
         "'%s': record has %zu unread payload bytes (layout drift between "
         "writer and reader)",
-        path_.c_str(), payload_.size() - cursor_)));
+        path_.c_str(), record_size_ - cursor_)));
   }
   return Status::OK();
 }

@@ -111,11 +111,16 @@ class TensorWriter {
 };
 
 /// Reads one artifact file record by record. `NextRecord(expect_tag)`
-/// loads and checksum-verifies one record; the typed Get* calls then
-/// consume its payload in order. Like the writer, errors are sticky and
-/// every message carries the path and byte offset. Readers never trust
-/// on-disk sizes: every length is validated against the remaining record
-/// (and the record against the remaining file) before any allocation.
+/// checksum-verifies one record; the typed Get* calls then consume its
+/// payload in order. Like the writer, errors are sticky and every message
+/// carries the path and byte offset. Readers never trust on-disk sizes:
+/// every length is validated against the remaining record (and the record
+/// against the remaining file) before any allocation.
+///
+/// A record is never staged in memory as a whole. `NextRecord` hashes the
+/// payload in one pass over a fixed-size chunk, and the Get* calls then
+/// read the fields from the file itself, so loading a multi-megabyte
+/// parameter record allocates only the parameters.
 class TensorReader {
  public:
   /// `inject_faults` opts this reader into the NERGLOB_FAULT sites
@@ -126,7 +131,8 @@ class TensorReader {
   TensorReader(const TensorReader&) = delete;
   TensorReader& operator=(const TensorReader&) = delete;
 
-  /// Reads the next record, verifying tag, length, and checksum.
+  /// Reads the next record's header and verifies its tag, length and
+  /// checksum; no field of it can be read before that passes.
   Status NextRecord(uint32_t expect_tag);
 
   bool GetU32(uint32_t* v);
@@ -141,12 +147,12 @@ class TensorReader {
   bool GetMatrix(Matrix* m);
 
   /// True when the current record's payload is fully consumed.
-  bool AtRecordEnd() const { return cursor_ == payload_.size(); }
+  bool AtRecordEnd() const { return cursor_ == record_size_; }
 
   /// Unread bytes left in the current record. Callers sizing containers
   /// from an on-disk count must bound it by this (every element encodes at
   /// least one byte), so a crafted count cannot drive a huge allocation.
-  size_t RemainingInRecord() const { return payload_.size() - cursor_; }
+  size_t RemainingInRecord() const { return record_size_ - cursor_; }
   /// Bytes of the file after the current record. A loader that sizes
   /// later records from this one's fields bounds them by it.
   uint64_t RemainingInFile() const { return file_size_ - file_offset_; }
@@ -170,9 +176,9 @@ class TensorReader {
   std::string path_;
   std::ifstream in_;
   uint64_t file_size_ = 0;
-  uint64_t file_offset_ = 0;  // offset of the next unread byte in the file
-  std::string payload_;       // current record
-  size_t cursor_ = 0;         // next unread byte within payload_
+  uint64_t file_offset_ = 0;  // offset of the byte after the current record
+  size_t record_size_ = 0;    // payload bytes of the current record
+  size_t cursor_ = 0;         // payload bytes of it already read
   Status status_;
   bool inject_faults_ = false;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <utility>
 
@@ -161,10 +162,25 @@ Status SessionManager::Submit(const std::string& stream_id,
   // A span's surface joins its tokens' matching forms with ' ', and
   // eviction splits the surface on ' ' to remove its trie form, so a form
   // that is empty or holds whitespace would stay in the trie forever. The
-  // tokenizer never emits one; caller-built tokens are checked here.
+  // tokenizer never emits one; caller-built tokens are checked here. A
+  // token's spelling is read from the message text through its offsets,
+  // which are 32-bit, so they must lie inside a text shorter than 4 GiB.
   for (const stream::Message& message : batch) {
+    if (message.text.size() > UINT32_MAX) {
+      return Status::InvalidArgument(StrFormat(
+          "Submit: message %lld text of %zu bytes exceeds the 4 GiB limit",
+          static_cast<long long>(message.id), message.text.size()));
+    }
     for (size_t t = 0; t < message.tokens.size(); ++t) {
-      const std::string& match = message.tokens[t].match;
+      const text::Token& token = message.tokens[t];
+      if (token.begin > token.end || token.end > message.text.size()) {
+        return Status::InvalidArgument(StrFormat(
+            "Submit: message %lld token %zu offsets [%u, %u) lie outside "
+            "its %zu-byte text",
+            static_cast<long long>(message.id), t, token.begin, token.end,
+            message.text.size()));
+      }
+      const std::string& match = token.match;
       if (match.empty() ||
           std::any_of(match.begin(), match.end(), [](unsigned char c) {
             return std::isspace(c) != 0;

@@ -1,3 +1,5 @@
+#include <cstdint>
+
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
@@ -80,7 +82,9 @@ bool GetEntityType(io::TensorReader* r, text::EntityType* type) {
 // A message is stored as its text. The token field is 0 when the tokens
 // are the tokenizer's output for that text, which restore re-derives;
 // otherwise it is n+1 followed by the n tokens, so hand-built tokens
-// (CoNLL-style data, tests) still round-trip exactly.
+// (CoNLL-style data, tests) still round-trip exactly. A token's spelling
+// is a slice of the text, so only its matching form, offsets and kind are
+// stored.
 void PutMessage(io::TensorWriter* w, const Message& msg) {
   w->PutVarint(io::ZigZag(msg.id));
   w->PutString(msg.text);
@@ -94,8 +98,6 @@ void PutMessage(io::TensorWriter* w, const Message& msg) {
     explicit_tokens->Increment();
     w->PutVarint(msg.tokens.size() + 1);
     for (const text::Token& tok : msg.tokens) {
-      w->PutString(tok.text);
-      w->PutString(tok.lower);
       w->PutString(tok.match);
       w->PutVarint(tok.begin);
       w->PutVarint(tok.end);
@@ -108,28 +110,27 @@ void PutMessage(io::TensorWriter* w, const Message& msg) {
 bool GetMessage(io::TensorReader* r, Message* msg) {
   uint64_t id = 0, topic = 0, token_field = 0;
   if (!r->GetVarint(&id) || !r->GetString(&msg->text) ||
-      !r->GetVarint(&topic) || !r->GetVarint(&token_field)) {
+      msg->text.size() > UINT32_MAX || !r->GetVarint(&topic) ||
+      !r->GetVarint(&token_field)) {
     return false;
   }
   msg->id = io::UnZigZag(id);
   msg->topic_id = static_cast<int>(io::UnZigZag(topic));
   if (token_field == 0) {
     msg->tokens = text::Tokenizer().Tokenize(msg->text);
-    // A restored window must not outweigh the live one it replaces.
-    msg->tokens.shrink_to_fit();
   } else {
     if (token_field - 1 > r->RemainingInRecord()) return false;
     msg->tokens.resize(token_field - 1);
     for (text::Token& tok : msg->tokens) {
       uint64_t begin = 0, end = 0, kind = 0;
-      if (!r->GetString(&tok.text) || !r->GetString(&tok.lower) ||
-          !r->GetString(&tok.match) || !r->GetVarint(&begin) ||
+      if (!r->GetString(&tok.match) || !r->GetVarint(&begin) ||
           !r->GetVarint(&end) || !r->GetVarint(&kind) ||
-          kind > static_cast<uint64_t>(text::TokenKind::kPunct)) {
+          kind > static_cast<uint64_t>(text::TokenKind::kPunct) ||
+          begin > end || end > msg->text.size()) {
         return false;
       }
-      tok.begin = begin;
-      tok.end = end;
+      tok.begin = static_cast<uint32_t>(begin);
+      tok.end = static_cast<uint32_t>(end);
       tok.kind = static_cast<text::TokenKind>(kind);
     }
   }
@@ -208,9 +209,7 @@ size_t TweetBase::MemoryUsageBytes() const {
     bytes += rec.local_bio.capacity() * sizeof(int);
     bytes += HeapBytes(rec.message.text);
     bytes += rec.message.tokens.capacity() * sizeof(text::Token);
-    for (const auto& tok : rec.message.tokens) {
-      bytes += HeapBytes(tok.text) + HeapBytes(tok.lower) + HeapBytes(tok.match);
-    }
+    for (const auto& tok : rec.message.tokens) bytes += HeapBytes(tok.match);
     bytes += rec.message.gold_spans.capacity() * sizeof(text::EntitySpan);
   }
   return bytes;

@@ -1,7 +1,9 @@
 #include "text/tokenizer.h"
 
 #include <cctype>
+#include <cstdint>
 
+#include "common/check.h"
 #include "common/string_util.h"
 
 namespace nerglob::text {
@@ -63,23 +65,18 @@ size_t MatchUrl(std::string_view s, size_t i) {
 
 Token MakeToken(std::string_view s, size_t begin, size_t end, TokenKind kind) {
   Token t;
-  t.text = std::string(s.substr(begin, end - begin));
-  t.lower = ToLowerAscii(t.text);
-  t.begin = begin;
-  t.end = end;
+  // A hashtag matches without its '#'.
+  const size_t sigil = kind == TokenKind::kHashtag && end - begin > 1 ? 1 : 0;
+  t.match = ToLowerAscii(s.substr(begin + sigil, end - begin - sigil));
+  t.begin = static_cast<uint32_t>(begin);
+  t.end = static_cast<uint32_t>(end);
   t.kind = kind;
-  if (kind == TokenKind::kHashtag && t.lower.size() > 1) {
-    t.match = t.lower.substr(1);
-  } else {
-    t.match = t.lower;
-  }
   return t;
 }
 
-}  // namespace
-
-std::vector<Token> Tokenizer::Tokenize(std::string_view s) const {
-  std::vector<Token> out;
+/// Calls emit(begin, end, kind) for each token of `s`, in order.
+template <typename Emit>
+void ScanTokens(std::string_view s, Emit&& emit) {
   size_t i = 0;
   while (i < s.size()) {
     if (IsSpace(s[i])) {
@@ -88,12 +85,12 @@ std::vector<Token> Tokenizer::Tokenize(std::string_view s) const {
     }
     // URLs first: they may contain every other character class.
     if (size_t len = MatchUrl(s, i); len > 0) {
-      out.push_back(MakeToken(s, i, i + len, TokenKind::kUrl));
+      emit(i, i + len, TokenKind::kUrl);
       i += len;
       continue;
     }
     if (size_t len = MatchEmoticon(s, i); len > 0) {
-      out.push_back(MakeToken(s, i, i + len, TokenKind::kEmoticon));
+      emit(i, i + len, TokenKind::kEmoticon);
       i += len;
       continue;
     }
@@ -105,8 +102,7 @@ std::vector<Token> Tokenizer::Tokenize(std::string_view s) const {
              (std::isalnum(static_cast<unsigned char>(s[j])) || s[j] == '_')) {
         ++j;
       }
-      out.push_back(MakeToken(
-          s, i, j, c == '#' ? TokenKind::kHashtag : TokenKind::kMention));
+      emit(i, j, c == '#' ? TokenKind::kHashtag : TokenKind::kMention);
       i = j;
       continue;
     }
@@ -117,7 +113,7 @@ std::vector<Token> Tokenizer::Tokenize(std::string_view s) const {
                                 j + 1 < s.size() && IsDigit(s[j + 1])))) {
         ++j;
       }
-      out.push_back(MakeToken(s, i, j, TokenKind::kNumber));
+      emit(i, j, TokenKind::kNumber);
       i = j;
       continue;
     }
@@ -126,14 +122,29 @@ std::vector<Token> Tokenizer::Tokenize(std::string_view s) const {
       while (j < s.size() && (IsWordChar(s[j]) || IsDigit(s[j]))) ++j;
       // Trim trailing apostrophes/hyphens that belong to punctuation.
       while (j > i && (s[j - 1] == '\'' || s[j - 1] == '-')) --j;
-      out.push_back(MakeToken(s, i, j, TokenKind::kWord));
+      emit(i, j, TokenKind::kWord);
       i = j;
       continue;
     }
     // Anything else: single punctuation character.
-    out.push_back(MakeToken(s, i, i + 1, TokenKind::kPunct));
+    emit(i, i + 1, TokenKind::kPunct);
     ++i;
   }
+}
+
+}  // namespace
+
+std::vector<Token> Tokenizer::Tokenize(std::string_view s) const {
+  NERGLOB_CHECK_LE(s.size(), size_t{UINT32_MAX});
+  // The first pass counts, so the vector is allocated once, at its exact
+  // size: a message's tokens live as long as it stays in the window.
+  size_t count = 0;
+  ScanTokens(s, [&](size_t, size_t, TokenKind) { ++count; });
+  std::vector<Token> out;
+  out.reserve(count);
+  ScanTokens(s, [&](size_t begin, size_t end, TokenKind kind) {
+    out.push_back(MakeToken(s, begin, end, kind));
+  });
   return out;
 }
 

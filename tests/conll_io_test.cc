@@ -40,8 +40,9 @@ TEST(ConllIoTest, MatchFormStripsHashtagAndLowercases) {
   std::istringstream in(kSample);
   auto result = ReadConll(in);
   ASSERT_TRUE(result.ok());
-  const auto& tok = result.value()[1].tokens[0];
-  EXPECT_EQ(tok.text, "#Coronavirus");
+  const auto& msg = result.value()[1];
+  const auto& tok = msg.tokens[0];
+  EXPECT_EQ(text::TokenText(msg.text, tok), "#Coronavirus");
   EXPECT_EQ(tok.match, "coronavirus");
   EXPECT_EQ(result.value()[0].tokens[0].match, "andy");
 }

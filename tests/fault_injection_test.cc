@@ -467,8 +467,9 @@ void TruncateAfterHeader(const std::string& path) {
 // width with no layout field (layout 2 also stored encoder outputs, layout
 // 3 every token); layout 4 opened it with its layout version and stored
 // the trie and pipeline bookkeeping this build derives from the window,
-// and layout 5 stored each mention pool's cluster partition. This build
-// refuses all four before misparsing a field.
+// layout 5 stored each mention pool's cluster partition, and layout 6
+// stored a hand-built token's spelling and lowercase form. This build
+// refuses all five before misparsing a field.
 void WriteOldLayoutSession(const std::string& path,
                            const std::string& fingerprint, uint32_t layout) {
   io::TensorWriter writer(path);
@@ -503,13 +504,14 @@ TEST_F(FaultInjectionTest, RecoverLatestSkipsEveryKindOfTornGeneration) {
     kLayoutTwoSession,
     kLayoutThreeSession,
     kLayoutFourSession,
-    kLayoutFiveSession
+    kLayoutFiveSession,
+    kLayoutSixSession
   };
   for (const Corruption corruption :
        {Corruption::kBitFlipManifest, Corruption::kTruncateSession,
         Corruption::kDeleteSession, Corruption::kLayoutTwoSession,
         Corruption::kLayoutThreeSession, Corruption::kLayoutFourSession,
-        Corruption::kLayoutFiveSession}) {
+        Corruption::kLayoutFiveSession, Corruption::kLayoutSixSession}) {
     const std::string dir = TempPath(
         "torn_" + std::to_string(static_cast<int>(corruption)));
     fs::remove_all(dir);
@@ -552,6 +554,10 @@ TEST_F(FaultInjectionTest, RecoverLatestSkipsEveryKindOfTornGeneration) {
         WriteOldLayoutSession(gen2 + "/session_0.ckpt",
                               system_->bundle.Fingerprint(), 5);
         break;
+      case Corruption::kLayoutSixSession:
+        WriteOldLayoutSession(gen2 + "/session_0.ckpt",
+                              system_->bundle.Fingerprint(), 6);
+        break;
     }
 
     // Strict restore refuses the corrupt newest generation outright...
@@ -561,7 +567,8 @@ TEST_F(FaultInjectionTest, RecoverLatestSkipsEveryKindOfTornGeneration) {
     if (corruption == Corruption::kLayoutTwoSession ||
         corruption == Corruption::kLayoutThreeSession ||
         corruption == Corruption::kLayoutFourSession ||
-        corruption == Corruption::kLayoutFiveSession) {
+        corruption == Corruption::kLayoutFiveSession ||
+        corruption == Corruption::kLayoutSixSession) {
       EXPECT_EQ(strict_status.code(), StatusCode::kFailedPrecondition)
           << strict_status.ToString();
       EXPECT_NE(strict_status.message().find("layout version"),

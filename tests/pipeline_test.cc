@@ -560,7 +560,7 @@ TEST_F(PipelineTest, WindowedRunEmbedsEveryExtractedMentionOnce) {
 }
 
 TEST_F(PipelineTest, RestoreRejectsEmptyBundleFingerprint) {
-  // A layout-6 header whose fingerprint is empty, followed by a valid empty
+  // A layout-7 header whose fingerprint is empty, followed by a valid empty
   // stream state: the fingerprint is compared like any other, so the file
   // does not restore onto this bundle.
   const std::string path =
@@ -569,7 +569,7 @@ TEST_F(PipelineTest, RestoreRejectsEmptyBundleFingerprint) {
       core::DefaultPipelineConfig(system_->bundle);
   {
     io::TensorWriter writer(path);
-    writer.PutU32(6);      // layout version
+    writer.PutU32(7);      // layout version
     writer.PutString("");  // bundle fingerprint
     writer.PutF32(config.cluster_threshold);
     writer.PutU64(config.max_mention_span);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -461,6 +462,40 @@ TEST_F(ServeTest, SubmitRejectsMatchFormsEvictionCannotSplit) {
         << s.ToString();
   }
   EXPECT_TRUE(manager.Submit("s", batches[0]).ok());
+  manager.Drain();
+  EXPECT_EQ(manager.stats().submitted_batches, 1u);
+}
+
+TEST_F(ServeTest, SubmitRejectsTokenOffsetsOutsideTheText) {
+  // A token's spelling is the slice of its message text that its offsets
+  // span, so offsets must satisfy begin <= end <= text size. Submit names
+  // the message and token before any session state is touched.
+  auto batches = Batches(Dataset("D1"), 8);
+  serve::SessionManager manager(&system_->bundle, ManagerConfig(2, 16));
+  ASSERT_TRUE(manager.Open("s").ok());
+  const uint32_t size = static_cast<uint32_t>(batches[0][3].text.size());
+  struct Offsets {
+    uint32_t begin, end;
+  };
+  for (const Offsets bad : {Offsets{0, size + 1}, Offsets{size + 1, size + 1},
+                            Offsets{2, 1}, Offsets{UINT32_MAX, 0}}) {
+    std::vector<stream::Message> batch = batches[0];
+    ASSERT_GE(batch[3].tokens.size(), 2u);
+    batch[3].tokens[1].begin = bad.begin;
+    batch[3].tokens[1].end = bad.end;
+    const Status s = manager.Submit("s", batch);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+    EXPECT_NE(s.message().find(StrFormat(
+                  "message %lld token 1",
+                  static_cast<long long>(batch[3].id))),
+              std::string::npos)
+        << s.ToString();
+  }
+  // An empty token at the very end of the text is in range.
+  std::vector<stream::Message> edge = batches[0];
+  edge[3].tokens[1].begin = size;
+  edge[3].tokens[1].end = size;
+  EXPECT_TRUE(manager.Submit("s", edge).ok());
   manager.Drain();
   EXPECT_EQ(manager.stats().submitted_batches, 1u);
 }

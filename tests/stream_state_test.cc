@@ -382,14 +382,14 @@ stream::SentenceRecord ExplicitRecord(int64_t id, const std::string& text,
   return rec;
 }
 
-text::Token MakeToken(const std::string& surface, size_t begin,
+/// A token spelt `surface` at byte `begin` of its message, matched as the
+/// whole lowercased spelling (a hashtag keeps its '#').
+text::Token MakeToken(const std::string& surface, uint32_t begin,
                       text::TokenKind kind = text::TokenKind::kWord) {
   text::Token tok;
-  tok.text = surface;
-  tok.lower = ToLowerAscii(surface);
-  tok.match = tok.lower;
+  tok.match = ToLowerAscii(surface);
   tok.begin = begin;
-  tok.end = begin + surface.size();
+  tok.end = begin + static_cast<uint32_t>(surface.size());
   tok.kind = kind;
   return tok;
 }
@@ -403,8 +403,9 @@ TEST_F(StreamStateTest, ExplicitTokensRoundTripByteIdentically) {
   ASSERT_NE(text::Tokenizer().Tokenize(us_open), us);
   state.tweet_base.Put(ExplicitRecord(10, us_open, us));
   state.tweet_base.Put(ExplicitRecord(
-      11, "", {MakeToken("hello", 0), MakeToken("#World", 6,
-                                                text::TokenKind::kHashtag)}));
+      11, "hello #World",
+      {MakeToken("hello", 0),
+       MakeToken("#World", 6, text::TokenKind::kHashtag)}));
 
   metrics::SetEnabled(true);
   metrics::Counter* const explicit_messages =
@@ -425,6 +426,10 @@ TEST_F(StreamStateTest, ExplicitTokensRoundTripByteIdentically) {
     EXPECT_EQ(got.text, want.text) << "message " << id;
     EXPECT_EQ(got.topic_id, want.topic_id) << "message " << id;
     EXPECT_EQ(got.tokens, want.tokens) << "message " << id;
+    for (const text::Token& tok : got.tokens) {
+      EXPECT_EQ(ToLowerAscii(text::TokenText(got.text, tok)), tok.match)
+          << "message " << id;
+    }
     EXPECT_EQ(got.gold_spans, want.gold_spans) << "message " << id;
   }
   EXPECT_EQ(restored.tweet_base.Find(11)->token_embeddings.rows(), 2u);
@@ -433,6 +438,34 @@ TEST_F(StreamStateTest, ExplicitTokensRoundTripByteIdentically) {
   ASSERT_TRUE(SaveTo(restored, again).ok());
   EXPECT_EQ(ReadBytes(again), ReadBytes(path));
   std::remove(again.c_str());
+  std::remove(path.c_str());
+}
+
+TEST_F(StreamStateTest, LoadRejectsExplicitTokenOffsetsOutsideTheText) {
+  // A token's spelling is read from the message text through its offsets,
+  // so a record whose offsets leave the text is refused as corrupt.
+  const std::string us_open = "U.S. open";
+  const std::string path = TempPath("state_offsets.bin");
+  auto load_with = [&](text::Token last) {
+    StreamState state = MakeState();
+    state.tweet_base.Put(
+        ExplicitRecord(10, us_open, {MakeToken("U.S.", 0), last}));
+    EXPECT_TRUE(SaveTo(state, path).ok());
+    StreamState restored;
+    return LoadFrom(path, &restored);
+  };
+  // "open" ends exactly at the end of the text.
+  EXPECT_TRUE(load_with(MakeToken("open", 5)).ok());
+  const Status past_end = load_with(MakeToken("opens", 5));
+  EXPECT_EQ(past_end.code(), StatusCode::kInvalidArgument)
+      << past_end.ToString();
+  EXPECT_NE(past_end.message().find("tweet-base"), std::string::npos)
+      << past_end.ToString();
+  text::Token reversed = MakeToken("open", 5);
+  std::swap(reversed.begin, reversed.end);
+  const Status backwards = load_with(reversed);
+  EXPECT_EQ(backwards.code(), StatusCode::kInvalidArgument)
+      << backwards.ToString();
   std::remove(path.c_str());
 }
 

@@ -177,14 +177,15 @@ TEST(TweetBaseTest, MemoryUsageShrinksOnEviction) {
 }
 
 TEST(TweetBaseTest, MemoryUsageCountsOnlyHeapStrings) {
-  // Every token is at most 15 chars, so each text/lower/match buffer lies
-  // inside sizeof(Token); only the message text spills to the heap.
+  // Every token is at most 15 chars, so each match buffer lies inside
+  // sizeof(Token); only the message text spills to the heap.
   TweetBase base;
   SentenceRecord rec;
   rec.message = MakeMessage(7, "italy closes every school in the north");
   rec.message.tokens = text::Tokenizer().Tokenize(rec.message.text);
   for (const text::Token& tok : rec.message.tokens) {
-    ASSERT_LE(tok.match.size(), 15u) << tok.text;
+    ASSERT_LE(tok.match.size(), 15u)
+        << text::TokenText(rec.message.text, tok);
   }
   ASSERT_GT(rec.message.text.capacity(), std::string().capacity());
   base.Put(rec);

@@ -513,11 +513,11 @@ TEST_F(StreamingSessionTest, RestoreRejectsCheckpointWithoutLayoutVersion) {
 TEST_F(StreamingSessionTest, RestoreRejectsLayoutThreeSessionRecord) {
   // A layout-3 session record opens with a u64 batch count, not the
   // layout. Its low half is refused as a version mismatch, and a count
-  // that happens to equal the current version (6) still fails as layout
+  // that happens to equal the current version (7) still fails as layout
   // drift.
   const std::string path =
       std::string(::testing::TempDir()) + "/session_layout3.bin";
-  for (const uint64_t batches : {1u, 6u}) {
+  for (const uint64_t batches : {1u, 7u}) {
     {
       io::TensorWriter writer(path);
       writer.PutU64(batches);

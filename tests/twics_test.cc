@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "baselines/twics.h"
 #include "text/tokenizer.h"
 
@@ -82,6 +84,27 @@ TEST(TwicsTest, RtPrefixIgnored) {
       EXPECT_GT(span.begin_token, 0u);
     }
   }
+}
+
+TEST(TwicsTest, RetweetMarkerIsTheSpellingRtInAnyCase) {
+  // "RT" and "rt" never start a mention, whatever the case. The hashtag
+  // "#RT" shares their matching form "rt" but is spelt differently, so it
+  // is entity-like and starts one.
+  auto spans_of = [](const std::string& prefix) {
+    TwicsEmd twics;
+    const auto preds = twics.Predict(
+        {Msg(0, prefix + " Madrid wins"), Msg(1, prefix + " Madrid again")});
+    std::vector<std::pair<size_t, size_t>> spans;
+    for (const auto& p : preds) {
+      for (const auto& span : p) spans.emplace_back(span.begin_token, span.end_token);
+    }
+    return spans;
+  };
+  using Spans = std::vector<std::pair<size_t, size_t>>;
+  EXPECT_EQ(spans_of("RT"), (Spans{{1, 2}, {1, 2}}));
+  EXPECT_EQ(spans_of("rt"), (Spans{{1, 2}, {1, 2}}));
+  EXPECT_EQ(spans_of("Rt"), (Spans{{1, 2}, {1, 2}}));
+  EXPECT_EQ(spans_of("#RT"), (Spans{{0, 2}, {0, 2}}));
 }
 
 TEST(TwicsTest, EmptyStream) {
