@@ -8,16 +8,10 @@
 // beat 1 session over 1 shard by >= 2x messages/second (shards only ever
 // add parallelism across independent sessions, never reorder one).
 //
-// A second matrix runs the same points with config.batch_encode on (the
-// cross-session encode scheduler): (3) batched serving must stay
-// byte-identical per session, and (4) at 8 sessions x 8 shards on a
-// >= 8-thread host the shared EncodeMany rounds must beat unbatched
-// serving by >= 1.3x wall time.
-//
-// Writes BENCH_serve.json (schema nerglob.serve.v2) with both throughput
-// matrices, enqueue-to-complete latency percentiles, and the determinism
-// bits; bench/check_regression.py consumes the timings via the embedded
-// calibration like every other BENCH_*.json. The speedup floors are only
+// Writes BENCH_serve.json (schema nerglob.serve.v2) with the throughput
+// matrix, enqueue-to-complete latency percentiles, and the determinism
+// bit; bench/check_regression.py consumes the timings via the embedded
+// calibration like every other BENCH_*.json. The speedup floor is only
 // enforced when the snapshot's host reports >= 8 hardware threads — the
 // matrix numbers on a small CI box are still gated as normalized timings.
 #include <algorithm>
@@ -69,14 +63,13 @@ MatrixPoint ServePoint(const harness::TrainedSystem& system,
                        const std::vector<std::vector<stream::Message>>& batches,
                        const std::vector<core::FinalizedMessage>& reference,
                        size_t window, size_t sessions, size_t shards,
-                       bool batch_encode, uint64_t* rejected_total) {
+                       uint64_t* rejected_total) {
   MatrixPoint point;
   point.sessions = sessions;
   point.shards = shards;
 
   serve::SessionManagerConfig config;
   config.num_shards = shards;
-  config.batch_encode = batch_encode;
   config.pipeline = core::DefaultPipelineConfig(system.bundle);
   config.pipeline.window_messages = window;
   serve::SessionManager manager(&system.bundle, config);
@@ -159,12 +152,10 @@ void WriteMatrix(std::FILE* json, const char* key,
   std::fprintf(json, "  ],\n");
 }
 
-void WriteJson(const std::vector<MatrixPoint>& matrix,
-               const std::vector<MatrixPoint>& batched_matrix, double scale,
+void WriteJson(const std::vector<MatrixPoint>& matrix, double scale,
                double calibration_seconds, size_t messages_per_session,
                size_t batch_size, size_t window, double p50, double p99,
-               double speedup, double batched_speedup, bool deterministic,
-               bool batched_deterministic, uint64_t rejected_total) {
+               double speedup, bool deterministic, uint64_t rejected_total) {
   std::FILE* json = std::fopen("BENCH_serve.json", "w");
   if (json == nullptr) {
     std::printf("FAILED to open BENCH_serve.json\n");
@@ -180,19 +171,15 @@ void WriteJson(const std::vector<MatrixPoint>& matrix,
                std::thread::hardware_concurrency(), messages_per_session,
                batch_size, window);
   WriteMatrix(json, "matrix", matrix);
-  WriteMatrix(json, "batched_matrix", batched_matrix);
   std::fprintf(json,
                "  \"p50_latency_seconds\": %.6f,\n"
                "  \"p99_latency_seconds\": %.6f,\n"
                "  \"speedup_8x8_over_1x1\": %.4f,\n"
-               "  \"batched_speedup_8x8\": %.4f,\n"
                "  \"rejected_total\": %llu,\n"
-               "  \"deterministic\": %s,\n"
-               "  \"batched_deterministic\": %s\n}\n",
-               p50, p99, speedup, batched_speedup,
+               "  \"deterministic\": %s\n}\n",
+               p50, p99, speedup,
                static_cast<unsigned long long>(rejected_total),
-               deterministic ? "true" : "false",
-               batched_deterministic ? "true" : "false");
+               deterministic ? "true" : "false");
   std::fclose(json);
   std::printf("  wrote BENCH_serve.json\n");
 }
@@ -226,47 +213,31 @@ int main() {
 
   uint64_t rejected_total = 0;
   // Warm-up (allocator, code paths), unmeasured.
-  ServePoint(system, batches, reference, window, 1, 1, /*batch_encode=*/false,
-             &rejected_total);
+  ServePoint(system, batches, reference, window, 1, 1, &rejected_total);
   rejected_total = 0;
 
   const std::pair<size_t, size_t> points[] = {
       {1, 1}, {2, 2}, {4, 4}, {8, 8}, {8, 1}};
   std::vector<MatrixPoint> matrix;
-  std::vector<MatrixPoint> batched_matrix;
   bool deterministic = true;
-  bool batched_deterministic = true;
-  double wall_1x1 = 0.0, wall_8x8 = 0.0, batched_wall_8x8 = 0.0;
-  std::printf("\n%8s %10s %8s %14s %16s  %s\n", "mode", "sessions", "shards",
+  double wall_1x1 = 0.0, wall_8x8 = 0.0;
+  std::printf("\n%10s %8s %14s %16s  %s\n", "sessions", "shards",
               "wall_seconds", "msgs/second", "deterministic");
-  for (const bool batch_encode : {false, true}) {
-    for (const auto& [sessions, shards] : points) {
-      MatrixPoint p = ServePoint(system, batches, reference, window, sessions,
-                                 shards, batch_encode, &rejected_total);
-      if (batch_encode) {
-        batched_deterministic = batched_deterministic && p.deterministic;
-        if (sessions == 8 && shards == 8) batched_wall_8x8 = p.wall_seconds;
-        batched_matrix.push_back(p);
-      } else {
-        deterministic = deterministic && p.deterministic;
-        if (sessions == 1 && shards == 1) wall_1x1 = p.wall_seconds;
-        if (sessions == 8 && shards == 8) wall_8x8 = p.wall_seconds;
-        matrix.push_back(p);
-      }
-      std::printf("%8s %10zu %8zu %14.4f %16.1f  %s\n",
-                  batch_encode ? "batched" : "plain", p.sessions, p.shards,
-                  p.wall_seconds, p.messages_per_second,
-                  p.deterministic ? "yes" : "NO");
-    }
+  for (const auto& [sessions, shards] : points) {
+    MatrixPoint p = ServePoint(system, batches, reference, window, sessions,
+                               shards, &rejected_total);
+    deterministic = deterministic && p.deterministic;
+    if (sessions == 1 && shards == 1) wall_1x1 = p.wall_seconds;
+    if (sessions == 8 && shards == 8) wall_8x8 = p.wall_seconds;
+    matrix.push_back(p);
+    std::printf("%10zu %8zu %14.4f %16.1f  %s\n", p.sessions, p.shards,
+                p.wall_seconds, p.messages_per_second,
+                p.deterministic ? "yes" : "NO");
   }
 
   // 8 sessions are 8x the work of 1, so equal walls mean an 8x-wide run
   // kept pace per-session: speedup = 8 * wall(1x1) / wall(8x8).
   const double speedup = wall_8x8 > 0 ? 8.0 * wall_1x1 / wall_8x8 : 0.0;
-  // Batched vs unbatched at the same (8x8) point: the win from fusing the
-  // per-session encodes into shared EncodeMany rounds.
-  const double batched_speedup =
-      batched_wall_8x8 > 0 ? wall_8x8 / batched_wall_8x8 : 0.0;
   auto* hist = metrics::MetricsRegistry::Global().GetHistogram(
       "serve.enqueue_to_complete_seconds");
   const double p50 = HistogramQuantile(*hist, 0.50);
@@ -274,8 +245,6 @@ int main() {
 
   std::printf("\nspeedup 8x8 over 1x1: %.2fx (floor 2.0x enforced on >= 8 "
               "hardware threads)\n", speedup);
-  std::printf("batched over unbatched at 8x8: %.2fx (floor 1.3x enforced on "
-              ">= 8 hardware threads)\n", batched_speedup);
   std::printf("enqueue-to-complete latency: p50 <= %.6fs, p99 <= %.6fs "
               "(%llu batches)\n", p50, p99,
               static_cast<unsigned long long>(hist->count()));
@@ -283,12 +252,9 @@ int main() {
               static_cast<unsigned long long>(rejected_total));
   std::printf("determinism vs single-threaded replay: %s\n",
               deterministic ? "PASS (byte-identical)" : "FAIL");
-  std::printf("batched determinism vs single-threaded replay: %s\n",
-              batched_deterministic ? "PASS (byte-identical)" : "FAIL");
 
-  WriteJson(matrix, batched_matrix, options.scale, calibration_seconds,
-            messages.size(), batch_size, window, p50, p99, speedup,
-            batched_speedup, deterministic, batched_deterministic,
+  WriteJson(matrix, options.scale, calibration_seconds, messages.size(),
+            batch_size, window, p50, p99, speedup, deterministic,
             rejected_total);
-  return deterministic && batched_deterministic ? 0 : 1;
+  return deterministic ? 0 : 1;
 }

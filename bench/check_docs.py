@@ -16,10 +16,11 @@ repo root, i.e. the parent of this script's directory):
    GitHub-style slugs of the target file's headings (lowercase,
    punctuation stripped, spaces to hyphens, ``-N`` suffixes for
    duplicates).
-3. **README knob table** — every ``NERGLOB_*`` environment knob named in
-   the README's operations table must actually appear in the source tree
-   (``src/``, ``bench/``, ``examples/``, ``tests/``), so the "single
-   reference table" can never drift from the code.
+3. **README knob table** — the ``NERGLOB_*`` environment knobs named in
+   the README's operations table must be exactly the ``"NERGLOB_*"``
+   string literals under ``src/``, in both directions: a knob the library
+   no longer reads cannot keep its row, and a knob it reads cannot go
+   undocumented. Mentions elsewhere (benches, tests, CI) do not count.
 4. **Checkpoint layout version** — the "checkpoint layout version
    (currently N)" in ``docs/FORMATS.md`` must equal
    ``kCheckpointLayoutVersion`` in ``src/core/ner_globalizer.cc``.
@@ -59,8 +60,8 @@ SPAN_DOC = pathlib.Path("docs", "OBSERVABILITY.md")
 SPAN_DECL_RE = re.compile(r'trace::TraceStage\s+\w+\s*\(\s*"([^"]+)"\s*\)')
 SPAN_ROW_RE = re.compile(r"^\|\s*`stage\.([a-z0-9_]+)`\s*\|")
 
-KNOB_SOURCE_DIRS = ("src", "bench", "examples", "tests")
-KNOB_SOURCE_SUFFIXES = {".cc", ".h", ".py", ".cmake", ".txt", ".yml"}
+# The knobs the library reads: whole "NERGLOB_*" string literals in src/.
+KNOB_LITERAL_RE = re.compile(r'"(NERGLOB_[A-Z0-9_]+)"')
 
 
 def markdown_files(root: pathlib.Path):
@@ -171,34 +172,29 @@ def readme_knobs(root: pathlib.Path):
     return knobs
 
 
-def knob_exists_in_code(root: pathlib.Path, knob: str) -> bool:
-    for top in KNOB_SOURCE_DIRS:
-        base = root / top
-        if not base.is_dir():
-            continue
-        for path in base.rglob("*"):
-            if path.suffix not in KNOB_SOURCE_SUFFIXES or not path.is_file():
-                continue
-            try:
-                if knob in path.read_text(encoding="utf-8", errors="ignore"):
-                    return True
-            except OSError:
-                continue
-    return False
+def source_knobs(root: pathlib.Path):
+    """NERGLOB_* knob names read as string literals under src/."""
+    knobs = set()
+    for path in sorted((root / "src").rglob("*")):
+        if path.suffix in (".cc", ".h") and path.is_file():
+            text = path.read_text(encoding="utf-8", errors="ignore")
+            knobs.update(KNOB_LITERAL_RE.findall(text))
+    return knobs
 
 
 def check_knob_table(root: pathlib.Path):
+    documented = set(readme_knobs(root))
+    if not documented:
+        return ["README.md: no NERGLOB_* knob table found "
+                "(expected an Operations section with a knob table)"]
+    read = source_knobs(root)
     errors = []
-    knobs = readme_knobs(root)
-    if not knobs:
-        errors.append("README.md: no NERGLOB_* knob table found "
-                      "(expected an Operations section with a knob table)")
-        return errors
-    for knob in knobs:
-        if not knob_exists_in_code(root, knob):
-            errors.append(
-                f"README.md: knob `{knob}` is documented but appears "
-                f"nowhere under {'/'.join(KNOB_SOURCE_DIRS)} — stale docs?")
+    for knob in sorted(documented - read):
+        errors.append(f"README.md: knob `{knob}` is documented but no "
+                      f"\"{knob}\" literal is read under src/ — stale docs?")
+    for knob in sorted(read - documented):
+        errors.append(f"README.md: src/ reads \"{knob}\" but the knob "
+                      f"table has no `{knob}` row")
     return errors
 
 

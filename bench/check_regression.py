@@ -41,16 +41,12 @@ Checks applied:
     Per-kernel generic/avx2 seconds are compared (normalized) like above.
   * BENCH_serve.json (schema ``nerglob.serve.v2``) — ``deterministic``
     must be true (concurrent serving byte-identical to single-threaded
-    replay), and ``batched_deterministic`` must be true when present
-    (cross-session batched encoding byte-identical too — this gate is
-    never hardware-conditional). When the fresh run's host reports at
-    least 8 ``hardware_threads``, ``speedup_8x8_over_1x1`` must stay at
-    or above ``--min-serve-speedup`` and ``batched_speedup_8x8`` at or
-    above ``--min-batch-speedup`` (scaling gives nothing on a 1-core CI
-    box, so the floors are hardware-gated like the kernels speedup). The
-    per-point ``serve_<sessions>x<shards>.wall_seconds`` and
-    ``serve_batched_<sessions>x<shards>.wall_seconds`` timings are
-    compared (normalized) like above.
+    replay). When the fresh run's host reports at least 8
+    ``hardware_threads``, ``speedup_8x8_over_1x1`` must stay at or above
+    ``--min-serve-speedup`` (scaling gives nothing on a 1-core CI box, so
+    the floor is hardware-gated like the kernels speedup). The per-point
+    ``serve_<sessions>x<shards>.wall_seconds`` timings are compared
+    (normalized) like above.
   * BENCH_cache.json (schema ``nerglob.cache.v1``) —
     ``bit_identical_cache`` and ``bit_identical_dedup`` must be true
     (encode-cache hits and intra-batch dedup byte-identical to the
@@ -181,22 +177,14 @@ def kernels_timings(doc, path, min_gemm_speedup):
     return out
 
 
-def serve_timings(doc, path, min_serve_speedup, min_batch_speedup):
+def serve_timings(doc, path, min_serve_speedup):
     """{name: seconds} for BENCH_serve.json, after its hard gates."""
     if doc.get("deterministic") is not True:
         sys.exit(
             f"FAIL: {path} reports deterministic=false (concurrent serving "
             "diverged from single-threaded replay)"
         )
-    # The batched determinism bit is a correctness gate, never
-    # hardware-conditional: if the cross-session encode scheduler perturbs
-    # any session's bytes, the batching design is broken.
-    if "batched_deterministic" in doc and doc["batched_deterministic"] is not True:
-        sys.exit(
-            f"FAIL: {path} reports batched_deterministic=false "
-            "(cross-session batched encoding diverged from replay)"
-        )
-    # The throughput floors only mean something with real cores to scale
+    # The throughput floor only means something with real cores to scale
     # across; a 1-core container legitimately reports ~1x.
     if doc.get("hardware_threads", 0) >= 8:
         speedup = float(doc.get("speedup_8x8_over_1x1", 0.0))
@@ -205,24 +193,13 @@ def serve_timings(doc, path, min_serve_speedup, min_batch_speedup):
                 f"FAIL: {path} speedup_8x8_over_1x1={speedup:.2f}x is below "
                 f"the {min_serve_speedup:.2f}x floor on a >=8-thread host"
             )
-        if "batched_speedup_8x8" in doc:
-            batched = float(doc["batched_speedup_8x8"])
-            if batched < min_batch_speedup:
-                sys.exit(
-                    f"FAIL: {path} batched_speedup_8x8={batched:.2f}x is "
-                    f"below the {min_batch_speedup:.2f}x floor on a "
-                    ">=8-thread host"
-                )
     out = {}
-    for matrix_key, prefix in (("matrix", "serve"), ("batched_matrix", "serve_batched")):
-        for point in doc.get(matrix_key, []):
-            sessions = point.get("sessions")
-            shards = point.get("shards")
-            if sessions is None or shards is None or "wall_seconds" not in point:
-                continue
-            out[f"{prefix}_{sessions}x{shards}.wall_seconds"] = float(
-                point["wall_seconds"]
-            )
+    for point in doc.get("matrix", []):
+        sessions = point.get("sessions")
+        shards = point.get("shards")
+        if sessions is None or shards is None or "wall_seconds" not in point:
+            continue
+        out[f"serve_{sessions}x{shards}.wall_seconds"] = float(point["wall_seconds"])
     for key in ("p50_latency_seconds", "p99_latency_seconds"):
         if key in doc:
             out[key] = float(doc[key])
@@ -311,12 +288,6 @@ def main():
         help="serve kind: minimum speedup_8x8_over_1x1 on >=8-thread hosts",
     )
     parser.add_argument(
-        "--min-batch-speedup",
-        type=float,
-        default=1.3,
-        help="serve kind: minimum batched_speedup_8x8 on >=8-thread hosts",
-    )
-    parser.add_argument(
         "--min-cache-speedup",
         type=float,
         default=2.0,
@@ -365,12 +336,8 @@ def main():
         base = kernels_timings(base_doc, args.baseline, args.min_gemm_speedup)
         fresh = kernels_timings(fresh_doc, args.fresh, args.min_gemm_speedup)
     elif kind(fresh_doc) == "serve":
-        base = serve_timings(
-            base_doc, args.baseline, args.min_serve_speedup, args.min_batch_speedup
-        )
-        fresh = serve_timings(
-            fresh_doc, args.fresh, args.min_serve_speedup, args.min_batch_speedup
-        )
+        base = serve_timings(base_doc, args.baseline, args.min_serve_speedup)
+        fresh = serve_timings(fresh_doc, args.fresh, args.min_serve_speedup)
     elif kind(fresh_doc) == "cache":
         base = cache_timings(base_doc, args.baseline, args.min_cache_speedup)
         fresh = cache_timings(fresh_doc, args.fresh, args.min_cache_speedup)

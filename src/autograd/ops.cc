@@ -134,34 +134,6 @@ Var MulColBroadcast(const Var& a, const Var& scale) {
   });
 }
 
-Var MulRowBroadcast(const Var& a, const Var& row) {
-  NERGLOB_CHECK_EQ(row.rows(), 1u);
-  NERGLOB_CHECK_EQ(row.cols(), a.cols());
-  Matrix out = a.value();
-  for (size_t r = 0; r < out.rows(); ++r) {
-    float* orow = out.Row(r);
-    const float* s = row.value().Row(0);
-    for (size_t c = 0; c < out.cols(); ++c) orow[c] *= s[c];
-  }
-  return MakeOp(std::move(out), {a, row}, [](Node& n) {
-    const Matrix& av = n.parents_[0]->value_;
-    const Matrix& sv = n.parents_[1]->value_;
-    Matrix da(av.rows(), av.cols());
-    Matrix ds(1, av.cols());
-    for (size_t r = 0; r < av.rows(); ++r) {
-      const float* g = n.grad_.Row(r);
-      const float* arow = av.Row(r);
-      float* drow = da.Row(r);
-      for (size_t c = 0; c < av.cols(); ++c) {
-        drow[c] = g[c] * sv.At(0, c);
-        ds.At(0, c) += g[c] * arow[c];
-      }
-    }
-    Accumulate(*n.parents_[0], da);
-    Accumulate(*n.parents_[1], ds);
-  });
-}
-
 Var ScalarMul(const Var& a, float c) {
   Matrix out = a.value();
   out.Scale(c);

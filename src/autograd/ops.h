@@ -35,9 +35,6 @@ Var AddRowBroadcast(const Var& a, const Var& bias);
 /// Multiplies row r of a (m,n) by scale (m,1) row weight.
 Var MulColBroadcast(const Var& a, const Var& scale);
 
-/// Multiplies every row of a (m,n) elementwise by a 1xN row vector.
-Var MulRowBroadcast(const Var& a, const Var& row);
-
 /// a * c for scalar constant c.
 Var ScalarMul(const Var& a, float c);
 

@@ -163,8 +163,8 @@ void NerGlobalizer::RunStages(const std::vector<stream::Message>& batch,
   // The local/global split (Table IV's execution-time columns): LocalEncode
   // + IngestLocal are the Local NER step, everything after is Global NER.
   // A pre-encoded batch charges only the ingest here — its encode time was
-  // spent (and attributed to serve_encode) by the batching caller. One
-  // local_ner span per batch, whichever path ran (pipeline_test pins this).
+  // spent by the caller. One local_ner span per batch, whichever path ran
+  // (pipeline_test pins this).
   WallTimer local_timer;
   {
     static const trace::TraceStage kLocalStage("local_ner");

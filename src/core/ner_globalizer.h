@@ -92,9 +92,8 @@ class NerGlobalizer {
   /// ProcessBatch with the LocalEncode stage's work supplied by the caller:
   /// `encoded[i]` must be bitwise what the bundle's model returns for
   /// `batch[i].tokens` (default-constructed for empty messages) — the
-  /// contract lm::MicroBert::EncodeMany provides for any cross-session batch
-  /// composition. This is the serve-layer batch scheduler's entry point;
-  /// all downstream state evolves bit-identically to ProcessBatch
+  /// contract lm::MicroBert::EncodeMany provides for any batch composition.
+  /// All downstream state evolves bit-identically to ProcessBatch
   /// (enforced by test).
   void ProcessBatchPreEncoded(const std::vector<stream::Message>& batch,
                               std::vector<lm::EncodeResult> encoded);

@@ -27,11 +27,10 @@ namespace nerglob::core::stages {
 /// one load-bearing property: **LocalEncode is the only stage that runs the
 /// expensive encoder forward, and it touches neither the StreamState nor
 /// the StageContext's cross-stage products** — its output is a pure
-/// function of (model, message tokens). That makes it batchable across
-/// sessions: serve::SessionManager's scheduler runs LocalEncode's work for
-/// many sessions in one lm::MicroBert::EncodeMany call and injects the
-/// results via StageContext::pre_encoded, and every downstream stage is
-/// bitwise unaffected (enforced by pipeline_test and serve_test).
+/// function of (model, message tokens). That lets a driver run LocalEncode's
+/// work itself in one lm::MicroBert::EncodeMany call and inject the results
+/// via StageContext::pre_encoded, and every downstream stage is bitwise
+/// unaffected (enforced by pipeline_test).
 ///
 /// The bundle is the driving NerGlobalizer's, borrowed const. A stage binds
 /// the components it needs once per call, outside any ParallelFor.
@@ -52,8 +51,8 @@ struct StageContext {
 
   /// LocalEncode product: encoded[i] is the encoder output for
   /// (*batch)[i].tokens (default-constructed for empty messages). When
-  /// `pre_encoded` is set the driver injected these results (the serve
-  /// cross-session batch scheduler) and LocalEncode is a no-op; the
+  /// `pre_encoded` is set the driver injected these results
+  /// (NerGlobalizer::ProcessBatchPreEncoded) and LocalEncode is a no-op; the
   /// contract is that injected entries are bitwise equal to what
   /// bundle.model().Encode would produce, which EncodeMany guarantees for
   /// any batch composition.

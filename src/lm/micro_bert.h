@@ -46,8 +46,7 @@ struct EncodeResult {
 struct EncodeOptions {
   /// Encode each distinct (key-equal) sentence in the batch once and fan
   /// copies out to its duplicates. Pays off even with the cache disabled —
-  /// retweet-heavy batches, and especially the serve-layer cross-session
-  /// scheduler, routinely carry duplicate sentences.
+  /// retweet-heavy batches routinely carry duplicate sentences.
   bool dedup = true;
   /// Consult the process-wide EncodeCache (a no-op unless
   /// NERGLOB_ENCODE_CACHE_MB enables one).
@@ -97,10 +96,9 @@ class MicroBert : public nn::Module {
   /// cached bytes, bit-identical to a recompute.
   EncodeResult Encode(const std::vector<text::Token>& tokens) const;
 
-  /// Encodes many sentences, gathered from any number of owners (the
-  /// serve-layer cross-session scheduler), over the shared thread pool:
-  /// each pointed-to sentence runs the same scratch-arena Encode path, one
-  /// per ParallelFor lane. Output is bit-identical for any NERGLOB_THREADS
+  /// Encodes many sentences, gathered from any number of owners, over the
+  /// shared thread pool: each pointed-to sentence runs the same
+  /// scratch-arena Encode path, one per ParallelFor lane. Output is bit-identical for any NERGLOB_THREADS
   /// setting. Because every sentence runs the full per-sentence op
   /// sequence independently (no cross-sentence packing or padding state),
   /// results are bitwise independent of batch composition: any

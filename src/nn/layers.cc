@@ -68,61 +68,6 @@ void LayerNorm::ApplyInto(const Matrix& x, Matrix* out) const {
   LayerNormRowsInto(x, gamma_.value(), beta_.value(), /*eps=*/1e-5f, out);
 }
 
-BatchNorm1d::BatchNorm1d(size_t dim, float momentum, float eps)
-    : momentum_(momentum),
-      eps_(eps),
-      gamma_(Matrix(1, dim, 1.0f), /*requires_grad=*/true),
-      beta_(Matrix(1, dim), /*requires_grad=*/true),
-      running_mean_(1, dim),
-      running_var_(1, dim, 1.0f) {}
-
-ag::Var BatchNorm1d::Forward(const ag::Var& x, bool training) {
-  const size_t dim = x.cols();
-  NERGLOB_CHECK_EQ(dim, gamma_.cols());
-  Matrix mean(1, dim);
-  Matrix var(1, dim);
-  if (training && x.rows() > 1) {
-    const Matrix& xv = x.value();
-    for (size_t c = 0; c < dim; ++c) {
-      double m = 0.0;
-      for (size_t r = 0; r < xv.rows(); ++r) m += xv.At(r, c);
-      m /= xv.rows();
-      double v = 0.0;
-      for (size_t r = 0; r < xv.rows(); ++r) {
-        const double d = xv.At(r, c) - m;
-        v += d * d;
-      }
-      v /= xv.rows();
-      mean.At(0, c) = static_cast<float>(m);
-      var.At(0, c) = static_cast<float>(v);
-    }
-    // Exponential moving average of the batch statistics.
-    for (size_t c = 0; c < dim; ++c) {
-      running_mean_.At(0, c) =
-          (1.0f - momentum_) * running_mean_.At(0, c) + momentum_ * mean.At(0, c);
-      running_var_.At(0, c) =
-          (1.0f - momentum_) * running_var_.At(0, c) + momentum_ * var.At(0, c);
-    }
-  } else {
-    mean = running_mean_;
-    var = running_var_;
-  }
-  // Normalize with the (constant) statistics, then apply the learned affine.
-  // Treating batch stats as constants w.r.t. the gradient is a standard
-  // simplification; with the small batches used here the optimizer is
-  // insensitive to the difference.
-  Matrix inv_std(1, dim);
-  for (size_t c = 0; c < dim; ++c) {
-    inv_std.At(0, c) = 1.0f / std::sqrt(var.At(0, c) + eps_);
-  }
-  Matrix neg_mean = mean;
-  neg_mean.Scale(-1.0f);
-  ag::Var centered = ag::AddRowBroadcast(x, ag::Constant(std::move(neg_mean)));
-  ag::Var xhat = ag::MulRowBroadcast(centered, ag::Constant(std::move(inv_std)));
-  ag::Var scaled = ag::MulRowBroadcast(xhat, gamma_);
-  return ag::AddRowBroadcast(scaled, beta_);
-}
-
 Mlp::Mlp(const std::vector<size_t>& dims, Rng* rng) {
   NERGLOB_CHECK_GE(dims.size(), 2u);
   for (size_t i = 0; i + 1 < dims.size(); ++i) {

@@ -82,31 +82,6 @@ class LayerNorm : public Module {
   ag::Var beta_;   // (1, dim), init 0
 };
 
-/// Batch normalization over the batch (row) axis with running statistics.
-/// The paper's Phrase Embedder / Entity Classifier training uses batch norm
-/// for regularization (Sec. VI).
-class BatchNorm1d : public Module {
- public:
-  explicit BatchNorm1d(size_t dim, float momentum = 0.1f, float eps = 1e-5f);
-
-  /// Training mode normalizes with batch statistics and updates running
-  /// stats; eval mode uses the running stats.
-  ag::Var Forward(const ag::Var& x, bool training);
-
-  std::vector<ag::Var> Parameters() const override { return {gamma_, beta_}; }
-
-  const Matrix& running_mean() const { return running_mean_; }
-  const Matrix& running_var() const { return running_var_; }
-
- private:
-  float momentum_;
-  float eps_;
-  ag::Var gamma_;
-  ag::Var beta_;
-  Matrix running_mean_;  // (1, dim)
-  Matrix running_var_;   // (1, dim)
-};
-
 /// A small multi-layer perceptron: Linear/ReLU stacks with a linear head.
 /// Used for the Entity Classifier ("multiple dense layers with ReLU
 /// activation and a softmax output layer", Sec. V-D).

@@ -29,26 +29,12 @@ std::vector<double> LatencyBounds() {
   return bounds;
 }
 
-// 1-2-5 steps from 1 to 5000: messages per scheduler encode round.
-std::vector<double> CountBounds() {
-  std::vector<double> bounds;
-  for (double decade = 1.0; decade < 2000.0; decade *= 10.0) {
-    for (const double step : {1.0, 2.0, 5.0}) bounds.push_back(decade * step);
-  }
-  return bounds;
-}
-
 }  // namespace
 
 size_t DefaultQueueCapacity() {
   static const size_t cap = static_cast<size_t>(
       env::EnvInt("NERGLOB_SERVE_QUEUE_CAP", 64, 1, 1 << 20));
   return cap;
-}
-
-bool DefaultBatchEncode() {
-  static const bool enabled = env::EnvBool("NERGLOB_SERVE_BATCH", false);
-  return enabled;
 }
 
 SessionManager::SessionManager(const core::ModelBundle* bundle,
@@ -79,10 +65,6 @@ SessionManager::SessionManager(const core::ModelBundle* bundle,
   latency_histogram_ =
       registry.GetHistogram("serve.enqueue_to_complete_seconds",
                             LatencyBounds());
-  batch_occupancy_gauge_ = registry.GetGauge("serve.batch_occupancy");
-  encode_batch_histogram_ =
-      registry.GetHistogram("serve.encode_batch_size", CountBounds());
-  batch_encode_ = config_.batch_encode;
 
   shards_.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
@@ -95,9 +77,6 @@ SessionManager::SessionManager(const core::ModelBundle* bundle,
   // members (drain_mu_, counters) that must be fully constructed first.
   for (auto& shard : shards_) {
     shard->worker = std::thread(&SessionManager::WorkerLoop, this, shard.get());
-  }
-  if (batch_encode_) {
-    scheduler_ = std::thread(&SessionManager::SchedulerLoop, this);
   }
 }
 
@@ -223,16 +202,14 @@ Status SessionManager::Submit(const std::string& stream_id,
     // Admission control with hysteresis: once a shard trips its high
     // watermark it keeps rejecting until the worker drains it down to the
     // low watermark, so a burst sees one contiguous rejection episode.
-    // Depth counts the whole backlog — queued, being encoded, and ready —
-    // so batched mode cannot launder load past the watermarks.
-    if (shard.overloaded || DepthLocked(shard) >= high_watermark_) {
+    if (shard.overloaded || shard.queue.size() >= high_watermark_) {
       shard.overloaded = true;
       rejected_.fetch_add(1, std::memory_order_relaxed);
       rejected_counter_->Increment();
       return Status::Unavailable(
           StrFormat("shard %zu overloaded (%zu queued, capacity %zu); retry "
                     "after the backlog drains",
-                    entry->shard, DepthLocked(shard), queue_capacity_));
+                    entry->shard, shard.queue.size(), queue_capacity_));
     }
     {
       // Count the batch as pending before it becomes visible to the
@@ -246,13 +223,9 @@ Status SessionManager::Submit(const std::string& stream_id,
     item.batch = std::move(batch);
     item.enqueued = MonotonicClock::now();
     shard.queue.push_back(std::move(item));
-    shard.depth_gauge->Set(static_cast<double>(DepthLocked(shard)));
+    shard.depth_gauge->Set(static_cast<double>(shard.queue.size()));
   }
-  if (batch_encode_) {
-    PokeScheduler();  // the worker is fed via the scheduler's scatter
-  } else {
-    shard.cv.notify_one();
-  }
+  shard.cv.notify_one();
   submitted_.fetch_add(1, std::memory_order_relaxed);
   submitted_counter_->Increment();
   return Status::OK();
@@ -262,33 +235,21 @@ void SessionManager::WorkerLoop(Shard* shard) {
   static const trace::TraceStage kServeBatchStage("serve_batch");
   while (true) {
     WorkItem item;
-    std::vector<lm::EncodeResult> encoded;
     {
       std::unique_lock<std::mutex> lock(shard->mu);
-      // In batched mode the worker feeds exclusively off `ready` (items
-      // the scheduler already encoded); otherwise off `queue` directly.
       shard->cv.wait(lock, [&] {
         return stop_.load(std::memory_order_acquire) ||
                (!paused_.load(std::memory_order_acquire) &&
-                !(batch_encode_ ? shard->ready.empty()
-                                : shard->queue.empty()));
+                !shard->queue.empty());
       });
-      const bool empty =
-          batch_encode_ ? shard->ready.empty() : shard->queue.empty();
-      if (empty) {
+      if (shard->queue.empty()) {
         if (stop_.load(std::memory_order_acquire)) return;
         continue;  // spurious wake, or paused with pending notify
       }
-      if (batch_encode_) {
-        item = std::move(shard->ready.front().item);
-        encoded = std::move(shard->ready.front().encoded);
-        shard->ready.pop_front();
-      } else {
-        item = std::move(shard->queue.front());
-        shard->queue.pop_front();
-      }
-      if (DepthLocked(*shard) <= low_watermark_) shard->overloaded = false;
-      shard->depth_gauge->Set(static_cast<double>(DepthLocked(*shard)));
+      item = std::move(shard->queue.front());
+      shard->queue.pop_front();
+      if (shard->queue.size() <= low_watermark_) shard->overloaded = false;
+      shard->depth_gauge->Set(static_cast<double>(shard->queue.size()));
     }
     // The session is safe to touch without a lock: it is pinned to this
     // shard, this shard has exactly one worker, and control-plane callers
@@ -302,12 +263,7 @@ void SessionManager::WorkerLoop(Shard* shard) {
       } else {
         trace::TraceSpan span(kServeBatchStage);
         try {
-          if (batch_encode_) {
-            item.entry->session.ProcessBatchPreEncoded(item.batch,
-                                                       std::move(encoded));
-          } else {
-            item.entry->session.ProcessBatch(item.batch);
-          }
+          item.entry->session.ProcessBatch(item.batch);
           processed = true;
         } catch (const std::exception& e) {
           QuarantineSession(item.entry, e.what());
@@ -335,95 +291,6 @@ void SessionManager::WorkerLoop(Shard* shard) {
       --item.entry->pending;
     }
     drain_cv_.notify_all();
-  }
-}
-
-void SessionManager::PokeScheduler() {
-  if (!batch_encode_) return;
-  {
-    std::lock_guard<std::mutex> lock(sched_mu_);
-    ++sched_wake_;
-  }
-  sched_cv_.notify_one();
-}
-
-void SessionManager::SchedulerLoop() {
-  static const trace::TraceStage kServeEncodeStage("serve_encode");
-  uint64_t seen = 0;
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(sched_mu_);
-      sched_cv_.wait(lock, [&] {
-        return stop_.load(std::memory_order_acquire) || sched_wake_ != seen;
-      });
-      seen = sched_wake_;
-    }
-    if (stop_.load(std::memory_order_acquire)) return;  // queues drained
-    // Run gather -> encode -> scatter rounds until every queue is empty,
-    // then go back to waiting. A Submit that lands mid-round either gets
-    // gathered by the next round or re-bumps sched_wake_, so it is never
-    // stranded.
-    while (!stop_.load(std::memory_order_acquire) &&
-           !paused_.load(std::memory_order_acquire)) {
-      // Gather: the head batch of every non-empty shard queue. One item
-      // per shard per round keeps the round's latency bounded and, with
-      // FIFO scatter below, preserves each shard's submission order.
-      struct Gathered {
-        Shard* shard;
-        WorkItem item;
-      };
-      std::vector<Gathered> gathered;
-      gathered.reserve(shards_.size());
-      for (auto& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mu);
-        if (shard->queue.empty()) continue;
-        gathered.push_back({shard.get(), std::move(shard->queue.front())});
-        shard->queue.pop_front();
-        ++shard->in_flight;  // depth is conserved: queue -> in_flight
-      }
-      if (gathered.empty()) break;
-      // Encode: one EncodeMany forward over every gathered message. Each
-      // sentence's result is bitwise independent of the batch composition
-      // (lm::MicroBert contract), which is what keeps batched serving
-      // byte-identical to unbatched per session. EncodeMany dedups
-      // identical sentences within the gathered round (cross-session
-      // retweets encode once) and consults the process-wide
-      // lm::EncodeCache when NERGLOB_ENCODE_CACHE_MB enables one — both
-      // return the exact bytes a solo recompute would.
-      std::vector<const std::vector<text::Token>*> sentences;
-      for (const Gathered& g : gathered) {
-        for (const stream::Message& message : g.item.batch) {
-          sentences.push_back(&message.tokens);
-        }
-      }
-      std::vector<lm::EncodeResult> encoded;
-      {
-        trace::TraceSpan span(kServeEncodeStage);
-        encoded = bundle_->model().EncodeMany(sentences);
-      }
-      if (metrics::Enabled()) {
-        batch_occupancy_gauge_->Set(static_cast<double>(gathered.size()));
-        encode_batch_histogram_->Observe(static_cast<double>(sentences.size()));
-      }
-      // Scatter: slice the results back per item, FIFO onto each owning
-      // shard's ready queue, and wake that worker.
-      size_t offset = 0;
-      for (Gathered& g : gathered) {
-        const size_t count = g.item.batch.size();
-        ReadyItem ready;
-        ready.item = std::move(g.item);
-        ready.encoded.assign(std::make_move_iterator(encoded.begin() + offset),
-                             std::make_move_iterator(encoded.begin() + offset +
-                                                     count));
-        offset += count;
-        {
-          std::lock_guard<std::mutex> lock(g.shard->mu);
-          g.shard->ready.push_back(std::move(ready));
-          --g.shard->in_flight;
-        }
-        g.shard->cv.notify_one();
-      }
-    }
   }
 }
 
@@ -457,7 +324,6 @@ void SessionManager::Resume() {
     { std::lock_guard<std::mutex> lock(shard->mu); }
     shard->cv.notify_all();
   }
-  PokeScheduler();  // a paused scheduler parked on sched_cv_; re-dispatch
 }
 
 void SessionManager::Shutdown() {
@@ -473,13 +339,6 @@ void SessionManager::Shutdown() {
     { std::lock_guard<std::mutex> lock(shard->mu); }
     shard->cv.notify_all();
   }
-  // Drain() guarantees the queues and ready deques are empty, so the
-  // scheduler is parked on sched_cv_; wake it to observe stop_.
-  {
-    std::lock_guard<std::mutex> lock(sched_mu_);
-  }
-  sched_cv_.notify_all();
-  if (scheduler_.joinable()) scheduler_.join();
   for (auto& shard : shards_) {
     if (shard->worker.joinable()) shard->worker.join();
   }
@@ -757,7 +616,7 @@ SessionManagerStats SessionManager::stats() const {
 
 size_t SessionManager::QueueDepth(size_t shard) const {
   std::lock_guard<std::mutex> lock(shards_[shard]->mu);
-  return DepthLocked(*shards_[shard]);
+  return shards_[shard]->queue.size();
 }
 
 std::vector<std::string> SessionManager::SessionIds() const {

@@ -25,10 +25,6 @@ namespace nerglob::serve {
 /// the value is 64. Always >= 1.
 size_t DefaultQueueCapacity();
 
-/// Default for SessionManagerConfig::batch_encode. First call reads the
-/// NERGLOB_SERVE_BATCH environment variable (boolean); unset => false.
-bool DefaultBatchEncode();
-
 /// Knobs for a SessionManager. All sessions opened by one manager share
 /// one pipeline configuration (and therefore one window size), so a
 /// checkpointed fleet restores onto a manager built the same way.
@@ -52,18 +48,6 @@ struct SessionManagerConfig {
   /// After a successful commit, older `gen-*` directories beyond the
   /// newest `checkpoint_retain` are pruned (best-effort). 0 keeps all.
   size_t checkpoint_retain = 3;
-  /// Cross-session batched encoding (the NERGLOB_SERVE_BATCH knob). When
-  /// true, a dedicated scheduler thread repeatedly gathers the head batch
-  /// of every shard's queue into one lm::MicroBert::EncodeMany call (the
-  /// stage graph's LocalEncode work, amortized across sessions the way an
-  /// LLM inference stack batches decode steps), then scatters the
-  /// per-message results back to each session's pinned shard, where the
-  /// worker runs the state-mutating stages via ProcessBatchPreEncoded.
-  /// Per-session output stays byte-identical to batching off (and to
-  /// single-threaded replay): per-message encode results are independent
-  /// of batch composition, and the scheduler moves items queue -> ready
-  /// strictly FIFO per shard. Defaults to DefaultBatchEncode().
-  bool batch_encode = DefaultBatchEncode();
   /// Pipeline configuration applied to every session; typical callers
   /// start from core::DefaultPipelineConfig(bundle) and set a window.
   core::NerGlobalizerConfig pipeline;
@@ -95,23 +79,6 @@ struct SessionManagerStats {
 /// session's finalized output is byte-identical to a single-threaded
 /// replay of the same batch sequence (pinned by serve_test and the CI
 /// serve-stress TSan soak), regardless of shard count or co-tenants.
-///
-/// Cross-session batching (config.batch_encode / NERGLOB_SERVE_BATCH): a
-/// dedicated scheduler thread repeatedly pops the head batch of every
-/// non-empty shard queue, runs all their messages through one
-/// lm::MicroBert::EncodeMany forward (traced as `serve_encode`; round
-/// occupancy and size exported as serve.batch_occupancy /
-/// serve.encode_batch_size), and scatters the per-message results to each
-/// shard's ready queue, where the pinned worker runs the state-mutating
-/// stages via StreamingSession::ProcessBatchPreEncoded. Per-message encode
-/// results are bitwise independent of batch composition and
-/// queue -> ready -> worker is FIFO per shard, so every determinism
-/// guarantee above carries over unchanged (docs/ARCHITECTURE.md §9).
-/// Batching is where duplication across sessions concentrates: EncodeMany
-/// encodes each distinct sentence in the gathered round once (intra-batch
-/// dedup) and, with NERGLOB_ENCODE_CACHE_MB > 0, serves repeats across
-/// rounds from the process-wide lm::EncodeCache — both bit-identical to
-/// recomputing (docs/ARCHITECTURE.md §9.3).
 ///
 /// Backpressure: Submit never blocks. A shard at its high watermark (or
 /// hard capacity) rejects with Status::Unavailable and stays rejecting
@@ -237,11 +204,7 @@ class SessionManager {
   SessionManagerStats stats() const;
   size_t num_shards() const { return shards_.size(); }
   size_t queue_capacity() const { return queue_capacity_; }
-  /// Whether the cross-session batch scheduler is active (fixed at
-  /// construction from config.batch_encode / NERGLOB_SERVE_BATCH).
-  bool batch_encode() const { return batch_encode_; }
-  /// Backlogged batches on shard `i` right now (queued, plus — in batched
-  /// mode — being encoded or awaiting the worker).
+  /// Batches queued on shard `i` right now.
   size_t QueueDepth(size_t shard) const;
   /// Open session ids, sorted.
   std::vector<std::string> SessionIds() const;
@@ -270,40 +233,16 @@ class SessionManager {
     MonotonicClock::time_point enqueued;
   };
 
-  /// A WorkItem whose LocalEncode stage already ran in the cross-session
-  /// batch scheduler; the shard worker feeds `encoded` to
-  /// StreamingSession::ProcessBatchPreEncoded.
-  struct ReadyItem {
-    WorkItem item;
-    std::vector<lm::EncodeResult> encoded;
-  };
-
   struct Shard {
     mutable std::mutex mu;
     std::condition_variable cv;
     std::deque<WorkItem> queue;   // guarded by mu
-    /// Batched mode only: encoded batches awaiting this shard's worker
-    /// (FIFO, so per-session order is preserved end to end). Guarded by mu.
-    std::deque<ReadyItem> ready;
-    /// Batches the scheduler popped from `queue` and is currently encoding
-    /// (not yet visible in `ready`). Guarded by mu; counted by DepthLocked
-    /// so admission control never undercounts a shard's backlog.
-    size_t in_flight = 0;
     bool overloaded = false;      // watermark hysteresis state, guarded by mu
     metrics::Gauge* depth_gauge = nullptr;  // resolved once at construction
     std::thread worker;
   };
 
   void WorkerLoop(Shard* shard);
-  /// Batched mode: gather -> EncodeMany -> scatter rounds (class comment).
-  void SchedulerLoop();
-  /// Wakes the scheduler (no-op when batching is off). Bumps sched_wake_
-  /// so a poke that lands while the scheduler is mid-round is never lost.
-  void PokeScheduler();
-  /// Queued + encoding + ready batches for one shard. Caller holds its mu.
-  size_t DepthLocked(const Shard& shard) const {
-    return shard.queue.size() + shard.in_flight + shard.ready.size();
-  }
   /// Blocks until entry->pending == 0 (establishes the happens-before edge
   /// that makes the session safe to touch from the calling thread).
   void AwaitSessionIdle(SessionEntry* entry);
@@ -321,13 +260,10 @@ class SessionManager {
   size_t queue_capacity_ = 0;
   size_t high_watermark_ = 0;
   size_t low_watermark_ = 0;
-  bool batch_encode_ = false;  // fixed at construction
 
   /// Lock order (outer to inner): sessions_mu_ -> Shard::mu -> drain_mu_.
   /// Workers take only Shard::mu and drain_mu_, never sessions_mu_, so
-  /// control-plane calls can wait for them without deadlock. sched_mu_ is
-  /// an innermost leaf: no other lock is ever acquired while holding it,
-  /// and the scheduler's gather/scatter takes Shard::mu without it.
+  /// control-plane calls can wait for them without deadlock.
   mutable std::mutex sessions_mu_;
   std::map<std::string, std::unique_ptr<SessionEntry>> sessions_;
   bool accepting_ = true;       // guarded by sessions_mu_
@@ -336,15 +272,6 @@ class SessionManager {
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
   size_t pending_ = 0;  // queued + in-flight batches, guarded by drain_mu_
-
-  /// Batched-mode scheduler wakeups: sched_wake_ is bumped under sched_mu_
-  /// by PokeScheduler (Submit/Resume/Shutdown) and compared against the
-  /// scheduler's last-seen value, so a poke during an encode round makes
-  /// the next wait return immediately instead of being lost.
-  std::mutex sched_mu_;
-  std::condition_variable sched_cv_;
-  uint64_t sched_wake_ = 0;  // guarded by sched_mu_
-  std::thread scheduler_;
 
   std::atomic<bool> stop_{false};
   std::atomic<bool> paused_{false};
@@ -364,8 +291,6 @@ class SessionManager {
   metrics::Gauge* sessions_gauge_;
   metrics::Gauge* quarantined_gauge_;
   metrics::Histogram* latency_histogram_;
-  metrics::Gauge* batch_occupancy_gauge_;
-  metrics::Histogram* encode_batch_histogram_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
 };

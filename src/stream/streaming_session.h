@@ -77,11 +77,12 @@ class StreamingSession {
   bool ProcessBatch(const std::vector<Message>& batch);
 
   /// ProcessBatch with the encoder stage's results supplied by the caller
-  /// (serve::SessionManager's cross-session batch scheduler). `encoded[i]`
-  /// must be bitwise what the bundle's model would produce for
-  /// `batch[i].tokens` — lm::MicroBert::EncodeMany guarantees this for any
-  /// batch composition — so the session's state and finalized output stay
-  /// byte-identical to the unbatched path (enforced by serve_test).
+  /// (a driver that runs the encoder apart from the state-mutating stages,
+  /// as bench/e2e's split replay does). `encoded[i]` must be bitwise what
+  /// the bundle's model would produce for `batch[i].tokens` —
+  /// lm::MicroBert::EncodeMany guarantees this for any batch
+  /// composition — so the session's state and finalized output stay
+  /// byte-identical to ProcessBatch (enforced by pipeline_test).
   bool ProcessBatchPreEncoded(const std::vector<Message>& batch,
                               std::vector<lm::EncodeResult> encoded);
 

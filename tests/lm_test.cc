@@ -145,8 +145,8 @@ void ExpectSameResult(const EncodeResult& a, const EncodeResult& b,
 
 TEST(EncodeManyTest, MatchesPerSentenceEncodeBitwise) {
   // The batch-composition-independence contract: EncodeMany must equal a
-  // per-sentence Encode loop bit for bit — this is what lets the serve
-  // scheduler batch encodes across sessions without perturbing any stream.
+  // per-sentence Encode loop bit for bit — this is what lets a driver
+  // encode a batch apart from the pipeline without perturbing any stream.
   MicroBert model(TinyConfig(), 40);
   const auto corpus = ManyCorpus();
   std::vector<const std::vector<text::Token>*> sentences;
@@ -213,8 +213,8 @@ TEST(EncodeManyTest, NullAndEmptySentencesYieldDefaultResults) {
 /// A duplication-heavy batch in the two shapes the serve layer produces:
 /// aliased pointers (several slots share one sentence object, as when one
 /// retweet fans out within a session's batch) and distinct-but-equal
-/// copies (the cross-session scheduler gathers equal token vectors owned
-/// by different sessions). Returns pointers into `corpus`/`copies`.
+/// copies (equal token vectors owned by different sessions, as when one
+/// retweet reaches several streams). Returns pointers into `corpus`/`copies`.
 std::vector<const std::vector<text::Token>*> DuplicatedBatch(
     const std::vector<std::vector<text::Token>>& corpus,
     std::vector<std::vector<text::Token>>* copies) {

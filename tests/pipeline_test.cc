@@ -131,7 +131,7 @@ TEST_F(PipelineTest, PreEncodedBatchesMatchProcessBatchBitwise) {
   // The stage-graph split (core/stages.h): running LocalEncode externally
   // via EncodeMany and feeding the results to ProcessBatchPreEncoded must
   // evolve the stream state bit-identically to plain ProcessBatch — the
-  // contract the serve batch scheduler is built on. Checked at every
+  // contract bench/e2e's split replay is built on. Checked at every
   // ablation stage, windowed so eviction runs too.
   auto messages = Dataset("D1");
   const size_t batch = 16;

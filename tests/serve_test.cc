@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,8 +18,10 @@
 #include "harness/experiment.h"
 #include "io/checkpoint_io.h"
 #include "io/tensor_io.h"
+#include "lm/encode_cache.h"
 #include "serve/session_manager.h"
 #include "stream/message.h"
+#include "text/tokenizer.h"
 
 namespace nerglob {
 namespace {
@@ -161,28 +164,35 @@ TEST_F(ServeTest, ConcurrentSessionsMatchSequentialReplay) {
   EXPECT_EQ(stats.open_sessions, kSessions);
 }
 
-TEST_F(ServeTest, BatchedEncodingMatchesUnbatchedByteForByte) {
-  // batch_encode on: the cross-session scheduler runs every session's
-  // LocalEncode stage inside shared EncodeMany rounds whose composition
-  // depends on thread timing — yet each session's finalized stream must
-  // stay byte-identical to its own solo, unbatched replay.
+TEST_F(ServeTest, SharedEncodeCacheMatchesSequentialReplay) {
+  // Cross-session duplicates are served by the process-wide encode cache:
+  // five sessions replay rotations of one dataset on four shards, so every
+  // message reaches several workers, which read and fill one cache
+  // concurrently. Each session's finalized stream must stay byte-identical
+  // to its own uncached, single-threaded replay.
   auto messages = Dataset("D2");
   const size_t window = messages.size() / 4;
   const size_t batch_size = 8;
   constexpr size_t kSessions = 5;
 
   std::vector<std::vector<std::vector<stream::Message>>> per_session;
+  std::vector<std::vector<core::FinalizedMessage>> want;
   for (size_t s = 0; s < kSessions; ++s) {
     per_session.push_back(Batches(Rotate(messages, s * 13 + 3), batch_size));
+    want.push_back(SequentialReplay(per_session[s], window));
   }
 
-  serve::SessionManagerConfig config = ManagerConfig(4, window);
-  config.batch_encode = true;
-  serve::SessionManager manager(&system_->bundle, config);
-  ASSERT_TRUE(manager.batch_encode());
+  // The manager is declared after the guard, so its workers are joined
+  // before the cache is uninstalled and destroyed, even on an early return.
+  lm::EncodeCache cache(/*budget_bytes=*/64u << 20, /*shards=*/8);
+  lm::EncodeCache::SetGlobalForTesting(&cache);
+  struct Uninstall {
+    ~Uninstall() { lm::EncodeCache::SetGlobalForTesting(nullptr); }
+  } uninstall;
+  serve::SessionManager manager(&system_->bundle, ManagerConfig(4, window));
   std::vector<std::string> ids;
   for (size_t s = 0; s < kSessions; ++s) {
-    ids.push_back("batched-" + std::to_string(s));
+    ids.push_back("cached-" + std::to_string(s));
     ASSERT_TRUE(manager.Open(ids.back()).ok());
   }
 
@@ -200,10 +210,9 @@ TEST_F(ServeTest, BatchedEncodingMatchesUnbatchedByteForByte) {
   for (size_t s = 0; s < kSessions; ++s) {
     auto got = manager.TakeFinalized(ids[s]);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
-    auto want = SequentialReplay(per_session[s], window);
-    ASSERT_EQ(got->size(), want.size()) << ids[s];
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_TRUE((*got)[i] == want[i]) << ids[s] << " message " << i;
+    ASSERT_EQ(got->size(), want[s].size()) << ids[s];
+    for (size_t i = 0; i < want[s].size(); ++i) {
+      EXPECT_TRUE((*got)[i] == want[s][i]) << ids[s] << " message " << i;
     }
   }
 
@@ -212,36 +221,7 @@ TEST_F(ServeTest, BatchedEncodingMatchesUnbatchedByteForByte) {
   for (const auto& batches : per_session) total_batches += batches.size();
   EXPECT_EQ(stats.processed_batches, total_batches);
   EXPECT_EQ(stats.processed_messages, kSessions * messages.size());
-}
-
-TEST_F(ServeTest, BatchedBackpressureCountsWholeBacklog) {
-  // In batched mode a shard's backlog spans three places (queue, being
-  // encoded, ready); admission control and QueueDepth must see all of it,
-  // and the Pause/Resume/Drain lifecycle must behave as in unbatched mode.
-  auto batches = Batches(Dataset("D1"), 4);
-  ASSERT_GE(batches.size(), 3u);
-
-  serve::SessionManagerConfig config =
-      ManagerConfig(1, 0, /*queue_capacity=*/2);
-  config.batch_encode = true;
-  serve::SessionManager manager(&system_->bundle, config);
-  ASSERT_TRUE(manager.Open("s").ok());
-  manager.Pause();
-
-  EXPECT_TRUE(manager.Submit("s", batches[0]).ok());
-  EXPECT_TRUE(manager.Submit("s", batches[1]).ok());
-  EXPECT_EQ(manager.QueueDepth(0), 2u);
-  EXPECT_EQ(manager.Submit("s", batches[2]).code(), StatusCode::kUnavailable);
-
-  manager.Resume();
-  manager.Drain();
-  EXPECT_EQ(manager.QueueDepth(0), 0u);
-  EXPECT_TRUE(manager.Submit("s", batches[2]).ok());
-  manager.FlushAll();
-
-  const serve::SessionManagerStats stats = manager.stats();
-  EXPECT_EQ(stats.submitted_batches, 3u);
-  EXPECT_EQ(stats.processed_batches, 3u);
+  EXPECT_GT(cache.StatsSnapshot().hits, 0u);
 }
 
 TEST_F(ServeTest, BackpressureRejectsWithUnavailableThenRecovers) {
@@ -498,6 +478,95 @@ TEST_F(ServeTest, SubmitRejectsTokenOffsetsOutsideTheText) {
   EXPECT_TRUE(manager.Submit("s", edge).ok());
   manager.Drain();
   EXPECT_EQ(manager.stats().submitted_batches, 1u);
+}
+
+// Submits `hostile` after two ordinary batches, then drains and flushes:
+// the session must stay healthy, and every finalized span must lie inside
+// its message's token list and start inside the encoded prefix.
+void ExpectHostileMessageIsServed(serve::SessionManager* manager,
+                                  const std::vector<stream::Message>& context,
+                                  const stream::Message& hostile,
+                                  size_t max_seq_len) {
+  ASSERT_TRUE(manager->Open("hostile").ok());
+  std::map<int64_t, size_t> token_counts;
+  for (const stream::Message& m : context) token_counts[m.id] = m.tokens.size();
+  token_counts[hostile.id] = hostile.tokens.size();
+  const size_t half = context.size() / 2;
+  ASSERT_TRUE(manager->Submit("hostile", {context.begin(),
+                                          context.begin() + half}).ok());
+  ASSERT_TRUE(manager->Submit("hostile", {context.begin() + half,
+                                          context.end()}).ok());
+  const Status submitted = manager->Submit("hostile", {hostile});
+  ASSERT_TRUE(submitted.ok()) << submitted.ToString();
+  manager->Drain();
+  ASSERT_TRUE(manager->Flush("hostile").ok());
+  EXPECT_EQ(manager->stats().quarantined_sessions, 0u);
+
+  auto finalized = manager->TakeFinalized("hostile");
+  ASSERT_TRUE(finalized.ok()) << finalized.status().ToString();
+  ASSERT_EQ(finalized->size(), token_counts.size());
+  bool saw_hostile = false;
+  for (const core::FinalizedMessage& m : *finalized) {
+    ASSERT_EQ(token_counts.count(m.message_id), 1u);
+    saw_hostile = saw_hostile || m.message_id == hostile.id;
+    for (const text::EntitySpan& span : m.spans) {
+      EXPECT_LT(span.begin_token, span.end_token) << "message " << m.message_id;
+      EXPECT_LT(span.begin_token, max_seq_len) << "message " << m.message_id;
+      EXPECT_LE(span.end_token, token_counts[m.message_id])
+          << "message " << m.message_id;
+    }
+  }
+  EXPECT_TRUE(saw_hostile);
+}
+
+TEST_F(ServeTest, TenThousandTokenMessageIsServedInsideItsEncodedPrefix) {
+  // The encoder reads only the first max_seq_len tokens; a message far
+  // longer than that still goes through every stage, and the spans it
+  // yields stay inside the tokens the pipeline can see.
+  constexpr size_t kTokens = 10000;
+  auto messages = Dataset("D1");
+  const std::vector<stream::Message> context(messages.begin(),
+                                             messages.begin() + 16);
+  std::string text;
+  for (size_t i = 0, tokens = 0; tokens < kTokens; ++i) {
+    const stream::Message& m = messages[i % messages.size()];
+    text += m.text;
+    text += ' ';
+    tokens += m.tokens.size();
+  }
+  stream::Message hostile;
+  hostile.id = 1000000;
+  hostile.tokens = text::Tokenizer().Tokenize(text);
+  hostile.text = text.substr(0, hostile.tokens[kTokens - 1].end);
+  hostile.tokens = text::Tokenizer().Tokenize(hostile.text);
+  ASSERT_EQ(hostile.tokens.size(), kTokens);
+
+  serve::SessionManager manager(&system_->bundle, ManagerConfig(2, 64));
+  ExpectHostileMessageIsServed(&manager, context, hostile,
+                               system_->bundle.model().config().max_seq_len);
+}
+
+TEST_F(ServeTest, InvalidUtf8MessageIsServed) {
+  // Message text is bytes, not validated UTF-8: every high byte and a lone
+  // lead byte (0xC3) must tokenize and flow through the pipeline.
+  auto messages = Dataset("D1");
+  const std::vector<stream::Message> context(messages.begin(),
+                                             messages.begin() + 16);
+  std::string text = messages[0].text + " caf\xC3 ";
+  for (int b = 0x80; b <= 0xFF; ++b) {
+    text += static_cast<char>(b);
+    if (b % 8 == 7) text += ' ';
+  }
+  text += " " + messages[1].text;
+  stream::Message hostile;
+  hostile.id = 1000000;
+  hostile.text = text;
+  hostile.tokens = text::Tokenizer().Tokenize(text);
+  ASSERT_FALSE(hostile.tokens.empty());
+
+  serve::SessionManager manager(&system_->bundle, ManagerConfig(2, 64));
+  ExpectHostileMessageIsServed(&manager, context, hostile,
+                               system_->bundle.model().config().max_seq_len);
 }
 
 TEST_F(ServeTest, ShardPinningIsDeterministic) {
