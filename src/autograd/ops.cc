@@ -1,46 +1,128 @@
 #include "autograd/ops.h"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <numeric>
 
 #include "common/check.h"
+#include "tensor/kernels.h"
 
 namespace nerglob::ag {
 
 namespace {
 
-bool AnyRequiresGrad(const std::vector<Var>& inputs) {
-  for (const Var& v : inputs) {
-    if (v.requires_grad()) return true;
-  }
-  return false;
+/// A leaf that nothing will read a gradient from.
+bool IsConstantLeaf(const Node& n) {
+  return !n.requires_grad_ && n.backward_fn_ == nullptr && n.parents_.empty();
 }
 
-/// Builds an op node. `backward` receives the op node; read n.grad_ and
-/// accumulate into n.parents_[i]->grad_ (after EnsureGrad()).
-Var MakeOp(Matrix value, const std::vector<Var>& inputs,
-           std::function<void(Node&)> backward) {
-  const bool req = AnyRequiresGrad(inputs);
-  auto node = std::make_shared<Node>(std::move(value), req);
-  for (const Var& v : inputs) node->parents_.push_back(v.node());
-  if (req) node->backward_fn_ = std::move(backward);
-  return Var(std::move(node));
-}
+/// Where an op writes its value: under a NoGradScope a slot of the scope's
+/// arena, otherwise a fresh matrix that becomes a tape node. Ops compute
+/// into get() with the same kernels either way, so both modes produce the
+/// same bytes.
+class Output {
+ public:
+  Output(size_t rows, size_t cols) {
+    if (NoGradScope* scope = NoGradScope::Current()) {
+      slot_ = scope->Slot(rows, cols);
+    } else {
+      owned_ = Matrix(rows, cols);
+    }
+  }
+  /// A copy of `a`, for ops that then transform it in place.
+  explicit Output(const Matrix& a) : Output(a.rows(), a.cols()) {
+    std::copy(a.data(), a.data() + a.size(), get()->data());
+  }
+  Matrix* get() { return slot_ != nullptr ? slot_ : &owned_; }
+  bool taped() const { return slot_ == nullptr; }
+
+  /// The op's Var: the borrowed slot under a scope, else a node whose
+  /// parents are `inputs`, keeping `backward` (read n.grad_, accumulate
+  /// into n.parents_[i]) only if one of them requires grad. Inputs are
+  /// taken by reference: copying a parameter's Var would touch its shared
+  /// reference count on every op.
+  template <typename Backward>
+  Var Finish(std::initializer_list<std::reference_wrapper<const Var>> inputs,
+             Backward&& backward) {
+    return Finish(inputs.begin(), inputs.end(), backward);
+  }
+  template <typename Backward>
+  Var Finish(const std::vector<Var>& inputs, Backward&& backward) {
+    return Finish(inputs.begin(), inputs.end(), backward);
+  }
+
+ private:
+  template <typename It, typename Backward>
+  Var Finish(It begin, It end, Backward& backward) {
+    if (!taped()) return Var::Borrowed(slot_);
+    auto node = std::make_shared<Node>(std::move(owned_), false);
+    for (It it = begin; it != end; ++it) {
+      const Var& v = *it;
+      NERGLOB_CHECK(v.node() != nullptr)
+          << "a NoGradScope value was used after its scope ended";
+      node->requires_grad_ = node->requires_grad_ || v.requires_grad();
+      node->parents_.push_back(v.node());
+    }
+    if (node->requires_grad_) node->backward_fn_ = std::move(backward);
+    return Var(std::move(node));
+  }
+
+  Matrix* slot_ = nullptr;  // the scope's slot; null on the tape
+  Matrix owned_;
+};
 
 void Accumulate(Node& parent, const Matrix& delta) {
-  if (!parent.requires_grad_ && parent.backward_fn_ == nullptr &&
-      parent.parents_.empty()) {
-    // Pure constant leaf: no one will read its grad.
-    return;
-  }
+  if (IsConstantLeaf(parent)) return;
   parent.EnsureGrad();
   parent.grad_.AddInPlace(delta);
+}
+
+/// (m,n) -> (1,n): a bias's gradient.
+Matrix ColumnSums(const Matrix& g) {
+  Matrix sums(1, g.cols());
+  for (size_t r = 0; r < g.rows(); ++r) {
+    const float* row = g.Row(r);
+    for (size_t c = 0; c < g.cols(); ++c) sums.At(0, c) += row[c];
+  }
+  return sums;
+}
+
+/// Adds into the gathered rows of `parent` only. Each index's rows
+/// grad_row(i), i in [begin, end), are summed from +0 in order and the sum
+/// added once. That equals adding a dense (rows x cols) dx summed the same
+/// way, since its +0 rows leave an Accumulate-built gradient (never -0)
+/// as it is.
+template <typename GradRow>
+void ScatterAddRows(Node& parent, const std::vector<int>& indices,
+                    size_t begin, size_t end, const GradRow& grad_row) {
+  if (IsConstantLeaf(parent)) return;
+  parent.EnsureGrad();
+  const size_t cols = parent.value_.cols();
+  std::vector<size_t> order(end - begin);
+  std::iota(order.begin(), order.end(), begin);
+  std::stable_sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+    return indices[x] < indices[y];
+  });
+  std::vector<float> sum(cols);
+  for (size_t i = 0; i < order.size();) {
+    const int row = indices[order[i]];
+    std::fill(sum.begin(), sum.end(), 0.0f);
+    for (; i < order.size() && indices[order[i]] == row; ++i) {
+      const float* g = grad_row(order[i]);
+      for (size_t c = 0; c < cols; ++c) sum[c] += g[c];
+    }
+    kern::Active().add_inplace(parent.grad_.Row(static_cast<size_t>(row)),
+                               sum.data(), cols);
+  }
 }
 
 }  // namespace
 
 Var MatMul(const Var& a, const Var& b) {
-  Matrix out = nerglob::MatMul(a.value(), b.value());
-  return MakeOp(std::move(out), {a, b}, [](Node& n) {
+  Output out(a.rows(), b.cols());
+  MatMulInto(a.value(), b.value(), out.get());
+  return out.Finish({a, b}, [](Node& n) {
     Node& pa = *n.parents_[0];
     Node& pb = *n.parents_[1];
     Accumulate(pa, MatMulTransB(n.grad_, pb.value_));
@@ -51,31 +133,31 @@ Var MatMul(const Var& a, const Var& b) {
 Var LinearForward(const Var& x, const Var& w, const Var& bias) {
   NERGLOB_CHECK_EQ(bias.rows(), 1u);
   NERGLOB_CHECK_EQ(bias.cols(), w.cols());
-  Matrix out = nerglob::MatMulAddBias(x.value(), w.value(), bias.value());
-  return MakeOp(std::move(out), {x, w, bias}, [](Node& n) {
+  Output out(x.rows(), w.cols());
+  MatMulAddBiasInto(x.value(), w.value(), bias.value(), out.get());
+  return out.Finish({x, w, bias}, [](Node& n) {
     Node& px = *n.parents_[0];
     Node& pw = *n.parents_[1];
     Node& pb = *n.parents_[2];
     Accumulate(px, MatMulTransB(n.grad_, pw.value_));
     Accumulate(pw, MatMulTransA(px.value_, n.grad_));
-    Matrix db(1, n.grad_.cols());
-    for (size_t r = 0; r < n.grad_.rows(); ++r) {
-      const float* row = n.grad_.Row(r);
-      for (size_t c = 0; c < n.grad_.cols(); ++c) db.At(0, c) += row[c];
-    }
-    Accumulate(pb, db);
+    Accumulate(pb, ColumnSums(n.grad_));
   });
 }
 
 Var Add(const Var& a, const Var& b) {
-  return MakeOp(nerglob::Add(a.value(), b.value()), {a, b}, [](Node& n) {
+  Output out(a.rows(), a.cols());
+  AddInto(a.value(), b.value(), out.get());
+  return out.Finish({a, b}, [](Node& n) {
     Accumulate(*n.parents_[0], n.grad_);
     Accumulate(*n.parents_[1], n.grad_);
   });
 }
 
 Var Sub(const Var& a, const Var& b) {
-  return MakeOp(nerglob::Sub(a.value(), b.value()), {a, b}, [](Node& n) {
+  Output out(a.value());
+  out.get()->Axpy(-1.0f, b.value());
+  return out.Finish({a, b}, [](Node& n) {
     Accumulate(*n.parents_[0], n.grad_);
     Matrix neg = n.grad_;
     neg.Scale(-1.0f);
@@ -84,35 +166,45 @@ Var Sub(const Var& a, const Var& b) {
 }
 
 Var Mul(const Var& a, const Var& b) {
-  return MakeOp(nerglob::Mul(a.value(), b.value()), {a, b}, [](Node& n) {
+  NERGLOB_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
+  Output out(a.rows(), a.cols());
+  const float* av = a.value().data();
+  const float* bv = b.value().data();
+  float* o = out.get()->data();
+  for (size_t i = 0; i < a.value().size(); ++i) o[i] = av[i] * bv[i];
+  return out.Finish({a, b}, [](Node& n) {
     Accumulate(*n.parents_[0], nerglob::Mul(n.grad_, n.parents_[1]->value_));
     Accumulate(*n.parents_[1], nerglob::Mul(n.grad_, n.parents_[0]->value_));
   });
 }
 
 Var AddRowBroadcast(const Var& a, const Var& bias) {
-  return MakeOp(nerglob::AddRowBroadcast(a.value(), bias.value()), {a, bias},
-                [](Node& n) {
-                  Accumulate(*n.parents_[0], n.grad_);
-                  Matrix db(1, n.grad_.cols());
-                  for (size_t r = 0; r < n.grad_.rows(); ++r) {
-                    const float* row = n.grad_.Row(r);
-                    for (size_t c = 0; c < n.grad_.cols(); ++c) db.At(0, c) += row[c];
-                  }
-                  Accumulate(*n.parents_[1], db);
-                });
+  NERGLOB_CHECK_EQ(bias.rows(), 1u);
+  NERGLOB_CHECK_EQ(bias.cols(), a.cols());
+  Output out(a.value());
+  Matrix& y = *out.get();
+  for (size_t r = 0; r < a.rows(); ++r) {
+    float* row = y.Row(r);
+    const float* b = bias.value().Row(0);
+    for (size_t c = 0; c < a.cols(); ++c) row[c] += b[c];
+  }
+  return out.Finish({a, bias}, [](Node& n) {
+    Accumulate(*n.parents_[0], n.grad_);
+    Accumulate(*n.parents_[1], ColumnSums(n.grad_));
+  });
 }
 
 Var MulColBroadcast(const Var& a, const Var& scale) {
   NERGLOB_CHECK_EQ(scale.cols(), 1u);
   NERGLOB_CHECK_EQ(scale.rows(), a.rows());
-  Matrix out = a.value();
-  for (size_t r = 0; r < out.rows(); ++r) {
+  Output out(a.value());
+  Matrix& y = *out.get();
+  for (size_t r = 0; r < y.rows(); ++r) {
     const float s = scale.value().At(r, 0);
-    float* row = out.Row(r);
-    for (size_t c = 0; c < out.cols(); ++c) row[c] *= s;
+    float* row = y.Row(r);
+    for (size_t c = 0; c < y.cols(); ++c) row[c] *= s;
   }
-  return MakeOp(std::move(out), {a, scale}, [](Node& n) {
+  return out.Finish({a, scale}, [](Node& n) {
     const Matrix& av = n.parents_[0]->value_;
     const Matrix& sv = n.parents_[1]->value_;
     Matrix da(av.rows(), av.cols());
@@ -135,9 +227,9 @@ Var MulColBroadcast(const Var& a, const Var& scale) {
 }
 
 Var ScalarMul(const Var& a, float c) {
-  Matrix out = a.value();
-  out.Scale(c);
-  return MakeOp(std::move(out), {a}, [c](Node& n) {
+  Output out(a.value());
+  out.get()->Scale(c);
+  return out.Finish({a}, [c](Node& n) {
     Matrix g = n.grad_;
     g.Scale(c);
     Accumulate(*n.parents_[0], g);
@@ -145,18 +237,18 @@ Var ScalarMul(const Var& a, float c) {
 }
 
 Var AddScalar(const Var& a, float c) {
-  Matrix out = a.value();
-  out.Apply([c](float x) { return x + c; });
-  return MakeOp(std::move(out), {a},
-                [](Node& n) { Accumulate(*n.parents_[0], n.grad_); });
+  Output out(a.value());
+  out.get()->Apply([c](float x) { return x + c; });
+  return out.Finish({a},
+                    [](Node& n) { Accumulate(*n.parents_[0], n.grad_); });
 }
 
 Var Neg(const Var& a) { return ScalarMul(a, -1.0f); }
 
 Var Relu(const Var& a) {
-  Matrix out = a.value();
-  out.Apply([](float x) { return x > 0.0f ? x : 0.0f; });
-  return MakeOp(std::move(out), {a}, [](Node& n) {
+  Output out(a.value());
+  ReluInPlace(out.get());  // `x > 0 ? x : 0`, NaN and -0 to +0
+  return out.Finish({a}, [](Node& n) {
     const Matrix& x = n.parents_[0]->value_;
     Matrix g = n.grad_;
     for (size_t i = 0; i < g.size(); ++i) {
@@ -167,9 +259,9 @@ Var Relu(const Var& a) {
 }
 
 Var Tanh(const Var& a) {
-  Matrix out = a.value();
-  out.Apply([](float x) { return std::tanh(x); });
-  return MakeOp(std::move(out), {a}, [](Node& n) {
+  Output out(a.value());
+  out.get()->Apply([](float x) { return std::tanh(x); });
+  return out.Finish({a}, [](Node& n) {
     Matrix g = n.grad_;
     const Matrix& y = n.value_;
     for (size_t i = 0; i < g.size(); ++i) {
@@ -180,9 +272,9 @@ Var Tanh(const Var& a) {
 }
 
 Var Sigmoid(const Var& a) {
-  Matrix out = a.value();
-  out.Apply([](float x) { return 1.0f / (1.0f + std::exp(-x)); });
-  return MakeOp(std::move(out), {a}, [](Node& n) {
+  Output out(a.value());
+  out.get()->Apply([](float x) { return 1.0f / (1.0f + std::exp(-x)); });
+  return out.Finish({a}, [](Node& n) {
     Matrix g = n.grad_;
     const Matrix& y = n.value_;
     for (size_t i = 0; i < g.size(); ++i) {
@@ -193,17 +285,17 @@ Var Sigmoid(const Var& a) {
 }
 
 Var Exp(const Var& a) {
-  Matrix out = a.value();
-  out.Apply([](float x) { return std::exp(x); });
-  return MakeOp(std::move(out), {a}, [](Node& n) {
+  Output out(a.value());
+  out.get()->Apply([](float x) { return std::exp(x); });
+  return out.Finish({a}, [](Node& n) {
     Accumulate(*n.parents_[0], nerglob::Mul(n.grad_, n.value_));
   });
 }
 
 Var Log(const Var& a, float eps) {
-  Matrix out = a.value();
-  out.Apply([eps](float x) { return std::log(x + eps); });
-  return MakeOp(std::move(out), {a}, [eps](Node& n) {
+  Output out(a.value());
+  out.get()->Apply([eps](float x) { return std::log(x + eps); });
+  return out.Finish({a}, [eps](Node& n) {
     const Matrix& x = n.parents_[0]->value_;
     Matrix g = n.grad_;
     for (size_t i = 0; i < g.size(); ++i) g.data()[i] /= (x.data()[i] + eps);
@@ -212,13 +304,17 @@ Var Log(const Var& a, float eps) {
 }
 
 Var Transpose(const Var& a) {
-  return MakeOp(a.value().Transposed(), {a}, [](Node& n) {
+  Output out(a.cols(), a.rows());
+  TransposeInto(a.value(), out.get());
+  return out.Finish({a}, [](Node& n) {
     Accumulate(*n.parents_[0], n.grad_.Transposed());
   });
 }
 
 Var SoftmaxRows(const Var& a) {
-  return MakeOp(nerglob::SoftmaxRows(a.value()), {a}, [](Node& n) {
+  Output out(a.rows(), a.cols());
+  SoftmaxRowsInto(a.value(), out.get());
+  return out.Finish({a}, [](Node& n) {
     const Matrix& y = n.value_;
     Matrix dx(y.rows(), y.cols());
     for (size_t r = 0; r < y.rows(); ++r) {
@@ -236,7 +332,9 @@ Var SoftmaxRows(const Var& a) {
 }
 
 Var LogSoftmaxRows(const Var& a) {
-  return MakeOp(nerglob::LogSoftmaxRows(a.value()), {a}, [](Node& n) {
+  Output out(a.rows(), a.cols());
+  LogSoftmaxRowsInto(a.value(), out.get());
+  return out.Finish({a}, [](Node& n) {
     const Matrix& logp = n.value_;
     Matrix dx(logp.rows(), logp.cols());
     for (size_t r = 0; r < logp.rows(); ++r) {
@@ -254,7 +352,9 @@ Var LogSoftmaxRows(const Var& a) {
 }
 
 Var MeanRows(const Var& a) {
-  return MakeOp(nerglob::MeanRows(a.value()), {a}, [](Node& n) {
+  Output out(1, a.cols());
+  MeanRowsInto(a.value(), 0, a.rows(), out.get());
+  return out.Finish({a}, [](Node& n) {
     const Matrix& x = n.parents_[0]->value_;
     const float inv = 1.0f / static_cast<float>(x.rows());
     Matrix dx(x.rows(), x.cols());
@@ -268,14 +368,14 @@ Var MeanRows(const Var& a) {
 }
 
 Var RowSum(const Var& a) {
-  Matrix out(a.rows(), 1);
+  Output out(a.rows(), 1);
   for (size_t r = 0; r < a.rows(); ++r) {
     const float* row = a.value().Row(r);
     double acc = 0.0;
     for (size_t c = 0; c < a.cols(); ++c) acc += row[c];
-    out.At(r, 0) = static_cast<float>(acc);
+    out.get()->At(r, 0) = static_cast<float>(acc);
   }
-  return MakeOp(std::move(out), {a}, [](Node& n) {
+  return out.Finish({a}, [](Node& n) {
     const Matrix& x = n.parents_[0]->value_;
     Matrix dx(x.rows(), x.cols());
     for (size_t r = 0; r < x.rows(); ++r) {
@@ -288,9 +388,9 @@ Var RowSum(const Var& a) {
 }
 
 Var SumAll(const Var& a) {
-  Matrix out(1, 1);
-  out.At(0, 0) = a.value().Sum();
-  return MakeOp(std::move(out), {a}, [](Node& n) {
+  Output out(1, 1);
+  out.get()->At(0, 0) = a.value().Sum();
+  return out.Finish({a}, [](Node& n) {
     const Matrix& x = n.parents_[0]->value_;
     Matrix dx(x.rows(), x.cols(), n.grad_.At(0, 0));
     Accumulate(*n.parents_[0], dx);
@@ -303,10 +403,18 @@ Var MeanAll(const Var& a) {
 
 Var ConcatRows(const std::vector<Var>& parts) {
   NERGLOB_CHECK(!parts.empty());
-  std::vector<Matrix> values;
-  values.reserve(parts.size());
-  for (const Var& p : parts) values.push_back(p.value());
-  return MakeOp(VStack(values), parts, [](Node& n) {
+  const size_t cols = parts[0].cols();
+  size_t rows = 0;
+  for (const Var& p : parts) {
+    NERGLOB_CHECK_EQ(p.cols(), cols);
+    rows += p.rows();
+  }
+  Output out(rows, cols);
+  float* dst = out.get()->data();
+  for (const Var& p : parts) {
+    dst = std::copy(p.value().data(), p.value().data() + p.value().size(), dst);
+  }
+  return out.Finish(parts, [](Node& n) {
     size_t r = 0;
     for (auto& parent : n.parents_) {
       const size_t pr = parent->value_.rows();
@@ -318,10 +426,22 @@ Var ConcatRows(const std::vector<Var>& parts) {
 
 Var ConcatCols(const std::vector<Var>& parts) {
   NERGLOB_CHECK(!parts.empty());
-  std::vector<Matrix> values;
-  values.reserve(parts.size());
-  for (const Var& p : parts) values.push_back(p.value());
-  return MakeOp(HStack(values), parts, [](Node& n) {
+  const size_t rows = parts[0].rows();
+  size_t cols = 0;
+  for (const Var& p : parts) {
+    NERGLOB_CHECK_EQ(p.rows(), rows);
+    cols += p.cols();
+  }
+  Output out(rows, cols);
+  size_t off = 0;
+  for (const Var& p : parts) {
+    for (size_t r = 0; r < rows; ++r) {
+      const float* src = p.value().Row(r);
+      std::copy(src, src + p.cols(), out.get()->Row(r) + off);
+    }
+    off += p.cols();
+  }
+  return out.Finish(parts, [](Node& n) {
     size_t off = 0;
     for (auto& parent : n.parents_) {
       const size_t pc = parent->value_.cols();
@@ -337,7 +457,11 @@ Var ConcatCols(const std::vector<Var>& parts) {
 }
 
 Var SliceRows(const Var& a, size_t begin, size_t count) {
-  return MakeOp(a.value().SliceRows(begin, count), {a}, [begin](Node& n) {
+  NERGLOB_CHECK_LE(begin + count, a.rows());
+  Output out(count, a.cols());
+  const float* src = a.value().Row(begin);
+  std::copy(src, src + count * a.cols(), out.get()->data());
+  return out.Finish({a}, [begin](Node& n) {
     const Matrix& x = n.parents_[0]->value_;
     Matrix dx(x.rows(), x.cols());
     for (size_t r = 0; r < n.grad_.rows(); ++r) {
@@ -349,13 +473,9 @@ Var SliceRows(const Var& a, size_t begin, size_t count) {
 }
 
 Var SliceCols(const Var& a, size_t begin, size_t count) {
-  NERGLOB_CHECK_LE(begin + count, a.cols());
-  Matrix out(a.rows(), count);
-  for (size_t r = 0; r < a.rows(); ++r) {
-    const float* src = a.value().Row(r) + begin;
-    std::copy(src, src + count, out.Row(r));
-  }
-  return MakeOp(std::move(out), {a}, [begin, count](Node& n) {
+  Output out(a.rows(), count);
+  SliceColsInto(a.value(), begin, count, out.get());
+  return out.Finish({a}, [begin, count](Node& n) {
     const Matrix& x = n.parents_[0]->value_;
     Matrix dx(x.rows(), x.cols());
     for (size_t r = 0; r < x.rows(); ++r) {
@@ -367,27 +487,63 @@ Var SliceCols(const Var& a, size_t begin, size_t count) {
 }
 
 Var GatherRows(const Var& a, const std::vector<int>& indices) {
-  Matrix out(indices.size(), a.cols());
+  Output out(indices.size(), a.cols());
   for (size_t i = 0; i < indices.size(); ++i) {
     NERGLOB_CHECK(indices[i] >= 0 && static_cast<size_t>(indices[i]) < a.rows());
     const float* src = a.value().Row(static_cast<size_t>(indices[i]));
-    std::copy(src, src + a.cols(), out.Row(i));
+    std::copy(src, src + a.cols(), out.get()->Row(i));
   }
-  return MakeOp(std::move(out), {a}, [indices](Node& n) {
-    const Matrix& x = n.parents_[0]->value_;
-    Matrix dx(x.rows(), x.cols());
-    for (size_t i = 0; i < indices.size(); ++i) {
-      const float* g = n.grad_.Row(i);
-      float* d = dx.Row(static_cast<size_t>(indices[i]));
-      for (size_t c = 0; c < x.cols(); ++c) d[c] += g[c];
+  // Checked before the backward lambda copies `indices`.
+  if (!out.taped()) return Var::Borrowed(out.get());
+  return out.Finish({a}, [indices](Node& n) {
+    ScatterAddRows(*n.parents_[0], indices, 0, indices.size(),
+                   [&](size_t i) { return n.grad_.Row(i); });
+  });
+}
+
+Var GatherMeanRows(const Var& a, const std::vector<int>& indices,
+                   const std::vector<size_t>& bag_ends) {
+  NERGLOB_CHECK(!bag_ends.empty() && bag_ends.back() == indices.size());
+  const size_t cols = a.cols();
+  Output out(bag_ends.size(), cols);
+  const kern::KernelTable& kt = kern::Active();
+  size_t begin = 0;
+  for (size_t t = 0; t < bag_ends.size(); ++t) {
+    NERGLOB_CHECK_LT(begin, bag_ends[t]);
+    // MeanRowsInto's order: +0, then each row in bag order, then one scale.
+    float* row = out.get()->Row(t);
+    std::fill(row, row + cols, 0.0f);
+    for (size_t i = begin; i < bag_ends[t]; ++i) {
+      NERGLOB_CHECK(indices[i] >= 0 && static_cast<size_t>(indices[i]) < a.rows());
+      kt.add_inplace(row, a.value().Row(static_cast<size_t>(indices[i])), cols);
     }
-    Accumulate(*n.parents_[0], dx);
+    kt.scale(row, 1.0f / static_cast<float>(bag_ends[t] - begin), cols);
+    begin = bag_ends[t];
+  }
+  // Checked before the backward lambda copies the index vectors.
+  if (!out.taped()) return Var::Borrowed(out.get());
+  return out.Finish({a}, [indices, bag_ends](Node& n) {
+    // Bit for bit the per-bag composition ConcatRows(MeanRows(GatherRows(
+    // a, bag))...), whose tape runs the bags' backwards last bag first,
+    // each leaving 0 + (0 + g) * inv in every gathered row's gradient.
+    const size_t cols = n.grad_.cols();
+    std::vector<float> row_grad(cols);
+    for (size_t t = bag_ends.size(); t-- > 0;) {
+      const size_t begin = t == 0 ? 0 : bag_ends[t - 1];
+      const float inv = 1.0f / static_cast<float>(bag_ends[t] - begin);
+      const float* g = n.grad_.Row(t);
+      for (size_t c = 0; c < cols; ++c) {
+        row_grad[c] = 0.0f + (0.0f + g[c]) * inv;
+      }
+      ScatterAddRows(*n.parents_[0], indices, begin, bag_ends[t],
+                     [&](size_t) { return row_grad.data(); });
+    }
   });
 }
 
 Var MaxOverRows(const Var& a) {
   NERGLOB_CHECK_GT(a.rows(), 0u);
-  Matrix out(1, a.cols());
+  Output out(1, a.cols());
   std::vector<size_t> argmax(a.cols(), 0);
   for (size_t c = 0; c < a.cols(); ++c) {
     float best = a.value().At(0, c);
@@ -397,9 +553,9 @@ Var MaxOverRows(const Var& a) {
         argmax[c] = r;
       }
     }
-    out.At(0, c) = best;
+    out.get()->At(0, c) = best;
   }
-  return MakeOp(std::move(out), {a}, [argmax](Node& n) {
+  return out.Finish({a}, [argmax](Node& n) {
     const Matrix& x = n.parents_[0]->value_;
     Matrix dx(x.rows(), x.cols());
     for (size_t c = 0; c < x.cols(); ++c) {
@@ -411,16 +567,16 @@ Var MaxOverRows(const Var& a) {
 
 Var L2NormalizeRows(const Var& a, float eps) {
   const Matrix& x = a.value();
-  Matrix out(x.rows(), x.cols());
+  Output out(x.rows(), x.cols());
   for (size_t r = 0; r < x.rows(); ++r) {
     const float* row = x.Row(r);
     double s = 0.0;
     for (size_t c = 0; c < x.cols(); ++c) s += static_cast<double>(row[c]) * row[c];
     const float norm = static_cast<float>(std::sqrt(s)) + eps;
-    float* o = out.Row(r);
+    float* o = out.get()->Row(r);
     for (size_t c = 0; c < x.cols(); ++c) o[c] = row[c] / norm;
   }
-  return MakeOp(std::move(out), {a}, [eps](Node& n) {
+  return out.Finish({a}, [eps](Node& n) {
     const Matrix& x = n.parents_[0]->value_;
     Matrix dx(x.rows(), x.cols());
     for (size_t r = 0; r < x.rows(); ++r) {
@@ -448,28 +604,9 @@ Var LayerNormRows(const Var& a, const Var& gamma, const Var& beta, float eps) {
   NERGLOB_CHECK_EQ(gamma.cols(), a.cols());
   NERGLOB_CHECK_EQ(beta.rows(), 1u);
   NERGLOB_CHECK_EQ(beta.cols(), a.cols());
-  const Matrix& x = a.value();
-  const size_t n_cols = x.cols();
-  Matrix out(x.rows(), n_cols);
-  for (size_t r = 0; r < x.rows(); ++r) {
-    const float* row = x.Row(r);
-    double mean = 0.0;
-    for (size_t c = 0; c < n_cols; ++c) mean += row[c];
-    mean /= n_cols;
-    double var = 0.0;
-    for (size_t c = 0; c < n_cols; ++c) {
-      const double d = row[c] - mean;
-      var += d * d;
-    }
-    var /= n_cols;
-    const double inv_std = 1.0 / std::sqrt(var + eps);
-    float* o = out.Row(r);
-    for (size_t c = 0; c < n_cols; ++c) {
-      const float xhat = static_cast<float>((row[c] - mean) * inv_std);
-      o[c] = gamma.value().At(0, c) * xhat + beta.value().At(0, c);
-    }
-  }
-  return MakeOp(std::move(out), {a, gamma, beta}, [eps](Node& n) {
+  Output out(a.rows(), a.cols());
+  LayerNormRowsInto(a.value(), gamma.value(), beta.value(), eps, out.get());
+  return out.Finish({a, gamma, beta}, [eps](Node& n) {
     const Matrix& x = n.parents_[0]->value_;
     const Matrix& gm = n.parents_[1]->value_;
     const size_t cols = x.cols();
@@ -513,6 +650,11 @@ Var LayerNormRows(const Var& a, const Var& gamma, const Var& beta, float eps) {
   });
 }
 
+Var ConstantRef(const Matrix& value) {
+  if (NoGradScope::Current() != nullptr) return Var::Borrowed(&value);
+  return Constant(value);
+}
+
 Var Dropout(const Var& a, float p, bool training, Rng* rng) {
   if (!training || p <= 0.0f) return a;
   NERGLOB_CHECK_LT(p, 1.0f);
@@ -528,14 +670,14 @@ Var Dropout(const Var& a, float p, bool training, Rng* rng) {
 Var CrossEntropyWithLogits(const Var& logits, const std::vector<int>& targets) {
   NERGLOB_CHECK_EQ(logits.rows(), targets.size());
   const Matrix logp = nerglob::LogSoftmaxRows(logits.value());
-  Matrix out(1, 1);
+  Output out(1, 1);
   double nll = 0.0;
   for (size_t r = 0; r < targets.size(); ++r) {
     NERGLOB_CHECK(targets[r] >= 0 && static_cast<size_t>(targets[r]) < logits.cols());
     nll -= logp.At(r, static_cast<size_t>(targets[r]));
   }
-  out.At(0, 0) = static_cast<float>(nll / targets.size());
-  return MakeOp(std::move(out), {logits}, [targets, logp](Node& n) {
+  out.get()->At(0, 0) = static_cast<float>(nll / targets.size());
+  return out.Finish({logits}, [targets, logp](Node& n) {
     const float g = n.grad_.At(0, 0) / static_cast<float>(targets.size());
     Matrix dx(logp.rows(), logp.cols());
     for (size_t r = 0; r < logp.rows(); ++r) {
@@ -550,7 +692,8 @@ Var CrossEntropyWithLogits(const Var& logits, const std::vector<int>& targets) {
 
 Var CustomOp(Matrix value, const std::vector<Var>& inputs,
              std::function<void(Node&)> backward) {
-  return MakeOp(std::move(value), inputs, std::move(backward));
+  Output out(value);
+  return out.Finish(inputs, backward);
 }
 
 void AccumulateGrad(Node& parent, const Matrix& delta) {

@@ -8,9 +8,15 @@
 
 namespace nerglob::ag {
 
-/// All ops build graph nodes; gradients flow to inputs with requires_grad.
-/// Shapes follow the tensor/matrix.h conventions (row-major, vectors are
-/// 1xN rows unless noted).
+/// Ops build graph nodes; gradients flow to inputs with requires_grad.
+/// Under a NoGradScope (variable.h) they compute the same values into the
+/// scope's arena and build nothing. Shapes follow the tensor/matrix.h
+/// conventions (row-major, vectors are 1xN rows unless noted).
+
+/// A constant holding `value`. Under a NoGradScope it borrows `value`,
+/// which must outlive the scope's use of it; otherwise it copies it into a
+/// leaf.
+Var ConstantRef(const Matrix& value);
 
 /// (m,k) x (k,n) -> (m,n).
 Var MatMul(const Var& a, const Var& b);
@@ -80,6 +86,14 @@ Var SliceCols(const Var& a, size_t begin, size_t count);
 
 /// out[i, :] = a[indices[i], :]; gradient scatters (embedding lookup).
 Var GatherRows(const Var& a, const std::vector<int>& indices);
+
+/// Mean of bags of gathered rows (an embedding bag): out[t, :] is the mean
+/// of a's rows indices[bag_ends[t-1] .. bag_ends[t]) (from 0 for t = 0);
+/// every bag is non-empty and bag_ends.back() == indices.size(). Value and
+/// gradient bytes equal ConcatRows of MeanRows(GatherRows(a, bag)) per
+/// bag, with one node and one (bags, cols) output.
+Var GatherMeanRows(const Var& a, const std::vector<int>& indices,
+                   const std::vector<size_t>& bag_ends);
 
 /// (m,n) -> (1,n): column-wise max with argmax gradient routing
 /// (max-pooling for the char-CNN).

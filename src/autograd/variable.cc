@@ -11,7 +11,7 @@ namespace nerglob::ag {
 std::atomic<uint64_t> Node::next_order_{0};
 
 void Var::Backward() const {
-  NERGLOB_CHECK(defined());
+  NERGLOB_CHECK(node_ != nullptr) << "Backward() from a NoGradScope value";
   NERGLOB_CHECK(!InParallelRegion())
       << "autograd Backward() must not run inside a ParallelFor body: the "
          "tape mutates shared gradient state, so training is single-threaded "
@@ -44,7 +44,7 @@ void Var::Backward() const {
 }
 
 void Var::ZeroGrad() const {
-  NERGLOB_CHECK(defined());
+  NERGLOB_CHECK(node_ != nullptr);
   node_->grad_ = Matrix();
 }
 

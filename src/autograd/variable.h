@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/scratch_arena.h"
 #include "tensor/matrix.h"
 
 namespace nerglob::ag {
@@ -46,6 +47,8 @@ class Node {
 };
 
 /// A handle to a value in the autograd graph. Cheap to copy (shared_ptr).
+/// Under a NoGradScope ops return borrowed handles: no node, the value in
+/// a slot of the scope's arena.
 ///
 /// Typical use:
 ///   Var w(Matrix::Randn(4, 4, 0.1f, &rng), /*requires_grad=*/true);
@@ -60,14 +63,23 @@ class Var {
 
   /// Wraps a value as a graph leaf.
   explicit Var(Matrix value, bool requires_grad = false)
-      : node_(std::make_shared<Node>(std::move(value), requires_grad)) {}
+      : Var(std::make_shared<Node>(std::move(value), requires_grad)) {}
 
   /// Internal: wraps an existing node (used by ops).
-  explicit Var(NodePtr node) : node_(std::move(node)) {}
+  explicit Var(NodePtr node)
+      : node_(std::move(node)), value_(node_ ? &node_->value_ : nullptr) {}
 
-  bool defined() const { return node_ != nullptr; }
+  /// Internal: a borrowed value with no node (ops under a NoGradScope).
+  /// Never requires grad and must not reach an op outside the scope.
+  static Var Borrowed(const Matrix* value) {
+    Var v;
+    v.value_ = value;
+    return v;
+  }
 
-  const Matrix& value() const { return node_->value_; }
+  bool defined() const { return value_ != nullptr; }
+
+  const Matrix& value() const { return *value_; }
   /// Mutable access to the underlying value; used by optimizers to update
   /// leaf parameters in place.
   Matrix& mutable_value() { return node_->value_; }
@@ -78,10 +90,12 @@ class Var {
   /// Mutable gradient access (e.g. for gradient clipping).
   Matrix& mutable_grad() { return node_->grad_; }
 
-  bool requires_grad() const { return node_->requires_grad_; }
+  bool requires_grad() const {
+    return node_ != nullptr && node_->requires_grad_;
+  }
 
-  size_t rows() const { return node_->value_.rows(); }
-  size_t cols() const { return node_->value_.cols(); }
+  size_t rows() const { return value_->rows(); }
+  size_t cols() const { return value_->cols(); }
 
   /// Runs reverse-mode accumulation from this (scalar, 1x1) variable.
   /// Gradients accumulate into every reachable node with requires_grad.
@@ -90,10 +104,40 @@ class Var {
   /// Clears this node's gradient (optimizers call this per parameter).
   void ZeroGrad() const;
 
+  /// Null for a borrowed value.
   NodePtr node() const { return node_; }
 
  private:
   NodePtr node_;
+  const Matrix* value_ = nullptr;  // node_->value_, or the borrowed slot
+};
+
+/// Inference without a tape (cf. torch::NoGradGuard). While a scope is
+/// alive on a thread, every ag:: op on that thread computes its value with
+/// the tape's kernel into a slot of `arena`, records no node, and returns
+/// a borrowed Var; a warm arena makes that allocation-free. The slots are
+/// released when the scope ends, so copy out what must outlive it. Scopes
+/// nest; ParallelFor lanes on other threads open their own.
+class NoGradScope {
+ public:
+  explicit NoGradScope(common::ScratchArena* arena)
+      : frame_(arena), outer_(current_) {
+    current_ = this;
+  }
+  ~NoGradScope() { current_ = outer_; }
+  NoGradScope(const NoGradScope&) = delete;
+  NoGradScope& operator=(const NoGradScope&) = delete;
+
+  /// The calling thread's innermost scope, or null when ops build the tape.
+  static NoGradScope* Current() { return current_; }
+
+  /// A rows x cols slot of the scope's arena; contents unspecified.
+  Matrix* Slot(size_t rows, size_t cols) { return frame_.Get(rows, cols); }
+
+ private:
+  static inline thread_local NoGradScope* current_ = nullptr;
+  common::ScratchFrame frame_;
+  NoGradScope* outer_;
 };
 
 /// Creates a non-differentiable constant.

@@ -15,7 +15,8 @@
 
 namespace nerglob::common {
 
-/// A bump allocator of reusable Matrix slots for graph-free inference.
+/// A bump allocator of reusable Matrix slots for inference: it backs
+/// ag::NoGradScope and the pipeline stages' own scratch matrices.
 ///
 /// Ownership rules (see DESIGN.md "Scratch arena"):
 ///   * One arena per thread (use ThreadLocal()); arenas are not

@@ -17,28 +17,11 @@ EntityClassifier::EntityClassifier(size_t dim, size_t hidden, Rng* rng,
 ag::Var EntityClassifier::Pool(const Matrix& members) const {
   NERGLOB_CHECK_GT(members.rows(), 0u);
   NERGLOB_CHECK_EQ(members.cols(), dim_);
-  ag::Var locals = ag::Constant(members);
+  ag::Var locals = ag::ConstantRef(members);
   if (pooling_ == PoolingMode::kMean) return ag::MeanRows(locals);
   ag::Var scores = attention_.Forward(locals);            // (m, 1), Eq. 6
   ag::Var weights = ag::SoftmaxRows(ag::Transpose(scores));  // (1, m), Eq. 7
   return ag::MatMul(weights, locals);                     // (1, dim), Eq. 8
-}
-
-void EntityClassifier::PoolValueInto(const Matrix& members, Matrix* out,
-                                     common::ScratchArena* scratch) const {
-  NERGLOB_CHECK_GT(members.rows(), 0u);
-  NERGLOB_CHECK_EQ(members.cols(), dim_);
-  if (pooling_ == PoolingMode::kMean) {
-    MeanRowsInto(members, 0, members.rows(), out);
-    return;
-  }
-  common::ScratchFrame frame(scratch);
-  Matrix* scores = frame.Get(members.rows(), 1);
-  attention_.ApplyInto(members, scores);                 // (m, 1), Eq. 6
-  Matrix* weights = frame.Get(1, members.rows());
-  TransposeInto(*scores, weights);
-  SoftmaxRowsInto(*weights, weights);                    // (1, m), Eq. 7
-  MatMulInto(*weights, members, out);                    // (1, dim), Eq. 8
 }
 
 ag::Var EntityClassifier::ForwardLogits(const Matrix& members) const {
@@ -46,9 +29,8 @@ ag::Var EntityClassifier::ForwardLogits(const Matrix& members) const {
 }
 
 Matrix EntityClassifier::GlobalEmbedding(const Matrix& members) const {
-  Matrix out;
-  PoolValueInto(members, &out, &common::ScratchArena::ThreadLocal());
-  return out;
+  ag::NoGradScope scope(&common::ScratchArena::ThreadLocal());
+  return Pool(members).value();
 }
 
 EntityClassifier::Prediction EntityClassifier::Predict(
@@ -61,22 +43,18 @@ EntityClassifier::Prediction EntityClassifier::Predict(
             "pipeline.classifications_total");
     classifications->Increment();
   }
-  common::ScratchArena& arena = common::ScratchArena::ThreadLocal();
-  common::ScratchFrame frame(&arena);
-  Matrix* pooled = frame.Get(1, dim_);
-  PoolValueInto(members, pooled, &arena);
-  Matrix* probs = frame.Get(1, static_cast<size_t>(kNumClassifierClasses));
-  mlp_.ApplyInto(*pooled, probs, &arena);
-  SoftmaxRowsInto(*probs, probs);  // logits -> probabilities in place
+  ag::NoGradScope scope(&common::ScratchArena::ThreadLocal());
+  const ag::Var softmax = ag::SoftmaxRows(ForwardLogits(members));
+  const Matrix& probs = softmax.value();
   Prediction pred;
   pred.cls = 0;
   for (int c = 1; c < kNumClassifierClasses; ++c) {
-    if (probs->At(0, static_cast<size_t>(c)) >
-        probs->At(0, static_cast<size_t>(pred.cls))) {
+    if (probs.At(0, static_cast<size_t>(c)) >
+        probs.At(0, static_cast<size_t>(pred.cls))) {
       pred.cls = c;
     }
   }
-  pred.confidence = probs->At(0, static_cast<size_t>(pred.cls));
+  pred.confidence = probs.At(0, static_cast<size_t>(pred.cls));
   return pred;
 }
 

@@ -27,7 +27,8 @@ inline constexpr int kNumClassifierClasses = text::kNumEntityTypes + 1;
 ///
 /// Thread-safety: const methods (Predict, GlobalEmbedding, ForwardLogits)
 /// are safe to call concurrently once training has finished — the eval
-/// paths are graph-free (see PoolValueInto) — training must be exclusive.
+/// paths run ForwardLogits under an ag::NoGradScope and build no graph —
+/// training must be exclusive.
 /// Predict is O(m · dim + dim · hidden + hidden²) for an m-member cluster.
 ///
 /// How cluster member embeddings are aggregated into the global candidate
@@ -67,13 +68,6 @@ class EntityClassifier : public nn::Module {
 
  private:
   ag::Var Pool(const Matrix& members) const;
-
-  /// Graph-free mirror of Pool (bit-identical value) into `out`, with
-  /// every intermediate (attention scores, softmax weights) in `scratch`.
-  /// The eval paths (Predict, GlobalEmbedding) use it so ParallelFor
-  /// bodies never build autograd nodes.
-  void PoolValueInto(const Matrix& members, Matrix* out,
-                     common::ScratchArena* scratch) const;
 
   size_t dim_;
   PoolingMode pooling_;

@@ -1,7 +1,5 @@
 #include "core/phrase_embedder.h"
 
-#include <cmath>
-
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -18,7 +16,8 @@ ag::Var PhraseEmbedder::Forward(const Matrix& token_embeddings, size_t begin,
   NERGLOB_CHECK_EQ(token_embeddings.cols(), dim_);
   // Token embeddings are constants here: the Local NER encoder is frozen
   // (Sec. V-B: "the weights fine-tuned during Local NER remain frozen").
-  ag::Var span = ag::Constant(token_embeddings.SliceRows(begin, end - begin));
+  ag::Var span = ag::SliceRows(ag::ConstantRef(token_embeddings), begin,
+                               end - begin);
   ag::Var pooled = ag::MeanRows(span);                       // Eq. 1
   if (normalize_) pooled = ag::L2NormalizeRows(pooled);      // Eq. 2
   return dense_.Forward(pooled);                             // Eq. 3
@@ -41,26 +40,10 @@ void PhraseEmbedder::EmbedInto(const Matrix& token_embeddings, size_t begin,
             "pipeline.phrase_embeds_total");
     embeds->Increment();
   }
-  NERGLOB_CHECK_LT(begin, end);
-  NERGLOB_CHECK_LE(end, token_embeddings.rows());
-  NERGLOB_CHECK_EQ(token_embeddings.cols(), dim_);
-  // Graph-free mirror of Forward (same ops, same accumulation order, so the
-  // value is bit-identical); safe to call from ParallelFor bodies because it
-  // touches no autograd state and each thread owns its arena.
-  common::ScratchFrame frame(&common::ScratchArena::ThreadLocal());
-  Matrix* pooled = frame.Get(1, dim_);
-  // Pool the span rows in place — bit-identical to
-  // MeanRows(SliceRows(begin, end - begin)) without the slice copy.
-  MeanRowsInto(token_embeddings, begin, end, pooled);
-  if (normalize_) {
-    constexpr float kEps = 1e-8f;  // ag::L2NormalizeRows default
-    float* o = pooled->Row(0);
-    double s = 0.0;
-    for (size_t c = 0; c < dim_; ++c) s += static_cast<double>(o[c]) * o[c];
-    const float norm = static_cast<float>(std::sqrt(s)) + kEps;
-    for (size_t c = 0; c < dim_; ++c) o[c] = o[c] / norm;
-  }
-  dense_.ApplyInto(*pooled, out);
+  // Safe from ParallelFor bodies: the scope builds no graph and each
+  // thread owns its arena.
+  ag::NoGradScope scope(&common::ScratchArena::ThreadLocal());
+  *out = Forward(token_embeddings, begin, end).value();
 }
 
 }  // namespace nerglob::core

@@ -37,10 +37,10 @@ class PhraseEmbedder : public nn::Module {
   /// Eval-mode convenience: the local mention embedding as a plain matrix.
   Matrix Embed(const Matrix& token_embeddings, size_t begin, size_t end) const;
 
-  /// Embed into `out` (reshaped to (1, dim)): the pooled mean is held in
-  /// the calling thread's scratch arena and the span is pooled in place
-  /// (no SliceRows copy), so a steady-state caller that reuses `out`
-  /// performs no heap allocation. Bit-identical to Embed/Forward.
+  /// Embed into `out` (reshaped to (1, dim)): Forward under an
+  /// ag::NoGradScope, its activations in the calling thread's scratch
+  /// arena, so a steady-state caller that reuses `out` performs no heap
+  /// allocation.
   void EmbedInto(const Matrix& token_embeddings, size_t begin, size_t end,
                  Matrix* out) const;
 

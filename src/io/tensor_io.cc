@@ -334,9 +334,13 @@ bool TensorReader::GetMatrix(Matrix* m) {
     return false;
   }
   Matrix out(static_cast<size_t>(rows), static_cast<size_t>(cols));
-  if (!Take(out.data(), out.size() * sizeof(float))) return false;
+  if (!GetFloats(out.data(), out.size())) return false;
   *m = std::move(out);
   return true;
+}
+
+bool TensorReader::GetFloats(float* out, size_t n) {
+  return Take(out, n * sizeof(float));
 }
 
 Status TensorReader::Corrupt(const char* record, const char* what) {

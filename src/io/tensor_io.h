@@ -145,6 +145,9 @@ class TensorReader {
   /// or one whose value overflows 64 bits.
   bool GetVarint(uint64_t* v);
   bool GetMatrix(Matrix* m);
+  /// Reads `n` floats into `out` (a matrix's stored values without its
+  /// shape).
+  bool GetFloats(float* out, size_t n);
 
   /// True when the current record's payload is fully consumed.
   bool AtRecordEnd() const { return cursor_ == record_size_; }

@@ -11,7 +11,6 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "nn/optimizer.h"
-#include "tensor/kernels.h"
 #include "text/tokenizer.h"
 
 namespace nerglob::lm {
@@ -77,50 +76,31 @@ MicroBert::MicroBert(const MicroBertConfig& config, uint64_t seed,
 ag::Var MicroBert::EmbedTokens(const std::vector<text::Token>& tokens) const {
   const size_t t_len = std::min(tokens.size(), config_.max_seq_len);
   NERGLOB_CHECK_GT(t_len, 0u);
-  std::vector<ag::Var> rows;
-  rows.reserve(t_len);
-  std::vector<int> positions(t_len);
-  std::vector<int> kinds(t_len);
+  // Reused per thread, like MultiHeadSelfAttention's head list, so a warm
+  // no-grad encode allocates nothing here whatever the sentence length.
+  struct Buffers {
+    std::vector<int> token_ids, ids, positions, kinds;
+    std::vector<size_t> bag_ends;
+    std::string marked;
+  };
+  thread_local Buffers buf;
+  buf.ids.clear();
+  buf.bag_ends.clear();
+  buf.positions.clear();
+  buf.kinds.clear();
   for (size_t t = 0; t < t_len; ++t) {
-    const std::vector<int> sub_ids = subwords_.SubwordIds(LookupForm(tokens[t]));
-    // Token embedding = mean of its subword bucket embeddings.
-    rows.push_back(ag::MeanRows(subword_table_->Forward(sub_ids)));
-    positions[t] = static_cast<int>(t);
-    kinds[t] = static_cast<int>(tokens[t].kind);
+    subwords_.SubwordIdsInto(LookupForm(tokens[t]), &buf.token_ids,
+                             &buf.marked);
+    buf.ids.insert(buf.ids.end(), buf.token_ids.begin(), buf.token_ids.end());
+    buf.bag_ends.push_back(buf.ids.size());
+    buf.positions.push_back(static_cast<int>(t));
+    buf.kinds.push_back(static_cast<int>(tokens[t].kind));
   }
-  ag::Var x = ag::ConcatRows(rows);
-  x = ag::Add(x, position_table_->Forward(positions));
-  x = ag::Add(x, kind_table_->Forward(kinds));
+  // Token embedding = mean of its subword bucket embeddings.
+  ag::Var x = subword_table_->ForwardMean(buf.ids, buf.bag_ends);
+  x = ag::Add(x, position_table_->Forward(buf.positions));
+  x = ag::Add(x, kind_table_->Forward(buf.kinds));
   return x;
-}
-
-void MicroBert::EmbedTokensInto(const std::vector<text::Token>& tokens,
-                                Matrix* x) const {
-  const size_t t_len = std::min(tokens.size(), config_.max_seq_len);
-  NERGLOB_CHECK_GT(t_len, 0u);
-  const size_t d = config_.d_model;
-  x->Reshape(t_len, d);
-  const Matrix& sub = subword_table_->table_value();
-  const Matrix& pos = position_table_->table_value();
-  const Matrix& kind = kind_table_->table_value();
-  const kern::KernelTable& kt = kern::Active();
-  std::vector<int> ids;  // reused across tokens
-  std::string marked;
-  for (size_t t = 0; t < t_len; ++t) {
-    subwords_.SubwordIdsInto(LookupForm(tokens[t]), &ids, &marked);
-    float* row = x->Row(t);
-    std::fill(row, row + d, 0.0f);
-    // Mean of the gathered subword rows, accumulated in ascending id order
-    // with one trailing scale — the exact MeanRows(GatherRows(...)) value
-    // sequence, so the row matches EmbedTokens bit-for-bit.
-    for (const int id : ids) {
-      kt.add_inplace(row, sub.Row(static_cast<size_t>(id)), d);
-    }
-    kt.scale(row, 1.0f / static_cast<float>(ids.size()), d);
-    // Left-associative (mean + position) + kind, like the two ag::Adds.
-    kt.add_inplace(row, pos.Row(t), d);
-    kt.add_inplace(row, kind.Row(static_cast<size_t>(tokens[t].kind)), d);
-  }
 }
 
 MicroBert::ForwardResult MicroBert::Forward(
@@ -189,26 +169,14 @@ EncodeResult MicroBert::EncodeUncached(
         metrics::MetricsRegistry::Global().GetCounter("lm.tokens_total");
     encoded_tokens->Increment(tokens.size());
   }
-  // Graph-free eval forward: the same op sequence as
-  // Forward(tokens, /*training=*/false, ...) — dropout is an eval no-op —
-  // with every activation in this thread's scratch arena, so steady-state
-  // encoding allocates nothing on the heap. Bit-identical to the tape
-  // values by the kernel determinism contract (DESIGN.md).
-  common::ScratchArena& arena = common::ScratchArena::ThreadLocal();
-  common::ScratchFrame frame(&arena);
-  const size_t t_len = std::min(tokens.size(), config_.max_seq_len);
-  Matrix* x = frame.Get(t_len, config_.d_model);
-  EmbedTokensInto(tokens, x);
-  Matrix* y = frame.Get(t_len, config_.d_model);
-  for (const auto& layer : layers_) {
-    layer->ApplyInto(*x, y, &arena);
-    std::swap(x, y);
-  }
+  // Forward without dropout, under a NoGradScope: every activation lives
+  // in this thread's scratch arena, and only the retained outputs (the
+  // embeddings outlive this call in the TweetBase) are copied out.
+  ag::NoGradScope scope(&common::ScratchArena::ThreadLocal());
+  const ForwardResult fwd = Forward(tokens, /*training=*/false, nullptr);
   EncodeResult out;
-  // The final-norm output is retained state (it outlives this call in the
-  // TweetBase), so it lands in the result, not the arena.
-  final_norm_->ApplyInto(*x, &out.embeddings);
-  head_->ApplyInto(out.embeddings, &out.logits);
+  out.embeddings = fwd.embeddings.value();
+  out.logits = fwd.logits.value();
   const Matrix& logits = out.logits;
   out.bio_labels.resize(logits.rows(), text::kBioOutside);
   for (size_t t = 0; t < logits.rows(); ++t) {
@@ -238,17 +206,6 @@ std::vector<EncodeResult> MicroBert::EncodeMany(
       !options.use_cache ? nullptr
       : options.cache_override != nullptr ? options.cache_override
                                           : EncodeCache::Global();
-  if (!options.dedup && cache == nullptr) {
-    // Reference path: one full encode per lane, exactly the pre-cache
-    // behavior.
-    ParallelFor(0, sentences.size(), /*grain=*/1, [&](size_t i) {
-      if (sentences[i] != nullptr && !sentences[i]->empty()) {
-        out[i] = EncodeUncached(*sentences[i]);
-      }
-    });
-    return out;
-  }
-
   // Key every sentence serially (cheap re-tokenization, no model math),
   // electing the first occurrence of each distinct key as representative.
   constexpr size_t kSkip = static_cast<size_t>(-1);

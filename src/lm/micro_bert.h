@@ -85,20 +85,20 @@ class MicroBert : public nn::Module {
   ForwardResult Forward(const std::vector<text::Token>& tokens, bool training,
                         Rng* dropout_rng) const;
 
-  /// Eval-mode encoding with argmax labels. Runs the graph-free path: the
-  /// same op sequence as Forward(tokens, /*training=*/false, ...) with
-  /// every intermediate in the calling thread's scratch arena, so the
-  /// outputs are bit-identical to the tape values while steady-state
-  /// streaming performs no per-message heap allocation for activations.
-  /// Thread-safe: the forward pass only reads parameters and each thread
-  /// owns its arena. Consults the process-wide EncodeCache when one is
-  /// enabled (NERGLOB_ENCODE_CACHE_MB > 0); a hit returns a copy of the
-  /// cached bytes, bit-identical to a recompute.
+  /// Eval-mode encoding with argmax labels: Forward(tokens,
+  /// /*training=*/false, ...) under an ag::NoGradScope, so the outputs are
+  /// the tape's values while every activation lives in the calling
+  /// thread's scratch arena and steady-state streaming makes no
+  /// per-message heap allocation for activations. Thread-safe: the
+  /// forward pass only reads parameters and each thread owns its arena.
+  /// Consults the process-wide EncodeCache when one is enabled
+  /// (NERGLOB_ENCODE_CACHE_MB > 0); a hit returns a copy of the cached
+  /// bytes, bit-identical to a recompute.
   EncodeResult Encode(const std::vector<text::Token>& tokens) const;
 
   /// Encodes many sentences, gathered from any number of owners, over the
   /// shared thread pool: each pointed-to sentence runs the same
-  /// scratch-arena Encode path, one per ParallelFor lane. Output is bit-identical for any NERGLOB_THREADS
+  /// no-grad Encode path, one per ParallelFor lane. Output is bit-identical for any NERGLOB_THREADS
   /// setting. Because every sentence runs the full per-sentence op
   /// sequence independently (no cross-sentence packing or padding state),
   /// results are bitwise independent of batch composition: any
@@ -114,8 +114,8 @@ class MicroBert : public nn::Module {
       const std::vector<const std::vector<text::Token>*>& sentences) const;
 
   /// As above with explicit per-call knobs. With dedup and the cache both
-  /// off this is exactly the pre-cache per-lane path (byte-for-byte the
-  /// status quo) — benches time it as the reference.
+  /// off every non-empty sentence is encoded once in its own lane; benches
+  /// time that as the reference.
   std::vector<EncodeResult> EncodeMany(
       const std::vector<const std::vector<text::Token>*>& sentences,
       const EncodeOptions& options) const;
@@ -139,17 +139,11 @@ class MicroBert : public nn::Module {
  private:
   MicroBert(const MicroBertConfig& config, uint64_t seed, bool draw_init);
 
-  /// Builds the (T, d) input embedding matrix for a token sequence.
+  /// Builds the (T, d) input embedding matrix for a token sequence: each
+  /// row the mean of its subword rows, plus position, plus kind.
   ag::Var EmbedTokens(const std::vector<text::Token>& tokens) const;
 
-  /// Graph-free mirror of EmbedTokens(...).value(): mean-of-subword rows,
-  /// then (+ position, + kind) left-associative per row, written into `x`
-  /// (reshaped to (min(T, max_seq_len), d_model)). Bit-identical by using
-  /// the same kernel-table add/scale entries ag's value path runs through.
-  void EmbedTokensInto(const std::vector<text::Token>& tokens,
-                       Matrix* x) const;
-
-  /// The always-compute body of Encode (scratch-arena forward pass);
+  /// The always-compute body of Encode (the no-grad forward pass);
   /// cache hits bypass it, so `lm_encode` spans and `lm.tokens_total`
   /// count only real encoder work.
   EncodeResult EncodeUncached(const std::vector<text::Token>& tokens) const;

@@ -25,8 +25,9 @@ ag::Var MultiHeadSelfAttention::Forward(const ag::Var& x) const {
   const ag::Var k = wk_.Forward(x);
   const ag::Var v = wv_.Forward(x);
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  std::vector<ag::Var> heads;
-  heads.reserve(num_heads_);
+  // Reused per thread so a warm no-grad forward allocates nothing here;
+  // emptied after the concat, which holds the tape's references.
+  thread_local std::vector<ag::Var> heads;
   for (size_t h = 0; h < num_heads_; ++h) {
     const size_t off = h * head_dim_;
     ag::Var qh = ag::SliceCols(q, off, head_dim_);
@@ -36,46 +37,9 @@ ag::Var MultiHeadSelfAttention::Forward(const ag::Var& x) const {
     ag::Var attn = ag::SoftmaxRows(scores);
     heads.push_back(ag::MatMul(attn, vh));
   }
-  return wo_.Forward(ag::ConcatCols(heads));
-}
-
-void MultiHeadSelfAttention::ApplyInto(const Matrix& x, Matrix* out,
-                                       common::ScratchArena* scratch) const {
-  NERGLOB_CHECK_EQ(x.cols(), d_model_);
-  common::ScratchFrame frame(scratch);
-  const size_t t_len = x.rows();
-  Matrix* q = frame.Get(t_len, d_model_);
-  Matrix* k = frame.Get(t_len, d_model_);
-  Matrix* v = frame.Get(t_len, d_model_);
-  wq_.ApplyInto(x, q);
-  wk_.ApplyInto(x, k);
-  wv_.ApplyInto(x, v);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  // Head outputs write straight into their column slice of the concat
-  // buffer — the same bytes ag::ConcatCols would copy, without the copy.
-  Matrix* concat = frame.Get(t_len, d_model_);
-  Matrix* qh = frame.Get(t_len, head_dim_);
-  Matrix* kh = frame.Get(t_len, head_dim_);
-  Matrix* vh = frame.Get(t_len, head_dim_);
-  Matrix* kht = frame.Get(head_dim_, t_len);
-  Matrix* scores = frame.Get(t_len, t_len);
-  Matrix* head_out = frame.Get(t_len, head_dim_);
-  for (size_t h = 0; h < num_heads_; ++h) {
-    const size_t off = h * head_dim_;
-    SliceColsInto(*q, off, head_dim_, qh);
-    SliceColsInto(*k, off, head_dim_, kh);
-    SliceColsInto(*v, off, head_dim_, vh);
-    TransposeInto(*kh, kht);
-    MatMulInto(*qh, *kht, scores);      // ag::MatMul(qh, Transpose(kh))
-    scores->Scale(scale);               // ag::ScalarMul
-    SoftmaxRowsInto(*scores, scores);   // ag::SoftmaxRows (in place)
-    MatMulInto(*scores, *vh, head_out); // ag::MatMul(attn, vh)
-    for (size_t r = 0; r < t_len; ++r) {
-      const float* src = head_out->Row(r);
-      std::copy(src, src + head_dim_, concat->Row(r) + off);
-    }
-  }
-  wo_.ApplyInto(*concat, out);
+  const ag::Var concat = ag::ConcatCols(heads);
+  heads.clear();
+  return wo_.Forward(concat);
 }
 
 std::vector<ag::Var> MultiHeadSelfAttention::Parameters() const {
@@ -105,26 +69,6 @@ ag::Var TransformerEncoderLayer::Forward(const ag::Var& x, bool training,
   ag::Var ff = ff2_.Forward(ag::Relu(ff1_.Forward(ln2_.Forward(h))));
   ff = ag::Dropout(ff, dropout_, training, rng);
   return ag::Add(h, ff);
-}
-
-void TransformerEncoderLayer::ApplyInto(const Matrix& x, Matrix* out,
-                                        common::ScratchArena* scratch) const {
-  common::ScratchFrame frame(scratch);
-  const size_t t_len = x.rows();
-  const size_t d = x.cols();
-  Matrix* normed = frame.Get(t_len, d);
-  Matrix* attn = frame.Get(t_len, d);
-  Matrix* h = frame.Get(t_len, d);
-  ln1_.ApplyInto(x, normed);
-  mha_.ApplyInto(*normed, attn, scratch);
-  AddInto(x, *attn, h);                        // ag::Add(x, attn_out)
-  ln2_.ApplyInto(*h, normed);                  // normed buffer reused
-  Matrix* ff = frame.Get(t_len, ff1_.weight().cols());
-  ff1_.ApplyInto(*normed, ff);
-  ReluInPlace(ff);
-  Matrix* ff2 = frame.Get(t_len, d);
-  ff2_.ApplyInto(*ff, ff2);
-  AddInto(*h, *ff2, out);                      // ag::Add(h, ff)
 }
 
 std::vector<ag::Var> TransformerEncoderLayer::Parameters() const {

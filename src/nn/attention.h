@@ -15,14 +15,8 @@ class MultiHeadSelfAttention : public Module {
   /// A null `rng` builds shape only (see Linear).
   MultiHeadSelfAttention(size_t d_model, size_t num_heads, Rng* rng);
 
+  /// Thread-safe once training has finished.
   ag::Var Forward(const ag::Var& x) const;
-
-  /// Graph-free eval path, bit-identical to Forward(...).value(): the same
-  /// op sequence (projections, per-head scaled scores, softmax, weighted
-  /// values, concat, output projection) with every intermediate in the
-  /// caller's scratch arena. Thread-safe once training has finished.
-  void ApplyInto(const Matrix& x, Matrix* out,
-                 common::ScratchArena* scratch) const;
 
   std::vector<ag::Var> Parameters() const override;
 
@@ -47,14 +41,8 @@ class TransformerEncoderLayer : public Module {
   TransformerEncoderLayer(size_t d_model, size_t num_heads, size_t ff_mult,
                           float dropout, Rng* rng);
 
+  /// Dropout applies only when `training`.
   ag::Var Forward(const ag::Var& x, bool training, Rng* rng) const;
-
-  /// Graph-free eval mirror of Forward(x, /*training=*/false, ...):
-  /// dropout is an eval no-op, so the residual adds, layer norms, MHA and
-  /// feed-forward reproduce the tape values bit-for-bit with all
-  /// intermediates in `scratch`.
-  void ApplyInto(const Matrix& x, Matrix* out,
-                 common::ScratchArena* scratch) const;
 
   std::vector<ag::Var> Parameters() const override;
 

@@ -22,25 +22,13 @@ Linear::Linear(size_t in_features, size_t out_features, Rng* rng) {
 }
 
 ag::Var Linear::Forward(const ag::Var& x) const {
-  return ag::LinearForward(x, weight_, bias_);
-}
-
-void Linear::ApplyInto(const Matrix& x, Matrix* out) const {
-  const Matrix& w = weight_.value();
-  const Matrix& b = bias_.value();
-  NERGLOB_CHECK_EQ(x.cols(), w.rows());
-  if (metrics::Enabled()) {
-    // Distinguishes graph-free inference forwards from autograd Forward()
-    // calls in pipeline snapshots.
+  if (metrics::Enabled() && ag::NoGradScope::Current() != nullptr) {
+    // Counts inference forwards only, apart from training's tape.
     static metrics::Counter* const applies =
         metrics::MetricsRegistry::Global().GetCounter("nn.linear_apply_total");
     applies->Increment();
   }
-  // Single gemm path for every shape. The old m==1 dot-product special
-  // case over W^T was bit-identical to the gemm by construction but
-  // scalar-serial per output; the SIMD kernel vectorizes over the output
-  // columns, which wins even for one-row inputs.
-  MatMulAddBiasInto(x, w, b, out);
+  return ag::LinearForward(x, weight_, bias_);
 }
 
 Embedding::Embedding(size_t vocab_size, size_t dim, Rng* rng) {
@@ -53,6 +41,11 @@ ag::Var Embedding::Forward(const std::vector<int>& ids) const {
   return ag::GatherRows(table_, ids);
 }
 
+ag::Var Embedding::ForwardMean(const std::vector<int>& ids,
+                               const std::vector<size_t>& bag_ends) const {
+  return ag::GatherMeanRows(table_, ids, bag_ends);
+}
+
 LayerNorm::LayerNorm(size_t dim) {
   gamma_ = ag::Var(Matrix(1, dim, 1.0f), /*requires_grad=*/true);
   beta_ = ag::Var(Matrix(1, dim), /*requires_grad=*/true);
@@ -60,12 +53,6 @@ LayerNorm::LayerNorm(size_t dim) {
 
 ag::Var LayerNorm::Forward(const ag::Var& x) const {
   return ag::LayerNormRows(x, gamma_, beta_);
-}
-
-void LayerNorm::ApplyInto(const Matrix& x, Matrix* out) const {
-  // 1e-5f is the ag::LayerNormRows default; the eval mirror must match it
-  // for bit-identity with Forward(...).value().
-  LayerNormRowsInto(x, gamma_.value(), beta_.value(), /*eps=*/1e-5f, out);
 }
 
 Mlp::Mlp(const std::vector<size_t>& dims, Rng* rng) {
@@ -82,19 +69,6 @@ ag::Var Mlp::Forward(const ag::Var& x) const {
     if (i + 1 < layers_.size()) h = ag::Relu(h);
   }
   return h;
-}
-
-void Mlp::ApplyInto(const Matrix& x, Matrix* out,
-                    common::ScratchArena* scratch) const {
-  common::ScratchFrame frame(scratch);
-  const Matrix* cur = &x;
-  for (size_t i = 0; i + 1 < layers_.size(); ++i) {
-    Matrix* h = frame.Get(cur->rows(), layers_[i].weight().cols());
-    layers_[i].ApplyInto(*cur, h);
-    ReluInPlace(h);  // static-dispatch relu, same `v > 0 ? v : 0` as ag::Relu
-    cur = h;
-  }
-  layers_.back().ApplyInto(*cur, out);
 }
 
 std::vector<ag::Var> Mlp::Parameters() const {
@@ -135,25 +109,25 @@ Status LoadModule(io::TensorReader* reader, std::string_view name,
         reader->path().c_str(), found.c_str(), params.size(),
         static_cast<unsigned long long>(count)));
   }
-  // Stage every value before touching the module so a corrupt or
-  // mismatched record leaves the target untouched.
-  std::vector<Matrix> values(params.size());
+  // Each parameter is read straight into the matrix the module already
+  // holds, once its stored shape matches.
   for (size_t i = 0; i < params.size(); ++i) {
-    if (!reader->GetMatrix(&values[i])) return reader->status();
-    if (values[i].rows() != params[i].rows() ||
-        values[i].cols() != params[i].cols()) {
+    uint64_t rows = 0, cols = 0;
+    if (!reader->GetU64(&rows) || !reader->GetU64(&cols)) {
+      return reader->status();
+    }
+    Matrix& value = params[i].mutable_value();
+    if (rows != value.rows() || cols != value.cols()) {
       return Status::InvalidArgument(StrFormat(
           "'%s': module '%s' parameter %zu shape mismatch: expected "
-          "%zux%zu, found %zux%zu",
-          reader->path().c_str(), found.c_str(), i, params[i].rows(),
-          params[i].cols(), values[i].rows(), values[i].cols()));
+          "%zux%zu, found %llux%llu",
+          reader->path().c_str(), found.c_str(), i, value.rows(),
+          value.cols(), static_cast<unsigned long long>(rows),
+          static_cast<unsigned long long>(cols)));
     }
+    if (!reader->GetFloats(value.data(), value.size())) return reader->status();
   }
-  NERGLOB_RETURN_IF_ERROR(reader->ExpectRecordEnd());
-  for (size_t i = 0; i < params.size(); ++i) {
-    params[i].mutable_value() = std::move(values[i]);
-  }
-  return Status::OK();
+  return reader->ExpectRecordEnd();
 }
 
 Status SaveModuleParameters(const Module& module, const std::string& path) {

@@ -6,7 +6,6 @@
 #include "autograd/ops.h"
 #include "autograd/variable.h"
 #include "common/rng.h"
-#include "common/scratch_arena.h"
 #include "nn/module.h"
 
 namespace nerglob::nn {
@@ -19,16 +18,8 @@ class Linear : public Module {
   /// parameter); the bias is zero either way.
   Linear(size_t in_features, size_t out_features, Rng* rng);
 
-  /// x: (m, in) -> (m, out). Builds graph nodes (training / autograd path).
+  /// x: (m, in) -> (m, out), one fused gemm + bias for every shape.
   ag::Var Forward(const ag::Var& x) const;
-
-  /// Graph-free inference path into a caller-owned output: same math as
-  /// Forward but no graph nodes (the SIMD gemm kernel handles every shape,
-  /// including single rows, so this is bit-identical to
-  /// Forward(...).value() everywhere). Capacity is reused, so there are
-  /// zero allocations at steady state when `out` is a scratch-arena slot.
-  /// Safe to call concurrently from ParallelFor bodies.
-  void ApplyInto(const Matrix& x, Matrix* out) const;
 
   std::vector<ag::Var> Parameters() const override { return {weight_, bias_}; }
 
@@ -50,15 +41,15 @@ class Embedding : public Module {
   /// ids (each in [0, vocab)) -> (ids.size(), dim).
   ag::Var Forward(const std::vector<int>& ids) const;
 
+  /// Bags of ids -> (bag_ends.size(), dim), row t the mean of bag t's
+  /// embeddings (see ag::GatherMeanRows).
+  ag::Var ForwardMean(const std::vector<int>& ids,
+                      const std::vector<size_t>& bag_ends) const;
+
   std::vector<ag::Var> Parameters() const override { return {table_}; }
 
   size_t vocab_size() const { return table_.rows(); }
   size_t dim() const { return table_.cols(); }
-
-  /// Read-only view of the embedding table for graph-free gathers (the
-  /// eval path indexes rows directly instead of building GatherRows
-  /// nodes).
-  const Matrix& table_value() const { return table_.value(); }
 
  private:
   ag::Var table_;  // (vocab, dim)
@@ -70,10 +61,6 @@ class LayerNorm : public Module {
   explicit LayerNorm(size_t dim);
 
   ag::Var Forward(const ag::Var& x) const;
-
-  /// Graph-free eval path, bit-identical to Forward(...).value() (same
-  /// double row statistics, same eps as ag::LayerNormRows).
-  void ApplyInto(const Matrix& x, Matrix* out) const;
 
   std::vector<ag::Var> Parameters() const override { return {gamma_, beta_}; }
 
@@ -92,13 +79,6 @@ class Mlp : public Module {
   Mlp(const std::vector<size_t>& dims, Rng* rng);
 
   ag::Var Forward(const ag::Var& x) const;
-
-  /// Graph-free inference path mirroring Forward (Linear::ApplyInto + ReLU
-  /// between layers, linear last) into a caller-owned output, with the
-  /// hidden activations in `scratch` (ping-pong buffers inside one
-  /// ScratchFrame). No graph nodes; thread-safe.
-  void ApplyInto(const Matrix& x, Matrix* out,
-                 common::ScratchArena* scratch) const;
 
   std::vector<ag::Var> Parameters() const override;
 

@@ -41,9 +41,12 @@ class Module {
 Status SaveModule(io::TensorWriter* writer, std::string_view name,
                   const Module& module);
 
-/// Reads a record written by SaveModule. The load is two-phase: values are
-/// staged and only committed once the record (name, count, every shape,
-/// checksum) validates, so a failed load leaves `module` untouched.
+/// Reads a record written by SaveModule into `module`'s parameters. The
+/// record's checksum, name and parameter count are verified first, and
+/// each parameter's stored shape before its values are read into it. On
+/// an error the target's parameters are unspecified: the caller discards
+/// it (ModelBundle::Load builds its bundle locally and drops it on any
+/// error).
 Status LoadModule(io::TensorReader* reader, std::string_view name,
                   Module* module);
 
@@ -52,7 +55,8 @@ Status LoadModule(io::TensorReader* reader, std::string_view name,
 Status SaveModuleParameters(const Module& module, const std::string& path);
 
 /// Restores parameter values saved with SaveModuleParameters. The module
-/// must have the same architecture (parameter count and shapes).
+/// must have the same architecture (parameter count and shapes); as with
+/// LoadModule, a failed load leaves its parameters unspecified.
 Status LoadModuleParameters(const std::string& path, Module* module);
 
 /// Takes a value snapshot of parameters (for best-checkpoint tracking).

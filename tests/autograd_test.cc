@@ -180,6 +180,89 @@ TEST(OpsGradTest, GatherRows) {
   EXPECT_LT(MaxGradientError(loss, table), kTol);
 }
 
+// Upstream gradient weights with exact +0 and -0 entries, so the tests
+// below also pin the sign of zero in the accumulated gradients.
+Var SignedZeroWeights(size_t rows, size_t cols, uint64_t seed) {
+  Rng rng(seed);
+  Matrix w = Matrix::Randn(rows, cols, 1.0f, &rng);
+  w.At(0, 0) = -0.0f;
+  w.At(rows - 1, cols - 1) = 0.0f;
+  return Constant(std::move(w));
+}
+
+TEST(OpsGradTest, GatherRowsBackwardMatchesDenseScatterBitForBit) {
+  Var table = Param(5, 3, 16);
+  const std::vector<int> idx = {3, 1, 3, 3, 0};
+  Var w = SignedZeroWeights(idx.size(), 3, 40);
+  for (int pass = 0; pass < 2; ++pass) {  // the second pass accumulates
+    MeanAll(Mul(GatherRows(table, idx), w)).Backward();
+  }
+  // The gradient a dense (rows x cols) scatter added whole, twice.
+  const float scale = 1.0f / static_cast<float>(idx.size() * 3);
+  Matrix dx(5, 3);
+  for (size_t i = 0; i < idx.size(); ++i) {
+    for (size_t c = 0; c < 3; ++c) {
+      const float g = 0.0f + (0.0f + scale) * w.value().At(i, c);
+      dx.At(static_cast<size_t>(idx[i]), c) += 0.0f + g;
+    }
+  }
+  Matrix want(5, 3);
+  want.AddInPlace(dx);
+  want.AddInPlace(dx);
+  EXPECT_EQ(table.grad(), want);
+}
+
+TEST(OpsGradTest, GatherMeanRowsMatchesPerBagTapeBitForBit) {
+  // Bags with repeated ids inside and across bags.
+  const std::vector<int> ids = {4, 0, 4, 2, 0, 0, 4, 1};
+  const std::vector<size_t> bag_ends = {3, 4, 7, 8};
+  Var w = SignedZeroWeights(bag_ends.size(), 3, 41);
+  Var fused = Param(5, 3, 42);
+  Var per_bag = Param(5, 3, 42);
+  for (int pass = 0; pass < 2; ++pass) {  // the second pass accumulates
+    Var y = GatherMeanRows(fused, ids, bag_ends);
+    std::vector<Var> rows;
+    for (size_t t = 0, begin = 0; t < bag_ends.size(); begin = bag_ends[t++]) {
+      const std::vector<int> bag(ids.begin() + begin, ids.begin() + bag_ends[t]);
+      rows.push_back(MeanRows(GatherRows(per_bag, bag)));
+    }
+    Var want = ConcatRows(rows);
+    EXPECT_EQ(y.value(), want.value());
+    MeanAll(Mul(y, w)).Backward();
+    MeanAll(Mul(want, w)).Backward();
+  }
+  EXPECT_EQ(fused.grad(), per_bag.grad());
+  EXPECT_LT(MaxGradientError(
+                [&] { return MeanAll(Mul(GatherMeanRows(fused, ids, bag_ends), w)); },
+                fused),
+            kTol);
+}
+
+TEST(NoGradScopeTest, OpsComputeTheTapeValueAndBuildNothing) {
+  Var a = Param(4, 3, 43);
+  Var b = Param(3, 2, 44);
+  auto forward = [&] { return SoftmaxRows(Relu(MatMul(a, b))); };
+  const Matrix tape = forward().value();
+  common::ScratchArena arena;
+  {
+    NoGradScope outer(&arena);
+    Var y = forward();
+    EXPECT_EQ(y.node(), nullptr);
+    EXPECT_FALSE(y.requires_grad());
+    EXPECT_EQ(y.value(), tape);
+    {
+      NoGradScope inner(&arena);
+      EXPECT_EQ(NoGradScope::Current(), &inner);
+      EXPECT_EQ(forward().value(), tape);
+    }
+    EXPECT_EQ(NoGradScope::Current(), &outer);
+    EXPECT_EQ(arena.depth(), 3u);  // the inner scope released its slots
+  }
+  EXPECT_EQ(NoGradScope::Current(), nullptr);
+  EXPECT_EQ(arena.depth(), 0u);
+  EXPECT_NE(forward().node(), nullptr);  // back on the tape
+}
+
 TEST(OpsGradTest, MaxOverRows) {
   // Values separated enough that argmax is stable under +-eps.
   Var a(Matrix::FromRows({{1.0, 9.0}, {5.0, 2.0}, {-3.0, 4.0}}), true);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <new>
 
 #include "nn/losses.h"
 
@@ -12,10 +14,44 @@
 #include "nn/optimizer.h"
 #include "text/tokenizer.h"
 
+// Counts this thread's global operator new calls, so a test can tell how
+// many heap allocations one Predict or EmbedInto makes. Every test file is
+// its own binary, so the replacement reaches core_test only.
+namespace {
+thread_local long t_new_calls = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++t_new_calls;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// std::stable_sort's buffer comes from the nothrow form; it must pair with
+// the free() below too (AddressSanitizer checks the pairing).
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++t_new_calls;
+  return std::malloc(size == 0 ? 1 : size);
+}
+// Out of line: inlined into a caller, GCC would flag the free() of an
+// operator new pointer (-Wmismatched-new-delete), which here is malloc's.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace nerglob::core {
 namespace {
 
 using text::EntityType;
+
+// operator new calls of one call of `fn` after three warm-up calls.
+template <typename Fn>
+long NewCallsPerCall(const Fn& fn) {
+  for (int i = 0; i < 3; ++i) fn();
+  const long before = t_new_calls;
+  fn();
+  return t_new_calls - before;
+}
 
 stream::Message MakeMsg(int64_t id, const std::string& txt) {
   stream::Message m;
@@ -44,6 +80,18 @@ TEST(PhraseEmbedderTest, OutputShapeAndDeterminism) {
   EXPECT_EQ(a.rows(), 1u);
   EXPECT_EQ(a.cols(), 8u);
   EXPECT_EQ(a, b);
+}
+
+TEST(PhraseEmbedderTest, EmbedIntoMatchesTapeAndAllocatesNothingOnceWarm) {
+  Rng rng(11);
+  PhraseEmbedder embedder(8, &rng);
+  Matrix tokens = Matrix::Randn(6, 8, 1.0f, &rng);
+  Matrix out;
+  embedder.EmbedInto(tokens, 1, 4, &out);
+  EXPECT_EQ(out, embedder.Forward(tokens, 1, 4).value());
+  // The scope keeps every activation in the arena and `out` is reused.
+  EXPECT_EQ(NewCallsPerCall([&] { embedder.EmbedInto(tokens, 1, 4, &out); }),
+            0);
 }
 
 TEST(PhraseEmbedderTest, PoolingIsMeanOverSpan) {
@@ -107,6 +155,21 @@ TEST(EntityClassifierTest, PredictionShapeAndConfidence) {
   Matrix global = clf.GlobalEmbedding(members);
   EXPECT_EQ(global.rows(), 1u);
   EXPECT_EQ(global.cols(), 6u);
+}
+
+TEST(EntityClassifierTest, PredictMatchesTapeAndAllocatesNothingOnceWarm) {
+  Rng rng(12);
+  for (PoolingMode pooling : {PoolingMode::kAttention, PoolingMode::kMean}) {
+    EntityClassifier clf(6, 8, &rng, pooling);
+    Matrix members = Matrix::Randn(12, 6, 1.0f, &rng);
+    const Matrix probs = SoftmaxRows(clf.ForwardLogits(members).value());
+    const EntityClassifier::Prediction pred = clf.Predict(members);
+    for (size_t c = 0; c < probs.cols(); ++c) {
+      EXPECT_LE(probs.At(0, c), pred.confidence);
+    }
+    EXPECT_EQ(pred.confidence, probs.At(0, static_cast<size_t>(pred.cls)));
+    EXPECT_EQ(NewCallsPerCall([&] { clf.Predict(members); }), 0);
+  }
 }
 
 TEST(EntityClassifierTest, PooledEmbeddingIsConvexCombination) {

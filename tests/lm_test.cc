@@ -1,7 +1,35 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
+
 #include "lm/micro_bert.h"
 #include "text/tokenizer.h"
+
+// Counts this thread's global operator new calls, so a test can tell how
+// many heap allocations one Encode makes. Every test file is its own
+// binary, so the replacement reaches lm_test only.
+namespace {
+thread_local long t_new_calls = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++t_new_calls;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// std::stable_sort's buffer comes from the nothrow form; it must pair with
+// the free() below too (AddressSanitizer checks the pairing).
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++t_new_calls;
+  return std::malloc(size == 0 ? 1 : size);
+}
+// Out of line: inlined into a caller, GCC would flag the free() of an
+// operator new pointer (-Wmismatched-new-delete), which here is malloc's.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace nerglob::lm {
 namespace {
@@ -34,9 +62,9 @@ TEST(MicroBertTest, EncodeShapes) {
 }
 
 TEST(MicroBertTest, EncodeMatchesTapeForwardBitForBit) {
-  // Encode runs the graph-free arena path; its outputs must equal the
-  // autograd eval forward exactly (the kernel determinism contract plus
-  // op-for-op mirroring; see DESIGN.md).
+  // Encode runs Forward under a NoGradScope; its outputs must equal the
+  // autograd eval forward exactly (the same ops and kernels; see
+  // DESIGN.md).
   MicroBert model(TinyConfig(), 11);
   for (const char* s : {"italy reports new cases", "x",
                         "the quick brown fox jumps over the lazy dog twice "
@@ -64,6 +92,32 @@ TEST(MicroBertTest, EncodeIsAllocationFreeOnceWarm) {
     model.Encode(short_tokens);
   }
   EXPECT_EQ(arena.heap_allocs(), warm);
+}
+
+// operator new calls of one steady-state Encode of `tokens`.
+long NewCallsPerEncode(const MicroBert& model,
+                       const std::vector<text::Token>& tokens) {
+  for (int i = 0; i < 3; ++i) model.Encode(tokens);  // warm the arena
+  const long before = t_new_calls;
+  model.Encode(tokens);
+  return t_new_calls - before;
+}
+
+TEST(MicroBertTest, EncodeHeapCallsDoNotDependOnLayersOrTokens) {
+  // Activations live in the arena, so only the result's own buffers
+  // (embeddings, logits, labels) reach the heap, whatever the depth and
+  // sentence length. A forward on the tape allocates per op, so per layer.
+  MicroBertConfig two_layer_config = TinyConfig();
+  two_layer_config.num_layers = 2;
+  MicroBert one_layer(TinyConfig(), 13);
+  MicroBert two_layers(two_layer_config, 13);
+  auto three = Toks("italy reports cases");
+  auto ten = Toks("one two three four five six seven eight nine ten");
+  const long base = NewCallsPerEncode(one_layer, three);
+  EXPECT_EQ(NewCallsPerEncode(two_layers, three), base);
+  EXPECT_EQ(NewCallsPerEncode(one_layer, ten), base);
+  EXPECT_EQ(NewCallsPerEncode(two_layers, ten), base);
+  EXPECT_LE(base, 3);
 }
 
 TEST(MicroBertTest, EncodeIsDeterministic) {

@@ -30,83 +30,81 @@ TEST(LinearTest, ShapesAndGradients) {
   }
 }
 
-TEST(LinearTest, ApplyMatchesForwardBitForBit) {
-  Rng rng(7);
-  Linear lin(16, 8, &rng);
-  // One SIMD gemm path for every shape (the single-row dot special case is
-  // gone); both batch and row inputs must reproduce the autograd value
-  // exactly.
-  Matrix batch = Matrix::Randn(5, 16, 1.0f, &rng);
-  Matrix out;
-  lin.ApplyInto(batch, &out);
-  EXPECT_EQ(out, lin.Forward(ag::Constant(batch)).value());
-  Matrix row = Matrix::Randn(1, 16, 1.0f, &rng);
-  lin.ApplyInto(row, &out);  // reuses the batch output's capacity
-  EXPECT_EQ(out, lin.Forward(ag::Constant(row)).value());
+// The value of `forward(x)` under an ag::NoGradScope (arena slots, no
+// graph) and on the tape: the same ops and kernels, so the same bytes.
+template <typename Forward>
+void ExpectNoGradMatchesTape(const Forward& forward, const Matrix& x) {
+  Matrix no_grad;
+  {
+    ag::NoGradScope scope(&common::ScratchArena::ThreadLocal());
+    ag::Var y = forward(ag::ConstantRef(x));
+    EXPECT_EQ(y.node(), nullptr);  // borrowed: no tape node
+    no_grad = y.value();
+  }
+  EXPECT_EQ(no_grad, forward(ag::Constant(x)).value());
 }
 
-TEST(LayerNormTest, ApplyMatchesForwardBitForBit) {
+TEST(LinearTest, NoGradForwardMatchesTapeBitForBit) {
+  Rng rng(7);
+  Linear lin(16, 8, &rng);
+  // One SIMD gemm path for every shape, batch and single row alike.
+  auto forward = [&](const ag::Var& x) { return lin.Forward(x); };
+  ExpectNoGradMatchesTape(forward, Matrix::Randn(5, 16, 1.0f, &rng));
+  ExpectNoGradMatchesTape(forward, Matrix::Randn(1, 16, 1.0f, &rng));
+}
+
+TEST(LayerNormTest, NoGradForwardMatchesTapeBitForBit) {
   Rng rng(21);
   LayerNorm ln(12);
   // Non-trivial affine parameters so the test covers gamma/beta too.
   ln.Parameters()[0].mutable_value() = Matrix::Randn(1, 12, 1.0f, &rng);
   ln.Parameters()[1].mutable_value() = Matrix::Randn(1, 12, 0.5f, &rng);
-  Matrix x = Matrix::Randn(5, 12, 2.0f, &rng);
-  Matrix out;
-  ln.ApplyInto(x, &out);
-  EXPECT_EQ(out, ln.Forward(ag::Constant(x)).value());
-  Matrix row = Matrix::Randn(1, 12, 2.0f, &rng);
-  ln.ApplyInto(row, &out);
-  EXPECT_EQ(out, ln.Forward(ag::Constant(row)).value());
+  auto forward = [&](const ag::Var& x) { return ln.Forward(x); };
+  ExpectNoGradMatchesTape(forward, Matrix::Randn(5, 12, 2.0f, &rng));
+  ExpectNoGradMatchesTape(forward, Matrix::Randn(1, 12, 2.0f, &rng));
 }
 
-TEST(AttentionTest, ApplyIntoMatchesForwardBitForBit) {
+TEST(AttentionTest, NoGradForwardMatchesTapeBitForBit) {
   Rng rng(22);
   MultiHeadSelfAttention mha(16, 4, &rng);
-  Matrix x = Matrix::Randn(7, 16, 1.0f, &rng);
-  Matrix out;
-  mha.ApplyInto(x, &out, &common::ScratchArena::ThreadLocal());
-  EXPECT_EQ(out, mha.Forward(ag::Constant(x)).value());
+  ExpectNoGradMatchesTape([&](const ag::Var& x) { return mha.Forward(x); },
+                          Matrix::Randn(7, 16, 1.0f, &rng));
 }
 
-TEST(AttentionTest, EncoderLayerApplyIntoMatchesEvalForwardBitForBit) {
+TEST(AttentionTest, EncoderLayerNoGradForwardMatchesEvalTapeBitForBit) {
   Rng rng(23);
   TransformerEncoderLayer layer(16, 2, /*ff_mult=*/2, /*dropout=*/0.3f, &rng);
-  Matrix x = Matrix::Randn(6, 16, 1.0f, &rng);
-  Matrix out;
-  layer.ApplyInto(x, &out, &common::ScratchArena::ThreadLocal());
-  // Dropout is an eval no-op, so the graph-free path must match the
-  // training=false tape exactly even with a non-zero dropout rate.
+  // Dropout is off when not training, so a non-zero rate must not matter.
   Rng unused(0);
-  EXPECT_EQ(out,
-            layer.Forward(ag::Constant(x), /*training=*/false, &unused).value());
+  ExpectNoGradMatchesTape(
+      [&](const ag::Var& x) {
+        return layer.Forward(x, /*training=*/false, &unused);
+      },
+      Matrix::Randn(6, 16, 1.0f, &rng));
 }
 
-TEST(MlpTest, ApplyIntoIsAllocationFreeOnceWarm) {
+TEST(MlpTest, NoGradForwardIsAllocationFreeOnceWarm) {
   Rng rng(24);
   Mlp mlp({8, 16, 16, 4}, &rng);
   Matrix x = Matrix::Randn(3, 8, 1.0f, &rng);
   common::ScratchArena arena;
-  Matrix out;
-  mlp.ApplyInto(x, &out, &arena);  // warm-up: slots + output grow
-  out.Reshape(3, 4);
+  auto run = [&] {
+    ag::NoGradScope scope(&arena);
+    return mlp.Forward(ag::ConstantRef(x)).rows();
+  };
+  run();  // warm-up: the slots grow
   const uint64_t warm = arena.heap_allocs();
-  for (int i = 0; i < 5; ++i) mlp.ApplyInto(x, &out, &arena);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(run(), 3u);
   EXPECT_EQ(arena.heap_allocs(), warm);
-  EXPECT_EQ(arena.depth(), 0u);  // every frame restored its mark
+  EXPECT_EQ(arena.depth(), 0u);  // every scope restored its mark
 }
 
-TEST(MlpTest, ApplyMatchesForwardBitForBit) {
+TEST(MlpTest, NoGradForwardMatchesTapeBitForBit) {
   Rng rng(9);
   Mlp mlp({12, 10, 10, 5}, &rng);
-  Matrix x = Matrix::Randn(6, 12, 1.0f, &rng);
-  common::ScratchArena& arena = common::ScratchArena::ThreadLocal();
-  Matrix out;
-  mlp.ApplyInto(x, &out, &arena);
-  EXPECT_EQ(out, mlp.Forward(ag::Constant(x)).value());
-  Matrix row = Matrix::Randn(1, 12, 1.0f, &rng);
-  mlp.ApplyInto(row, &out, &arena);
-  EXPECT_EQ(out, mlp.Forward(ag::Constant(row)).value());
+  auto forward = [&](const ag::Var& x) { return mlp.Forward(x); };
+  ExpectNoGradMatchesTape(forward, Matrix::Randn(6, 12, 1.0f, &rng));
+  ExpectNoGradMatchesTape(forward, Matrix::Randn(1, 12, 1.0f, &rng));
 }
 
 TEST(EmbeddingTest, LookupAndGradient) {
