@@ -194,38 +194,6 @@ Var AddRowBroadcast(const Var& a, const Var& bias) {
   });
 }
 
-Var MulColBroadcast(const Var& a, const Var& scale) {
-  NERGLOB_CHECK_EQ(scale.cols(), 1u);
-  NERGLOB_CHECK_EQ(scale.rows(), a.rows());
-  Output out(a.value());
-  Matrix& y = *out.get();
-  for (size_t r = 0; r < y.rows(); ++r) {
-    const float s = scale.value().At(r, 0);
-    float* row = y.Row(r);
-    for (size_t c = 0; c < y.cols(); ++c) row[c] *= s;
-  }
-  return out.Finish({a, scale}, [](Node& n) {
-    const Matrix& av = n.parents_[0]->value_;
-    const Matrix& sv = n.parents_[1]->value_;
-    Matrix da(av.rows(), av.cols());
-    Matrix ds(sv.rows(), 1);
-    for (size_t r = 0; r < av.rows(); ++r) {
-      const float s = sv.At(r, 0);
-      const float* g = n.grad_.Row(r);
-      const float* arow = av.Row(r);
-      float* drow = da.Row(r);
-      double acc = 0.0;
-      for (size_t c = 0; c < av.cols(); ++c) {
-        drow[c] = g[c] * s;
-        acc += static_cast<double>(g[c]) * arow[c];
-      }
-      ds.At(r, 0) = static_cast<float>(acc);
-    }
-    Accumulate(*n.parents_[0], da);
-    Accumulate(*n.parents_[1], ds);
-  });
-}
-
 Var ScalarMul(const Var& a, float c) {
   Output out(a.value());
   out.get()->Scale(c);
@@ -325,26 +293,6 @@ Var SoftmaxRows(const Var& a) {
       float* dr = dx.Row(r);
       for (size_t c = 0; c < y.cols(); ++c) {
         dr[c] = yr[c] * (gr[c] - static_cast<float>(dot));
-      }
-    }
-    Accumulate(*n.parents_[0], dx);
-  });
-}
-
-Var LogSoftmaxRows(const Var& a) {
-  Output out(a.rows(), a.cols());
-  LogSoftmaxRowsInto(a.value(), out.get());
-  return out.Finish({a}, [](Node& n) {
-    const Matrix& logp = n.value_;
-    Matrix dx(logp.rows(), logp.cols());
-    for (size_t r = 0; r < logp.rows(); ++r) {
-      const float* lr = logp.Row(r);
-      const float* gr = n.grad_.Row(r);
-      double gsum = 0.0;
-      for (size_t c = 0; c < logp.cols(); ++c) gsum += gr[c];
-      float* dr = dx.Row(r);
-      for (size_t c = 0; c < logp.cols(); ++c) {
-        dr[c] = gr[c] - static_cast<float>(gsum) * std::exp(lr[c]);
       }
     }
     Accumulate(*n.parents_[0], dx);

@@ -38,9 +38,6 @@ Var Mul(const Var& a, const Var& b);
 /// Adds a 1xN bias row to every row of a (m,n).
 Var AddRowBroadcast(const Var& a, const Var& bias);
 
-/// Multiplies row r of a (m,n) by scale (m,1) row weight.
-Var MulColBroadcast(const Var& a, const Var& scale);
-
 /// a * c for scalar constant c.
 Var ScalarMul(const Var& a, float c);
 
@@ -58,9 +55,8 @@ Var Log(const Var& a, float eps = 0.0f);
 
 Var Transpose(const Var& a);
 
-/// Row-wise softmax / log-softmax.
+/// Row-wise softmax.
 Var SoftmaxRows(const Var& a);
-Var LogSoftmaxRows(const Var& a);
 
 /// (m,n) -> (1,n) mean across rows.
 Var MeanRows(const Var& a);

@@ -21,7 +21,7 @@ enum class StatusCode {
   kUnimplemented,
   kIoError,
   /// Transient overload: the operation was rejected by admission control
-  /// (e.g. a serving queue at its high watermark) and may succeed if
+  /// (e.g. a serving queue at its capacity) and may succeed if
   /// retried after the backlog drains.
   kUnavailable,
   /// Unrecoverable loss or corruption of owned state: the target (e.g. a

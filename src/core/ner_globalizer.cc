@@ -18,14 +18,13 @@ namespace nerglob::core {
 namespace {
 
 /// Layout of a session checkpoint's pipeline records, written first in the
-/// kTagCheckpoint header. Version 7 stores only what the window cannot
+/// kTagCheckpoint header. Version 8 stores only what the window cannot
 /// give back: the messages as text (a hand-built token as its matching
-/// form, offsets and kind), the mention pools (spans only, no
-/// partitions), the finalized buffer and the evicted count. Restore
-/// re-tokenizes and re-encodes the window, seeds the trie and the seed
-/// support from it, then recomputes the phrase embeddings. The layouts
+/// form, offsets and kind), the finalized buffer and the evicted count.
+/// Restore re-tokenizes and re-encodes the window, seeds the trie and the
+/// seed support from it, then re-extracts the mention pools. The layouts
 /// before it are described in docs/FORMATS.md.
-constexpr uint32_t kCheckpointLayoutVersion = 7;
+constexpr uint32_t kCheckpointLayoutVersion = 8;
 
 }  // namespace
 
@@ -127,9 +126,8 @@ Status NerGlobalizer::Restore(io::TensorReader* reader) {
   // StreamState::Load is itself two-phase, so a corrupt state record
   // leaves this pipeline untouched; only the timing counters must wait
   // for it to succeed.
-  NERGLOB_RETURN_IF_ERROR(state_.Load(reader, bundle_->model(),
-                                      bundle_->embedder(),
-                                      config_.process_batch_size));
+  NERGLOB_RETURN_IF_ERROR(
+      state_.Load(reader, bundle_->model(), bundle_->embedder(), config_));
   local_seconds_ = local_s;
   global_seconds_ = global_s;
   return Status::OK();
@@ -270,7 +268,7 @@ std::vector<std::vector<text::EntitySpan>> NerGlobalizer::Predictions(
       // Partitions are not stored: every live surface is clustered here,
       // and that is global-phase work (Table IV).
       WallTimer global_timer;
-      const std::vector<std::string>& surfaces =
+      const std::vector<std::string> surfaces =
           state_.candidate_base.surfaces();
       const std::vector<std::vector<stream::CandidateEntry>> partitions =
           stages::BuildCandidates(bundle_->classifier(), state_, config_,

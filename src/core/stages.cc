@@ -19,79 +19,19 @@ namespace nerglob::core::stages {
 
 namespace {
 
-/// Scans `ids` against `trie`, appending new mention records (with local
-/// embeddings) to the CandidateBase. When `dedup` is set, spans already
-/// present in their surface's pool are skipped — the eviction rescan
-/// path, where live sentences are re-scanned after a surface prune. Every
-/// appended mention is embedded here, once; the pool holds the only copy.
-void ExtractMentionsInto(const ModelBundle& bundle, StreamState& state,
-                         const NerGlobalizerConfig& config,
-                         const std::vector<int64_t>& ids,
-                         const trie::CandidateTrie& trie, bool dedup = false) {
-  if (trie.size() == 0) return;
-  static const trace::TraceStage kStage("mention_extraction");
-  trace::TraceSpan span(kStage);
-  const PhraseEmbedder& embedder = bundle.embedder();
+/// The matching forms of a record's tokens, the trie's input.
+std::vector<std::string> MatchTokens(const stream::SentenceRecord& record) {
+  std::vector<std::string> match_tokens;
+  match_tokens.reserve(record.message.tokens.size());
+  for (const auto& tok : record.message.tokens) match_tokens.push_back(tok.match);
+  return match_tokens;
+}
 
-  // Phase 1 (parallel): per-sentence trie scans and phrase embeddings are
-  // independent reads of the TweetBase, so they fan out over the thread
-  // pool. Found mentions land in a per-id slot, preserving sentence order.
-  struct Found {
-    std::string surface;
-    stream::MentionRecord mention;
-  };
-  std::vector<std::vector<Found>> found(ids.size());
-  ParallelFor(0, ids.size(), /*grain=*/4, [&](size_t idx) {
-    const int64_t id = ids[idx];
-    const stream::SentenceRecord* record = state.tweet_base.Find(id);
-    if (record == nullptr || record->message.tokens.empty()) return;
-    std::vector<std::string> match_tokens;
-    match_tokens.reserve(record->message.tokens.size());
-    for (const auto& tok : record->message.tokens) match_tokens.push_back(tok.match);
-
-    for (const trie::TokenSpan& span :
-         trie.FindLongestMatches(match_tokens, config.max_mention_span)) {
-      // Mentions truncated away by the encoder have no embeddings; skip.
-      if (span.begin >= record->token_embeddings.rows()) continue;
-      const size_t emb_end = std::min(span.end, record->token_embeddings.rows());
-      Found f;
-      f.mention.message_id = id;
-      f.mention.begin_token = span.begin;
-      f.mention.end_token = span.end;
-      f.surface = SpanSurfaceString(record->message, span.begin, span.end);
-      if (dedup && state.candidate_base.ContainsMention(f.surface, id, span.begin,
-                                                        span.end)) {
-        continue;
-      }
-      // Retained state: the embedding outlives this batch in the
-      // CandidateBase, so it owns heap storage; EmbedInto keeps every
-      // intermediate in the worker's scratch arena.
-      embedder.EmbedInto(record->token_embeddings, span.begin, emb_end,
-                         &f.mention.local_embedding);
-      found[idx].push_back(std::move(f));
-    }
-  });
-
-  // Phase 2 (serial merge, sentence order): AddMention assigns mention ids
-  // by arrival, so merging in id order keeps the CandidateBase identical to
-  // a sequential pass for any thread count.
-  size_t mention_count = 0;
-  for (std::vector<Found>& per_id : found) {
-    mention_count += per_id.size();
-    for (Found& f : per_id) {
-      state.candidate_base.AddMention(f.surface, std::move(f.mention));
-    }
-  }
-
-  if (metrics::Enabled()) {
-    auto& registry = metrics::MetricsRegistry::Global();
-    static metrics::Counter* const mentions =
-        registry.GetCounter("pipeline.mentions_extracted_total");
-    static metrics::Counter* const scans =
-        registry.GetCounter("pipeline.trie_scans_total");
-    mentions->Increment(mention_count);
-    scans->Increment(ids.size());
-  }
+void CountTrieScans(size_t scans) {
+  if (!metrics::Enabled()) return;
+  static metrics::Counter* const counter =
+      metrics::MetricsRegistry::Global().GetCounter("pipeline.trie_scans_total");
+  counter->Increment(scans);
 }
 
 /// Clusters one surface form's mention pool and classifies each cluster.
@@ -190,6 +130,71 @@ std::vector<stream::CandidateEntry> ClusterSurface(
 
 }  // namespace
 
+void ReExtractMentions(const PhraseEmbedder& embedder, size_t max_mention_span,
+                       const std::vector<int64_t>& ids, StreamState& state) {
+  if (ids.empty()) return;
+  static const trace::TraceStage kStage("mention_extraction");
+  trace::TraceSpan span(kStage);
+
+  // Phase 1 (parallel): per-sentence trie scans and phrase embeddings are
+  // independent reads of the TweetBase, so they fan out over the thread
+  // pool. Found mentions land in a per-id slot.
+  struct Found {
+    std::string surface;
+    stream::MentionRecord mention;
+  };
+  std::vector<std::vector<Found>> found(ids.size());
+  ParallelFor(0, ids.size(), /*grain=*/4, [&](size_t idx) {
+    const int64_t id = ids[idx];
+    const stream::SentenceRecord* record = state.tweet_base.Find(id);
+    if (record == nullptr || record->message.tokens.empty() ||
+        state.trie.size() == 0) {
+      return;
+    }
+    for (const trie::TokenSpan& span :
+         state.trie.FindLongestMatches(MatchTokens(*record), max_mention_span)) {
+      // Mentions truncated away by the encoder have no embeddings; skip.
+      if (span.begin >= record->token_embeddings.rows()) continue;
+      const size_t emb_end = std::min(span.end, record->token_embeddings.rows());
+      Found f;
+      f.mention.message_id = id;
+      f.mention.begin_token = span.begin;
+      f.mention.end_token = span.end;
+      f.surface = SpanSurfaceString(record->message, span.begin, span.end);
+      // Retained state: the embedding outlives this batch in the
+      // CandidateBase, so it owns heap storage; EmbedInto keeps every
+      // intermediate in the worker's scratch arena.
+      embedder.EmbedInto(record->token_embeddings, span.begin, emb_end,
+                         &f.mention.local_embedding);
+      found[idx].push_back(std::move(f));
+    }
+  });
+
+  // Phase 2 (serial): replace the sentences' mentions. AddMentions merges
+  // each surface's matches in canonical order, so the pools are the same
+  // for any thread count and any history that led to this trie.
+  const std::unordered_set<int64_t> id_set(ids.begin(), ids.end());
+  state.candidate_base.RemoveMentionsOf(
+      id_set, state.candidate_base.SurfacesWithMentionsOf(id_set));
+  std::unordered_map<std::string, std::vector<stream::MentionRecord>> merged;
+  size_t mention_count = 0;
+  for (std::vector<Found>& per_id : found) {
+    mention_count += per_id.size();
+    for (Found& f : per_id) merged[f.surface].push_back(std::move(f.mention));
+  }
+  for (auto& [surface, mentions] : merged) {
+    state.candidate_base.AddMentions(surface, std::move(mentions));
+  }
+
+  CountTrieScans(ids.size());
+  if (metrics::Enabled()) {
+    static metrics::Counter* const mentions =
+        metrics::MetricsRegistry::Global().GetCounter(
+            "pipeline.mentions_extracted_total");
+    mentions->Increment(mention_count);
+  }
+}
+
 std::vector<std::vector<stream::CandidateEntry>> BuildCandidates(
     const EntityClassifier& classifier, const StreamState& state,
     const NerGlobalizerConfig& config,
@@ -251,8 +256,8 @@ void LocalEncode(const ModelBundle& bundle, StreamState& state,
 void IngestLocal(const ModelBundle& bundle, StreamState& state,
                  StageContext& ctx) {
   (void)bundle;
-  // Snapshot before this batch lands: these are the sentences that only
-  // need rescanning against the delta trie.
+  // Snapshot before this batch lands: ExtractMentions scans these against
+  // the delta trie to pick the ones to re-extract.
   ctx.old_ids = state.tweet_base.ids();
   for (const LocalNerOutput& out :
        IngestEncodedBatch(*ctx.batch, &ctx.encoded, &state)) {
@@ -267,10 +272,30 @@ void IngestLocal(const ModelBundle& bundle, StreamState& state,
 
 void ExtractMentions(const ModelBundle& bundle, StreamState& state,
                      StageContext& ctx) {
-  ExtractMentionsInto(bundle, state, *ctx.config, ctx.new_ids, state.trie);
+  const size_t max_span = ctx.config->max_mention_span;
+  std::vector<int64_t> ids = ctx.new_ids;
   if (ctx.delta.size() > 0) {
-    ExtractMentionsInto(bundle, state, *ctx.config, ctx.old_ids, ctx.delta);
+    // A form new to the trie changes an old sentence's longest matches
+    // only where it occurs, and the greedy scan against the delta trie
+    // finds a match exactly when some delta form occurs. So the delta
+    // scan selects the old sentences to re-extract; its matches are
+    // discarded.
+    static const trace::TraceStage kStage("mention_extraction");
+    trace::TraceSpan span(kStage);
+    std::vector<char> selected(ctx.old_ids.size(), 0);
+    ParallelFor(0, ctx.old_ids.size(), /*grain=*/16, [&](size_t i) {
+      const stream::SentenceRecord* record =
+          state.tweet_base.Find(ctx.old_ids[i]);
+      selected[i] = record != nullptr &&
+                    !ctx.delta.FindLongestMatches(MatchTokens(*record), max_span)
+                         .empty();
+    });
+    for (size_t i = 0; i < ctx.old_ids.size(); ++i) {
+      if (selected[i] != 0) ids.push_back(ctx.old_ids[i]);
+    }
+    CountTrieScans(ctx.old_ids.size());
   }
+  ReExtractMentions(bundle.embedder(), max_span, ids, state);
 }
 
 void Evict(const ModelBundle& bundle, StreamState& state, StageContext& ctx) {
@@ -348,22 +373,21 @@ void Evict(const ModelBundle& bundle, StreamState& state, StageContext& ctx) {
   rescan_ids.erase(std::unique(rescan_ids.begin(), rescan_ids.end()),
                    rescan_ids.end());
 
-  // 4. Drop evicted mentions from the pools that hold them, then remove
-  // pruned surfaces wholesale (trie entry and pool).
+  // 4. Drop evicted mentions from the pools that hold them (erasing the
+  // pools this empties), and the pruned forms from the trie.
   state.candidate_base.RemoveMentionsOf(evicted, departing);
   for (const std::string& surface : pruned) {
     state.trie.Remove(SplitChar(surface, ' '));
-    state.candidate_base.RemoveSurface(surface);
   }
 
   // 5. Retire the records themselves.
   state.tweet_base.EvictOldest(count);
   state.evicted_messages += count;
 
-  // 6. Re-scan affected live sentences (dedup: only genuinely new spans
-  // are added and embedded).
-  ExtractMentionsInto(bundle, state, config, rescan_ids, state.trie,
-                      /*dedup=*/true);
+  // 6. Re-extract the affected live sentences against the shrunk trie. Their
+  // pruned-surface mentions go, which empties and erases those pools.
+  ReExtractMentions(bundle.embedder(), config.max_mention_span, rescan_ids,
+                    state);
 
   if (metrics::Enabled()) {
     auto& registry = metrics::MetricsRegistry::Global();

@@ -60,12 +60,12 @@ struct StageContext {
   bool pre_encoded = false;
 
   /// IngestLocal products.
-  /// Ids of sentences that existed before this batch (delta-rescan input).
+  /// Ids of sentences that existed before this batch.
   std::vector<int64_t> old_ids;
   /// Ids of this batch's sentences now present in the TweetBase.
   std::vector<int64_t> new_ids;
-  /// Surface forms first seen in this batch; old sentences are rescanned
-  /// against only these.
+  /// Surface forms first seen in this batch. ExtractMentions scans the old
+  /// sentences against these only to select the ones to re-extract.
   trie::CandidateTrie delta;
 };
 
@@ -84,9 +84,10 @@ void LocalEncode(const ModelBundle& bundle, StreamState& state,
 void IngestLocal(const ModelBundle& bundle, StreamState& state,
                  StageContext& ctx);
 
-/// Stage 3 — mention extraction (Sec. III step 3): scans the new sentences
-/// against the full trie and the old sentences against the delta trie,
-/// appending mention records (with phrase embeddings) to the CandidateBase.
+/// Stage 3 — mention extraction (Sec. III step 3): re-extracts
+/// (ReExtractMentions) the new sentences and the old sentences in which a
+/// ctx.delta form occurs, the only old sentences whose longest matches the
+/// new forms change.
 void ExtractMentions(const ModelBundle& bundle, StreamState& state,
                      StageContext& ctx);
 
@@ -94,9 +95,22 @@ void ExtractMentions(const ModelBundle& bundle, StreamState& state,
 /// config->window_messages, flushing their final predictions to
 /// state.finalized from the partitions of the surfaces that hold their
 /// mentions (clustered before the pools shrink), then prunes unsupported
-/// surfaces and rescans affected live sentences. No-op when the window is
-/// unbounded or not yet exceeded.
+/// surfaces from the trie and re-extracts the live sentences that held a
+/// mention of one. No-op when the window is unbounded or not yet exceeded.
 void Evict(const ModelBundle& bundle, StreamState& state, StageContext& ctx);
+
+/// The one operation that writes the mention pools. It keeps their
+/// invariant: every live sentence's mentions are exactly the greedy longest
+/// matches of its tokens against state.trie, and every pool is in
+/// canonical order. Drops each sentence in `ids` (distinct) from every
+/// pool, scans it against the full trie, phrase-embeds each match once and
+/// merges the matches into their pools; pools this empties are erased.
+/// ExtractMentions, Evict and StreamState::Load (over the whole restored
+/// window) all write the pools through here. Traced as
+/// `mention_extraction`. O(ids * (tokens * max_mention_span + matches *
+/// embed) + mentions of the pools touched + surfaces log pool).
+void ReExtractMentions(const PhraseEmbedder& embedder, size_t max_mention_span,
+                       const std::vector<int64_t>& ids, StreamState& state);
 
 /// Candidate clustering + classification (Sec. V-C/D): clusters each
 /// surface's mention pool and classifies every cluster, returning one
@@ -111,7 +125,8 @@ std::vector<std::vector<stream::CandidateEntry>> BuildCandidates(
     const NerGlobalizerConfig& config,
     const std::vector<std::string>& surfaces);
 
-/// Pools larger than this are clustered on a prefix sample; the remaining
+/// Pools larger than this are clustered on a prefix sample, the mentions
+/// of the lowest message ids (pools are in canonical order); the remaining
 /// mentions join the nearest cluster centroid. Keeps the O(n^3) linkage
 /// bounded for head entities with thousands of mentions. (Shared with the
 /// EMD-Globalizer baseline pooling in harness.) Each BuildCandidates pool

@@ -7,6 +7,7 @@
 #include "common/trace.h"
 #include "core/local_ner.h"
 #include "core/phrase_embedder.h"
+#include "core/stages.h"
 #include "io/tensor_io.h"
 #include "lm/encode_cache.h"
 #include "lm/micro_bert.h"
@@ -72,8 +73,6 @@ PipelineMemoryUsage StreamState::MemoryUsage() const {
 
 Status StreamState::Save(io::TensorWriter* writer) const {
   NERGLOB_RETURN_IF_ERROR(tweet_base.Save(writer));
-  NERGLOB_RETURN_IF_ERROR(candidate_base.Save(writer));
-
   PutFinalized(writer, finalized);
   writer->PutVarint(evicted_messages);
   return writer->EndRecord(io::kTagPipelineState);
@@ -81,19 +80,28 @@ Status StreamState::Save(io::TensorWriter* writer) const {
 
 Status StreamState::Load(io::TensorReader* reader, const lm::MicroBert& model,
                          const PhraseEmbedder& embedder,
-                         size_t encode_batch_size) {
+                         const NerGlobalizerConfig& config) {
   StreamState restored;
   NERGLOB_RETURN_IF_ERROR(restored.tweet_base.Load(reader));
+  NERGLOB_RETURN_IF_ERROR(reader->NextRecord(io::kTagPipelineState));
+  auto fail = [&](const char* what) {
+    return reader->Corrupt("stream-state record", what);
+  };
+  if (!GetFinalized(reader, &restored.finalized)) return fail("finalized");
+  uint64_t evicted = 0;
+  if (!reader->GetVarint(&evicted)) return fail("counters");
+  restored.evicted_messages = static_cast<size_t>(evicted);
+  NERGLOB_RETURN_IF_ERROR(reader->ExpectRecordEnd());
 
   // Re-encode the live window. EncodeMany is batch-composition invariant
   // (and exact under dedup and the encode cache), so each record gets the
   // bytes LocalEncode produced; chunking only bounds the transient logits.
   // Results are moved into the records, never copied.
+  const std::vector<int64_t>& ids = restored.tweet_base.ids();
   {
     static const trace::TraceStage kStage("restore_encode");
     trace::TraceSpan span(kStage);
-    const std::vector<int64_t>& ids = restored.tweet_base.ids();
-    const size_t chunk = std::max<size_t>(encode_batch_size, 1);
+    const size_t chunk = std::max<size_t>(config.process_batch_size, 1);
     for (size_t begin = 0; begin < ids.size(); begin += chunk) {
       std::vector<stream::SentenceRecord*> records;
       std::vector<const std::vector<text::Token>*> sentences;
@@ -108,43 +116,10 @@ Status StreamState::Load(io::TensorReader* reader, const lm::MicroBert& model,
       }
     }
   }
-  for (int64_t id : restored.tweet_base.ids()) {
+  for (int64_t id : ids) {
     restored.SeedLocalSpans(*restored.tweet_base.Find(id), nullptr);
   }
-
-  auto fail = [&](const char* what) {
-    return reader->Corrupt("stream-state record", what);
-  };
-
-  // The same span rule mention extraction applies: a mention must start
-  // inside its sentence's encoded prefix and is pooled over the part of
-  // the span the encoder kept. Validating here turns a crafted record into
-  // a typed error instead of a failed CHECK in the embedder.
-  const std::string& path = reader->path();
-  const stream::TweetBase& tweets = restored.tweet_base;
-  auto embed = [&](const stream::MentionRecord& m, Matrix* out) -> Status {
-    const stream::SentenceRecord* rec = tweets.Find(m.message_id);
-    if (rec == nullptr || m.begin_token >= m.end_token ||
-        m.end_token > rec->message.tokens.size() ||
-        m.begin_token >= rec->token_embeddings.rows()) {
-      return Status::InvalidArgument(StrFormat(
-          "'%s': corrupt candidate-base record (mention [%zu, %zu) of "
-          "message %lld has no span in the re-encoded window)",
-          path.c_str(), m.begin_token, m.end_token,
-          static_cast<long long>(m.message_id)));
-    }
-    embedder.EmbedInto(rec->token_embeddings, m.begin_token,
-                       std::min(m.end_token, rec->token_embeddings.rows()), out);
-    return Status::OK();
-  };
-  NERGLOB_RETURN_IF_ERROR(restored.candidate_base.Load(reader, embed));
-
-  NERGLOB_RETURN_IF_ERROR(reader->NextRecord(io::kTagPipelineState));
-  if (!GetFinalized(reader, &restored.finalized)) return fail("finalized");
-  uint64_t evicted = 0;
-  if (!reader->GetVarint(&evicted)) return fail("counters");
-  restored.evicted_messages = static_cast<size_t>(evicted);
-  NERGLOB_RETURN_IF_ERROR(reader->ExpectRecordEnd());
+  stages::ReExtractMentions(embedder, config.max_mention_span, ids, restored);
 
   *this = std::move(restored);
   return Status::OK();

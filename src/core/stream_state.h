@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/ner_globalizer_config.h"
 #include "stream/candidate_base.h"
 #include "stream/tweet_base.h"
 #include "text/bio.h"
@@ -67,15 +68,16 @@ struct PipelineMemoryUsage {
 /// thin engine owning one StreamState and borrowing one const ModelBundle.
 ///
 /// Serializable: Save writes only what the live window cannot give back
-/// (the messages, the mention pools as spans, the finalized
-/// buffer and the evicted count; integers as varints). A message's tokens
-/// are the tokenizer's output for its text, its token embeddings and
-/// local BIO labels a pure function of the encoder and those tokens, the
-/// CTrie and the seed support a function of every live message's local
-/// BIO (SeedLocalSpans), and mention phrase embeddings of the token
-/// embeddings and the PhraseEmbedder, so Save omits all of them and Load
-/// recomputes them bit-identically; a restored session's Predictions() at
-/// every PipelineStage equal the uninterrupted run's.
+/// (the messages, the finalized buffer and the evicted count; integers as
+/// varints). A message's tokens are the tokenizer's output for its text,
+/// its token embeddings and local BIO labels a pure function of the
+/// encoder and those tokens, the CTrie and the seed support a function of
+/// every live message's local BIO (SeedLocalSpans), and the mention pools
+/// a function of the tokens, the trie, the token embeddings and the
+/// PhraseEmbedder (stages::ReExtractMentions keeps them so), so Save omits
+/// all of them and Load recomputes them bit-identically; a restored
+/// session's pools and Predictions() at every PipelineStage equal the
+/// uninterrupted run's.
 struct StreamState {
   stream::TweetBase tweet_base;
   /// Holds exactly the matching forms of the live local-NER spans.
@@ -104,24 +106,24 @@ struct StreamState {
   /// Approximate heap footprint per store. O(state size).
   PipelineMemoryUsage MemoryUsage() const;
 
-  /// Appends the state as a sequence of checksummed records (tweet base,
-  /// candidate base, pipeline state), without encoder outputs, phrase
-  /// embeddings, the trie or the seed support.
+  /// Appends the state as two checksummed records (tweet base, pipeline
+  /// state), without encoder outputs, mention pools, the trie or the seed
+  /// support.
   Status Save(io::TensorWriter* writer) const;
 
-  /// Restores a state saved with Save. Re-tokenizes the messages stored
-  /// as text (TweetBase::Load), re-encodes the live window with
-  /// `model` (EncodeMany, `encode_batch_size` messages per call, under the
+  /// Restores a state saved with Save. Reads both records
+  /// (TweetBase::Load re-tokenizes the messages stored as text), then
+  /// re-encodes the live window with `model` (EncodeMany,
+  /// config.process_batch_size messages per call, under the
   /// `restore_encode` trace stage), seeds the trie and the seed support
-  /// from every live record in stream order (SeedLocalSpans), then
-  /// recomputes every mention's phrase embedding with `embedder`. A
-  /// mention that does not start inside its sentence's re-encoded prefix,
-  /// or that names a message the TweetBase does not hold, fails with
-  /// InvalidArgument. Two-phase: `*this` is
-  /// replaced only once every record validates, so a corrupt checkpoint
-  /// leaves the state untouched.
+  /// from every live record in stream order (SeedLocalSpans), and
+  /// re-extracts every live sentence's mentions with `embedder`
+  /// (stages::ReExtractMentions, config.max_mention_span). Two-phase:
+  /// `*this` is replaced only once every record validates, so a corrupt
+  /// checkpoint leaves the state untouched.
   Status Load(io::TensorReader* reader, const lm::MicroBert& model,
-              const PhraseEmbedder& embedder, size_t encode_batch_size);
+              const PhraseEmbedder& embedder,
+              const NerGlobalizerConfig& config);
 };
 
 }  // namespace nerglob::core

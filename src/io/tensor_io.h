@@ -38,7 +38,7 @@ enum RecordTag : uint32_t {
   kTagTrainingStats = 3, // harness-owned provenance doubles
   kTagCheckpoint = 4,    // NerGlobalizer checkpoint header
   kTagTweetBase = 5,
-  kTagCandidateBase = 6,
+  // 6 was kTagCandidateBase (checkpoint layouts up to 7); never reuse it.
   // 7 was kTagTrie (checkpoint layouts up to 4); never reuse it.
   kTagPipelineState = 8, // finalized buffer + evicted count
   kTagSession = 9,       // StreamingSession counters + finalized buffer

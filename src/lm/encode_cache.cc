@@ -152,10 +152,8 @@ EncodeCache* EncodeCache::Global() {
     const int64_t mb =
         env::EnvInt("NERGLOB_ENCODE_CACHE_MB", 0, 0, /*max=*/1 << 20);
     if (mb == 0) return nullptr;
-    const int64_t shards =
-        env::EnvInt("NERGLOB_ENCODE_CACHE_SHARDS", 8, 1, /*max=*/4096);
     return new EncodeCache(static_cast<size_t>(mb) * 1024 * 1024,
-                           static_cast<size_t>(shards));
+                           /*shards=*/8);
   }();
   return cache;
 }

@@ -66,13 +66,12 @@ struct EncodeKeyHash {
 /// against a per-shard slice of the total budget (EntryBytes counts the
 /// value matrices, the key, and fixed node overhead), oldest-first.
 ///
-/// The process-wide instance is configured by environment knobs, latched
-/// on first use:
+/// The process-wide instance has 8 shards and is configured by one
+/// environment knob, latched on first use:
 ///   NERGLOB_ENCODE_CACHE_MB      total budget in MiB; 0 (default) disables
 ///                                the cache entirely — Global() returns
 ///                                nullptr and every encode path is
 ///                                byte-for-byte the uncached status quo.
-///   NERGLOB_ENCODE_CACHE_SHARDS  shard count (default 8).
 ///
 /// Observability: lm.encode_cache.{hits,misses,evictions} counters and
 /// lm.encode_cache.{bytes,entries} gauges in the global MetricsRegistry,

@@ -44,13 +44,6 @@ SessionManager::SessionManager(const core::ModelBundle* bundle,
       config_.num_shards > 0 ? config_.num_shards : Parallelism();
   queue_capacity_ =
       config_.queue_capacity > 0 ? config_.queue_capacity : DefaultQueueCapacity();
-  if (config_.high_watermark > 0) {
-    high_watermark_ = std::min(config_.high_watermark, queue_capacity_);
-    low_watermark_ = std::min(config_.low_watermark, high_watermark_);
-  } else {
-    high_watermark_ = queue_capacity_;
-    low_watermark_ = queue_capacity_ / 2;
-  }
 
   auto& registry = metrics::MetricsRegistry::Global();
   submitted_counter_ = registry.GetCounter("serve.submitted_total");
@@ -199,10 +192,10 @@ Status SessionManager::Submit(const std::string& stream_id,
   Shard& shard = *shards_[entry->shard];
   {
     std::lock_guard<std::mutex> shard_lock(shard.mu);
-    // Admission control with hysteresis: once a shard trips its high
-    // watermark it keeps rejecting until the worker drains it down to the
-    // low watermark, so a burst sees one contiguous rejection episode.
-    if (shard.overloaded || shard.queue.size() >= high_watermark_) {
+    // Admission control with hysteresis: once a shard reaches its capacity
+    // it keeps rejecting until the worker drains it down to half of it, so
+    // a burst sees one contiguous rejection episode.
+    if (shard.overloaded || shard.queue.size() >= queue_capacity_) {
       shard.overloaded = true;
       rejected_.fetch_add(1, std::memory_order_relaxed);
       rejected_counter_->Increment();
@@ -248,7 +241,7 @@ void SessionManager::WorkerLoop(Shard* shard) {
       }
       item = std::move(shard->queue.front());
       shard->queue.pop_front();
-      if (shard->queue.size() <= low_watermark_) shard->overloaded = false;
+      if (shard->queue.size() <= queue_capacity_ / 2) shard->overloaded = false;
       shard->depth_gauge->Set(static_cast<double>(shard->queue.size()));
     }
     // The session is safe to touch without a lock: it is pinned to this

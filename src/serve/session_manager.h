@@ -33,17 +33,12 @@ struct SessionManagerConfig {
   /// (the NERGLOB_THREADS / hardware default).
   size_t num_shards = 0;
   /// Hard cap on queued batches per shard. 0 => DefaultQueueCapacity()
-  /// (the NERGLOB_SERVE_QUEUE_CAP knob).
+  /// (the NERGLOB_SERVE_QUEUE_CAP knob). It also sets the overload
+  /// hysteresis: a shard whose depth reaches the cap rejects new batches
+  /// (Status::Unavailable) until the worker drains it back to half the cap,
+  /// so a bursting client sees one contiguous rejection episode instead of
+  /// flapping at the cap.
   size_t queue_capacity = 0;
-  /// Overload hysteresis. A shard whose depth reaches `high_watermark`
-  /// rejects new batches (Status::Unavailable) until the worker drains it
-  /// back to `low_watermark`, so a bursting client sees one contiguous
-  /// rejection episode instead of flapping at the cap. When
-  /// high_watermark == 0 both default: high = queue_capacity,
-  /// low = queue_capacity / 2. (Set high explicitly to use a custom low;
-  /// low == 0 then means "must fully drain".)
-  size_t high_watermark = 0;
-  size_t low_watermark = 0;
   /// Committed checkpoint generations kept per CheckpointAll directory.
   /// After a successful commit, older `gen-*` directories beyond the
   /// newest `checkpoint_retain` are pruned (best-effort). 0 keeps all.
@@ -80,9 +75,9 @@ struct SessionManagerStats {
 /// replay of the same batch sequence (pinned by serve_test and the CI
 /// serve-stress TSan soak), regardless of shard count or co-tenants.
 ///
-/// Backpressure: Submit never blocks. A shard at its high watermark (or
-/// hard capacity) rejects with Status::Unavailable and stays rejecting
-/// until drained to the low watermark; callers retry later or shed load.
+/// Backpressure: Submit never blocks. A shard at its queue capacity rejects
+/// with Status::Unavailable and stays rejecting until drained to half of
+/// it; callers retry later or shed load.
 /// Queues are bounded in batches, so manager memory is bounded by
 /// num_shards * queue_capacity * batch size on top of the session windows.
 ///
@@ -237,7 +232,7 @@ class SessionManager {
     mutable std::mutex mu;
     std::condition_variable cv;
     std::deque<WorkItem> queue;   // guarded by mu
-    bool overloaded = false;      // watermark hysteresis state, guarded by mu
+    bool overloaded = false;      // overload hysteresis state, guarded by mu
     metrics::Gauge* depth_gauge = nullptr;  // resolved once at construction
     std::thread worker;
   };
@@ -258,8 +253,6 @@ class SessionManager {
   const core::ModelBundle* bundle_;
   SessionManagerConfig config_;
   size_t queue_capacity_ = 0;
-  size_t high_watermark_ = 0;
-  size_t low_watermark_ = 0;
 
   /// Lock order (outer to inner): sessions_mu_ -> Shard::mu -> drain_mu_.
   /// Workers take only Shard::mu and drain_mu_, never sessions_mu_, so

@@ -1,8 +1,10 @@
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <utility>
 
 #include "common/check.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "io/tensor_io.h"
 #include "stream/candidate_base.h"
 #include "stream/message.h"
@@ -224,19 +226,45 @@ const std::vector<MentionRecord>& EmptyMentions() {
   return kEmpty;
 }
 
+bool CanonicalLess(const MentionRecord& a, const MentionRecord& b) {
+  return a.message_id != b.message_id ? a.message_id < b.message_id
+                                      : a.begin_token < b.begin_token;
+}
+
+/// [first, last) positions of the mentions in canonical-order `pool` whose
+/// message id lies in `bounds` (the least and greatest id of a set): the
+/// only ones that can belong to the set. O(log pool).
+std::pair<size_t, size_t> IdRange(const std::vector<MentionRecord>& pool,
+                                  std::pair<int64_t, int64_t> bounds) {
+  const auto first = std::partition_point(
+      pool.begin(), pool.end(), [&](const MentionRecord& m) {
+        return m.message_id < bounds.first;
+      });
+  const auto last =
+      std::partition_point(first, pool.end(), [&](const MentionRecord& m) {
+        return m.message_id <= bounds.second;
+      });
+  return {static_cast<size_t>(first - pool.begin()),
+          static_cast<size_t>(last - pool.begin())};
+}
+
+std::pair<int64_t, int64_t> IdBounds(const std::unordered_set<int64_t>& ids) {
+  const auto [lo, hi] = std::minmax_element(ids.begin(), ids.end());
+  return {*lo, *hi};
+}
 
 }  // namespace
 
-size_t CandidateBase::AddMention(const std::string& surface,
-                                 MentionRecord mention) {
-  auto it = by_surface_.find(surface);
-  if (it == by_surface_.end()) {
-    surface_order_.push_back(surface);
-    it = by_surface_.emplace(surface, std::vector<MentionRecord>{}).first;
-  }
-  std::vector<MentionRecord>& mentions = it->second;
-  mentions.push_back(std::move(mention));
-  return mentions.size() - 1;
+void CandidateBase::AddMentions(const std::string& surface,
+                                std::vector<MentionRecord> mentions) {
+  if (mentions.empty()) return;
+  std::stable_sort(mentions.begin(), mentions.end(), CanonicalLess);
+  std::vector<MentionRecord>& pool = by_surface_[surface];
+  const auto old_size = static_cast<std::ptrdiff_t>(pool.size());
+  pool.insert(pool.end(), std::make_move_iterator(mentions.begin()),
+              std::make_move_iterator(mentions.end()));
+  std::inplace_merge(pool.begin(), pool.begin() + old_size, pool.end(),
+                     CanonicalLess);
 }
 
 Matrix CandidateBase::MeanEmbedding(const std::string& surface) const {
@@ -260,33 +288,28 @@ const std::vector<MentionRecord>& CandidateBase::Mentions(
   return it == by_surface_.end() ? EmptyMentions() : it->second;
 }
 
+std::vector<std::string> CandidateBase::surfaces() const {
+  std::vector<std::string> out;
+  out.reserve(by_surface_.size());
+  for (const auto& [surface, pool] : by_surface_) out.push_back(surface);
+  return out;
+}
+
 size_t CandidateBase::TotalMentions() const {
   size_t total = 0;
   for (const auto& [surface, pool] : by_surface_) total += pool.size();
   return total;
 }
 
-bool CandidateBase::ContainsMention(const std::string& surface,
-                                    int64_t message_id, size_t begin_token,
-                                    size_t end_token) const {
-  auto it = by_surface_.find(surface);
-  if (it == by_surface_.end()) return false;
-  for (const MentionRecord& m : it->second) {
-    if (m.message_id == message_id && m.begin_token == begin_token &&
-        m.end_token == end_token) {
-      return true;
-    }
-  }
-  return false;
-}
-
 std::vector<std::string> CandidateBase::SurfacesWithMentionsOf(
     const std::unordered_set<int64_t>& ids) const {
   std::vector<std::string> holding;
   if (ids.empty()) return holding;
-  for (const std::string& surface : surface_order_) {
-    for (const MentionRecord& m : by_surface_.at(surface)) {
-      if (ids.count(m.message_id) > 0) {
+  const std::pair<int64_t, int64_t> bounds = IdBounds(ids);
+  for (const auto& [surface, pool] : by_surface_) {
+    const auto [first, last] = IdRange(pool, bounds);
+    for (size_t i = first; i < last; ++i) {
+      if (ids.count(pool[i].message_id) > 0) {
         holding.push_back(surface);
         break;
       }
@@ -297,99 +320,26 @@ std::vector<std::string> CandidateBase::SurfacesWithMentionsOf(
 
 void CandidateBase::RemoveMentionsOf(const std::unordered_set<int64_t>& ids,
                                      const std::vector<std::string>& surfaces) {
+  if (ids.empty()) return;
+  const std::pair<int64_t, int64_t> bounds = IdBounds(ids);
   for (const std::string& surface : surfaces) {
     auto it = by_surface_.find(surface);
     if (it == by_surface_.end()) continue;
-    std::vector<MentionRecord> kept;
-    kept.reserve(it->second.size());
-    for (MentionRecord& m : it->second) {
-      if (ids.count(m.message_id) == 0) kept.push_back(std::move(m));
-    }
-    it->second = std::move(kept);
+    std::vector<MentionRecord>& pool = it->second;
+    const auto [first, last] = IdRange(pool, bounds);
+    const auto end = pool.begin() + static_cast<std::ptrdiff_t>(last);
+    pool.erase(std::remove_if(pool.begin() + static_cast<std::ptrdiff_t>(first),
+                              end,
+                              [&](const MentionRecord& m) {
+                                return ids.count(m.message_id) > 0;
+                              }),
+               end);
+    if (pool.empty()) by_surface_.erase(it);
   }
-}
-
-void CandidateBase::RemoveSurface(const std::string& surface) {
-  if (by_surface_.erase(surface) == 0) return;
-  for (auto it = surface_order_.begin(); it != surface_order_.end(); ++it) {
-    if (*it == surface) {
-      surface_order_.erase(it);
-      break;
-    }
-  }
-}
-
-Status CandidateBase::Save(io::TensorWriter* writer) const {
-  writer->PutVarint(surface_order_.size());
-  for (const std::string& surface : surface_order_) {
-    const std::vector<MentionRecord>& pool = by_surface_.at(surface);
-    writer->PutString(surface);
-    writer->PutVarint(pool.size());
-    for (const MentionRecord& m : pool) {
-      writer->PutVarint(io::ZigZag(m.message_id));
-      writer->PutVarint(m.begin_token);
-      writer->PutVarint(m.end_token);
-    }
-  }
-  return writer->EndRecord(io::kTagCandidateBase);
-}
-
-Status CandidateBase::Load(io::TensorReader* reader,
-                           const MentionEmbedder& embed) {
-  NERGLOB_RETURN_IF_ERROR(reader->NextRecord(io::kTagCandidateBase));
-  auto fail = [&](const char* what) {
-    return reader->Corrupt("candidate-base record", what);
-  };
-  uint64_t num_surfaces = 0;
-  if (!reader->GetVarint(&num_surfaces)) return fail("surface count");
-  CandidateBase restored;
-  for (uint64_t i = 0; i < num_surfaces; ++i) {
-    std::string surface;
-    uint64_t num_mentions = 0;
-    if (!reader->GetString(&surface) || !reader->GetVarint(&num_mentions) ||
-        num_mentions > reader->RemainingInRecord()) {
-      return fail("surface header");
-    }
-    std::vector<MentionRecord> pool(num_mentions);
-    for (MentionRecord& m : pool) {
-      uint64_t id = 0, begin = 0, end = 0;
-      if (!reader->GetVarint(&id) || !reader->GetVarint(&begin) ||
-          !reader->GetVarint(&end)) {
-        return fail("mention");
-      }
-      m.message_id = io::UnZigZag(id);
-      m.begin_token = begin;
-      m.end_token = end;
-    }
-    if (!restored.by_surface_.emplace(surface, std::move(pool)).second) {
-      return fail("duplicate surface");
-    }
-    restored.surface_order_.push_back(std::move(surface));
-  }
-  NERGLOB_RETURN_IF_ERROR(reader->ExpectRecordEnd());
-
-  // The embeddings are independent of each other, so they are recomputed
-  // in parallel into their own records; the first failure in pool order is
-  // reported, whatever the thread count.
-  std::vector<MentionRecord*> pending;
-  for (const std::string& surface : restored.surface_order_) {
-    for (MentionRecord& m : restored.by_surface_.at(surface)) {
-      pending.push_back(&m);
-    }
-  }
-  std::vector<Status> embedded(pending.size());
-  ParallelFor(0, pending.size(), /*grain=*/16, [&](size_t i) {
-    embedded[i] = embed(*pending[i], &pending[i]->local_embedding);
-  });
-  for (const Status& st : embedded) NERGLOB_RETURN_IF_ERROR(st);
-  *this = std::move(restored);
-  return Status::OK();
 }
 
 size_t CandidateBase::MemoryUsageBytes() const {
   size_t bytes = sizeof(CandidateBase);
-  bytes += surface_order_.capacity() * sizeof(std::string);
-  for (const std::string& surface : surface_order_) bytes += HeapBytes(surface);
   for (const auto& [surface, pool] : by_surface_) {
     bytes += sizeof(std::string) + HeapBytes(surface) + sizeof(pool);
     bytes += pool.capacity() * sizeof(MentionRecord);

@@ -253,18 +253,6 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Matrix Add(const Matrix& a, const Matrix& b) {
-  Matrix out = a;
-  out.AddInPlace(b);
-  return out;
-}
-
-Matrix Sub(const Matrix& a, const Matrix& b) {
-  Matrix out = a;
-  out.Axpy(-1.0f, b);
-  return out;
-}
-
 Matrix Mul(const Matrix& a, const Matrix& b) {
   NERGLOB_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
   Matrix out(a.rows(), a.cols());
@@ -411,43 +399,6 @@ void SliceColsInto(const Matrix& a, size_t begin, size_t count, Matrix* out) {
 
 void ReluInPlace(Matrix* m) {
   kern::Active().relu(m->data(), m->size());
-}
-
-Matrix VStack(const std::vector<Matrix>& parts) {
-  NERGLOB_CHECK(!parts.empty());
-  size_t rows = 0;
-  const size_t cols = parts[0].cols();
-  for (const auto& p : parts) {
-    NERGLOB_CHECK_EQ(p.cols(), cols);
-    rows += p.rows();
-  }
-  Matrix out(rows, cols);
-  size_t r = 0;
-  for (const auto& p : parts) {
-    std::copy(p.data(), p.data() + p.size(), out.Row(r));
-    r += p.rows();
-  }
-  return out;
-}
-
-Matrix HStack(const std::vector<Matrix>& parts) {
-  NERGLOB_CHECK(!parts.empty());
-  const size_t rows = parts[0].rows();
-  size_t cols = 0;
-  for (const auto& p : parts) {
-    NERGLOB_CHECK_EQ(p.rows(), rows);
-    cols += p.cols();
-  }
-  Matrix out(rows, cols);
-  for (size_t r = 0; r < rows; ++r) {
-    float* orow = out.Row(r);
-    size_t off = 0;
-    for (const auto& p : parts) {
-      std::copy(p.Row(r), p.Row(r) + p.cols(), orow + off);
-      off += p.cols();
-    }
-  }
-  return out;
 }
 
 void WriteMatrix(std::ostream& os, const Matrix& m) {

@@ -154,12 +154,6 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b);
 /// out = a * b^T. Shapes: (m,k) x (n,k) -> (m,n).
 Matrix MatMulTransB(const Matrix& a, const Matrix& b);
 
-/// Elementwise a + b (same shape).
-Matrix Add(const Matrix& a, const Matrix& b);
-
-/// Elementwise a - b (same shape).
-Matrix Sub(const Matrix& a, const Matrix& b);
-
 /// Elementwise a * b (same shape).
 Matrix Mul(const Matrix& a, const Matrix& b);
 
@@ -187,19 +181,13 @@ float CosineDistance(const Matrix& a, const Matrix& b);
 /// Mean of all rows: (m,n) -> (1,n).
 Matrix MeanRows(const Matrix& a);
 
-/// Vertically stacks matrices with equal column counts.
-Matrix VStack(const std::vector<Matrix>& parts);
-
-/// Horizontally concatenates matrices with equal row counts.
-Matrix HStack(const std::vector<Matrix>& parts);
-
 /// Out-parameter kernel variants. Each reshapes `out` via Matrix::Reshape
 /// (reusing its buffer capacity — zero heap traffic at steady state when
 /// `out` is a scratch-arena slot) and overwrites its full extent. Unless
 /// noted, `out` must not alias an input. All of them dispatch through the
-/// runtime-selected SIMD kernel table (see tensor/kernels.h) and return
-/// bit-identical results to their allocating counterparts above, for any
-/// NERGLOB_SIMD tier and any thread count.
+/// runtime-selected SIMD kernel table (see tensor/kernels.h) and, where an
+/// allocating counterpart above exists, return bit-identical results to it
+/// for any NERGLOB_SIMD tier and any thread count.
 
 /// out = a * b.
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out);

@@ -467,9 +467,10 @@ void TruncateAfterHeader(const std::string& path) {
 // width with no layout field (layout 2 also stored encoder outputs, layout
 // 3 every token); layout 4 opened it with its layout version and stored
 // the trie and pipeline bookkeeping this build derives from the window,
-// layout 5 stored each mention pool's cluster partition, and layout 6
-// stored a hand-built token's spelling and lowercase form. This build
-// refuses all five before misparsing a field.
+// layout 5 stored each mention pool's cluster partition, layout 6
+// stored a hand-built token's spelling and lowercase form, and layout 7
+// stored the mention pools. This build refuses all six before misparsing
+// a field.
 void WriteOldLayoutSession(const std::string& path,
                            const std::string& fingerprint, uint32_t layout) {
   io::TensorWriter writer(path);
@@ -505,13 +506,15 @@ TEST_F(FaultInjectionTest, RecoverLatestSkipsEveryKindOfTornGeneration) {
     kLayoutThreeSession,
     kLayoutFourSession,
     kLayoutFiveSession,
-    kLayoutSixSession
+    kLayoutSixSession,
+    kLayoutSevenSession
   };
   for (const Corruption corruption :
        {Corruption::kBitFlipManifest, Corruption::kTruncateSession,
         Corruption::kDeleteSession, Corruption::kLayoutTwoSession,
         Corruption::kLayoutThreeSession, Corruption::kLayoutFourSession,
-        Corruption::kLayoutFiveSession, Corruption::kLayoutSixSession}) {
+        Corruption::kLayoutFiveSession, Corruption::kLayoutSixSession,
+        Corruption::kLayoutSevenSession}) {
     const std::string dir = TempPath(
         "torn_" + std::to_string(static_cast<int>(corruption)));
     fs::remove_all(dir);
@@ -558,6 +561,10 @@ TEST_F(FaultInjectionTest, RecoverLatestSkipsEveryKindOfTornGeneration) {
         WriteOldLayoutSession(gen2 + "/session_0.ckpt",
                               system_->bundle.Fingerprint(), 6);
         break;
+      case Corruption::kLayoutSevenSession:
+        WriteOldLayoutSession(gen2 + "/session_0.ckpt",
+                              system_->bundle.Fingerprint(), 7);
+        break;
     }
 
     // Strict restore refuses the corrupt newest generation outright...
@@ -568,7 +575,8 @@ TEST_F(FaultInjectionTest, RecoverLatestSkipsEveryKindOfTornGeneration) {
         corruption == Corruption::kLayoutThreeSession ||
         corruption == Corruption::kLayoutFourSession ||
         corruption == Corruption::kLayoutFiveSession ||
-        corruption == Corruption::kLayoutSixSession) {
+        corruption == Corruption::kLayoutSixSession ||
+        corruption == Corruption::kLayoutSevenSession) {
       EXPECT_EQ(strict_status.code(), StatusCode::kFailedPrecondition)
           << strict_status.ToString();
       EXPECT_NE(strict_status.message().find("layout version"),

@@ -168,8 +168,6 @@ TEST(MatrixTest, MatMulAddBiasMatchesUnfusedPairExactly) {
 TEST(MatrixTest, ElementwiseOps) {
   Matrix a = Matrix::FromRows({{1, 2}});
   Matrix b = Matrix::FromRows({{3, 5}});
-  EXPECT_FLOAT_EQ(Add(a, b).At(0, 1), 7.0f);
-  EXPECT_FLOAT_EQ(Sub(b, a).At(0, 0), 2.0f);
   EXPECT_FLOAT_EQ(Mul(a, b).At(0, 1), 10.0f);
 }
 
@@ -231,18 +229,12 @@ TEST(MatrixTest, MeanRows) {
   EXPECT_FLOAT_EQ(m.At(0, 1), 3.0f);
 }
 
-TEST(MatrixTest, StackingAndSlicing) {
-  Matrix a = Matrix::FromRows({{1, 2}});
-  Matrix b = Matrix::FromRows({{3, 4}, {5, 6}});
-  Matrix v = VStack({a, b});
-  EXPECT_EQ(v.rows(), 3u);
-  EXPECT_FLOAT_EQ(v.At(2, 1), 6.0f);
+TEST(MatrixTest, SliceRows) {
+  Matrix v = Matrix::FromRows({{1, 2}, {3, 4}, {5, 6}});
   Matrix sl = v.SliceRows(1, 2);
+  EXPECT_EQ(sl.rows(), 2u);
   EXPECT_FLOAT_EQ(sl.At(0, 0), 3.0f);
-
-  Matrix h = HStack({b, b});
-  EXPECT_EQ(h.cols(), 4u);
-  EXPECT_FLOAT_EQ(h.At(1, 3), 6.0f);
+  EXPECT_FLOAT_EQ(sl.At(1, 1), 6.0f);
 }
 
 TEST(MatrixTest, TransposedRoundTrip) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <set>
@@ -65,11 +66,31 @@ class PipelineTest : public ::testing::Test {
     return to;
   }
 
-  /// Expects equal live windows, tries and Predictions() at every stage.
+  /// Expects equal live windows, tries, mention pools (the same surfaces,
+  /// each pool's spans in the same order with bit-identical embeddings)
+  /// and Predictions() at every stage.
   static void ExpectSameWindow(core::NerGlobalizer& a, core::NerGlobalizer& b,
                                const std::string& label) {
     ASSERT_EQ(a.message_ids(), b.message_ids()) << label;
     EXPECT_EQ(a.trie().Forms(), b.trie().Forms()) << label;
+    const std::vector<std::string> surfaces = a.candidate_base().surfaces();
+    EXPECT_EQ(surfaces, b.candidate_base().surfaces()) << label;
+    for (const std::string& surface : surfaces) {
+      const auto& want = a.candidate_base().Mentions(surface);
+      const auto& got = b.candidate_base().Mentions(surface);
+      ASSERT_EQ(got.size(), want.size()) << label << " '" << surface << "'";
+      for (size_t i = 0; i < want.size(); ++i) {
+        const Matrix& x = want[i].local_embedding;
+        const Matrix& y = got[i].local_embedding;
+        ASSERT_TRUE(got[i].message_id == want[i].message_id &&
+                    got[i].begin_token == want[i].begin_token &&
+                    got[i].end_token == want[i].end_token &&
+                    x.rows() == y.rows() && x.cols() == y.cols() &&
+                    std::memcmp(x.data(), y.data(),
+                                x.size() * sizeof(float)) == 0)
+            << label << " '" << surface << "' mention " << i;
+      }
+    }
     for (int s = 0; s < 4; ++s) {
       const auto stage = static_cast<core::PipelineStage>(s);
       EXPECT_EQ(a.Predictions(stage), b.Predictions(stage))
@@ -495,32 +516,65 @@ TEST_F(PipelineTest, WindowedEvictionBoundsState) {
 }
 
 TEST_F(PipelineTest, WindowedStateMatchesFromScratchRebuild) {
-  // Eviction is exact: after the stream ends, the bounded pipeline's live
-  // state must match a pipeline that only ever saw the window's messages.
-  auto messages = Dataset("D2");
+  // The pools are a function of the window: after every batch, the
+  // bounded pipeline's pools, surfaces and predictions equal those of a
+  // pipeline that saw only the live window, in one batch (one full-trie
+  // scan of every sentence), byte for byte.
+  const auto messages = Dataset("D2");
   const size_t window = messages.size() / 4;
-  const size_t batch = window / 2;
-  auto windowed = MakePipeline(window);
-  for (size_t i = 0; i < messages.size(); i += batch) {
-    std::vector<stream::Message> chunk(
-        messages.begin() + static_cast<std::ptrdiff_t>(i),
-        messages.begin() +
-            static_cast<std::ptrdiff_t>(std::min(i + batch, messages.size())));
-    windowed.ProcessBatch(chunk);
+  for (const size_t batch : {size_t{7}, window / 2, size_t{37}}) {
+    auto windowed = MakePipeline(window);
+    for (size_t begin = 0; begin < messages.size(); begin += batch) {
+      windowed.ProcessBatch(std::vector<stream::Message>(
+          messages.begin() + static_cast<std::ptrdiff_t>(begin),
+          messages.begin() + static_cast<std::ptrdiff_t>(
+                                 std::min(messages.size(), begin + batch))));
+      std::vector<stream::Message> live;
+      for (const int64_t id : windowed.message_ids()) {
+        live.push_back(windowed.tweet_base().Find(id)->message);
+      }
+      auto rebuilt = MakePipeline();
+      rebuilt.ProcessBatch(live);
+      ExpectSameWindow(windowed, rebuilt,
+                       "batch " + std::to_string(batch) + " at " +
+                           std::to_string(begin));
+    }
+    EXPECT_EQ(windowed.tweet_base().size(), window);
   }
-  ASSERT_EQ(windowed.tweet_base().size(), window);
+}
 
-  // Rebuild from scratch over exactly the live window, same batching.
-  std::vector<stream::Message> tail(
-      messages.end() - static_cast<std::ptrdiff_t>(window), messages.end());
+TEST_F(PipelineTest, ALongerFormReplacesTheShorterMatchInOldSentences) {
+  // Message 1 seeds "andy"; a later batch seeds "andy beshear", which is
+  // then message 1's longest match too. Its "andy" mention must give way,
+  // as in a rebuild that scans the window against both forms at once.
+  auto message = [](int64_t id, const std::string& text) {
+    stream::Message m;
+    m.id = id;
+    m.text = text;
+    m.tokens = text::Tokenizer().Tokenize(text);
+    return m;
+  };
+  auto encoded = [](const stream::Message& m, text::EntitySpan local) {
+    lm::EncodeResult result = system_->bundle.model().Encode(m.tokens);
+    result.bio_labels = text::EncodeBio(m.tokens.size(), {local});
+    return result;
+  };
+  const stream::Message first = message(1, "andy beshear spoke");
+  const stream::Message second = message(2, "governor andy beshear");
+  const text::EntitySpan andy{0, 1, text::EntityType::kPerson};
+  const text::EntitySpan andy_beshear{1, 3, text::EntityType::kPerson};
+
+  auto pipeline = MakePipeline();
+  pipeline.ProcessBatchPreEncoded({first}, {encoded(first, andy)});
+  pipeline.ProcessBatchPreEncoded({second}, {encoded(second, andy_beshear)});
+  EXPECT_TRUE(pipeline.candidate_base().Mentions("andy").empty());
+  EXPECT_EQ(pipeline.candidate_base().Mentions("andy beshear").size(), 2u);
+
   auto rebuilt = MakePipeline();
-  rebuilt.ProcessAll(tail, batch);
-
-  EXPECT_EQ(windowed.trie().size(), rebuilt.trie().size());
-  EXPECT_EQ(windowed.candidate_base().surfaces().size(),
-            rebuilt.candidate_base().surfaces().size());
-  EXPECT_EQ(windowed.candidate_base().TotalMentions(),
-            rebuilt.candidate_base().TotalMentions());
+  rebuilt.ProcessBatchPreEncoded(
+      {first, second},
+      {encoded(first, andy), encoded(second, andy_beshear)});
+  ExpectSameWindow(pipeline, rebuilt, "andy beshear");
 }
 
 TEST_F(PipelineTest, MemoryUsageReflectsEviction) {
@@ -560,16 +614,16 @@ TEST_F(PipelineTest, WindowedRunEmbedsEveryExtractedMentionOnce) {
 }
 
 TEST_F(PipelineTest, RestoreRejectsEmptyBundleFingerprint) {
-  // A layout-7 header whose fingerprint is empty, followed by a valid empty
-  // stream state: the fingerprint is compared like any other, so the file
-  // does not restore onto this bundle.
+  // A current-layout header whose fingerprint is empty, followed by a valid
+  // empty stream state: the fingerprint is compared like any other, so the
+  // file does not restore onto this bundle.
   const std::string path =
       std::string(::testing::TempDir()) + "/pipeline_empty_fingerprint.bin";
   const core::NerGlobalizerConfig config =
       core::DefaultPipelineConfig(system_->bundle);
   {
     io::TensorWriter writer(path);
-    writer.PutU32(7);      // layout version
+    writer.PutU32(8);      // layout version
     writer.PutString("");  // bundle fingerprint
     writer.PutF32(config.cluster_threshold);
     writer.PutU64(config.max_mention_span);

@@ -41,14 +41,10 @@ class ServeTest : public ::testing::Test {
 
   static serve::SessionManagerConfig ManagerConfig(size_t num_shards,
                                                    size_t window,
-                                                   size_t queue_capacity = 0,
-                                                   size_t high_watermark = 0,
-                                                   size_t low_watermark = 0) {
+                                                   size_t queue_capacity = 0) {
     serve::SessionManagerConfig config;
     config.num_shards = num_shards;
     config.queue_capacity = queue_capacity;
-    config.high_watermark = high_watermark;
-    config.low_watermark = low_watermark;
     config.pipeline = core::DefaultPipelineConfig(system_->bundle);
     config.pipeline.window_messages = window;
     return config;
@@ -226,7 +222,7 @@ TEST_F(ServeTest, SharedEncodeCacheMatchesSequentialReplay) {
 
 TEST_F(ServeTest, BackpressureRejectsWithUnavailableThenRecovers) {
   // Pause() keeps the worker from draining, so the queue fills
-  // deterministically: once the high watermark trips, Submit returns the
+  // deterministically: once the queue reaches its capacity, Submit returns the
   // documented Unavailable status until the backlog drains.
   auto messages = Dataset("D1");
   auto batches = Batches(messages, 4);
@@ -257,25 +253,6 @@ TEST_F(ServeTest, BackpressureRejectsWithUnavailableThenRecovers) {
   EXPECT_EQ(stats.submitted_batches, 3u);
   EXPECT_EQ(stats.rejected_batches, 2u);
   EXPECT_EQ(stats.processed_batches, 3u);
-}
-
-TEST_F(ServeTest, HighWatermarkTripsBelowHardCapacity) {
-  // high_watermark < queue_capacity: admission control rejects at the
-  // watermark even though the queue has headroom.
-  auto batches = Batches(Dataset("D1"), 4);
-  serve::SessionManager manager(
-      &system_->bundle,
-      ManagerConfig(1, 0, /*queue_capacity=*/4, /*high_watermark=*/2,
-                    /*low_watermark=*/0));
-  EXPECT_EQ(manager.queue_capacity(), 4u);
-  ASSERT_TRUE(manager.Open("s").ok());
-  manager.Pause();
-  EXPECT_TRUE(manager.Submit("s", batches[0]).ok());
-  EXPECT_TRUE(manager.Submit("s", batches[1]).ok());
-  EXPECT_EQ(manager.Submit("s", batches[2]).code(), StatusCode::kUnavailable);
-  manager.Resume();
-  manager.Drain();
-  EXPECT_TRUE(manager.Submit("s", batches[2]).ok());
 }
 
 TEST_F(ServeTest, ShutdownRejectsNewWorkButKeepsResultsReadable) {

@@ -1,8 +1,8 @@
 // StreamState checkpoints hold only what cannot be recomputed: a
 // message's tokens are the tokenizer's output for its text, token
 // embeddings and BIO labels a pure function of the encoder and those
-// tokens, the trie and the seed support of the live BIO labels, and
-// mention phrase embeddings of the token embeddings and the
+// tokens, the trie and the seed support of the live BIO labels, and the
+// mention pools of the tokens, the trie, the token embeddings and the
 // PhraseEmbedder, so Save omits them and Load recomputes them.
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include "common/string_util.h"
 #include "core/local_ner.h"
 #include "core/phrase_embedder.h"
+#include "core/stages.h"
 #include "core/stream_state.h"
 #include "harness/experiment.h"
 #include "io/tensor_io.h"
@@ -55,8 +56,10 @@ class StreamStateTest : public ::testing::Test {
 
   Status LoadFrom(const std::string& path, StreamState* state,
                   size_t encode_batch_size = 2) const {
+    NerGlobalizerConfig config;
+    config.process_batch_size = encode_batch_size;
     io::TensorReader reader(path);
-    return state->Load(&reader, model_, embedder_, encode_batch_size);
+    return state->Load(&reader, model_, embedder_, config);
   }
 
   void Put(StreamState* state, int64_t id, const std::string& text) const {
@@ -79,41 +82,14 @@ class StreamStateTest : public ::testing::Test {
     return state;
   }
 
-  /// Adds a mention whose embedding is the embedder's output, or `fill`
-  /// everywhere when `fill` is non-negative.
-  void AddMention(StreamState* state, const std::string& surface, int64_t id,
-                  size_t begin, size_t end, float fill = -1.0f) const {
-    stream::MentionRecord m;
-    m.message_id = id;
-    m.begin_token = begin;
-    m.end_token = end;
-    if (fill >= 0.0f) {
-      m.local_embedding = Matrix(1, dim(), fill);
-    } else {
-      m.local_embedding = embedder_.Embed(
-          state->tweet_base.Find(id)->token_embeddings, begin, end);
+  /// Seeds the trie from every record's local spans and extracts the
+  /// pools, as ingest and restore do.
+  void Extract(StreamState* state) const {
+    for (int64_t id : state->tweet_base.ids()) {
+      state->SeedLocalSpans(*state->tweet_base.Find(id), nullptr);
     }
-    state->candidate_base.AddMention(surface, std::move(m));
-  }
-
-  void AddPool(StreamState* state, float fill = -1.0f) const {
-    AddMention(state, "beta gamma", 1, 1, 3, fill);
-    AddMention(state, "beta gamma", 3, 0, 2, fill);
-    AddMention(state, "alpha", 2, 0, 1, fill);
-  }
-
-  /// Saves `state`, then expects Load to fail with InvalidArgument and to
-  /// leave a previously loaded target untouched.
-  void ExpectLoadRejects(const StreamState& state,
-                         const std::string& name) const {
-    const std::string path = TempPath(name);
-    ASSERT_TRUE(SaveTo(state, path).ok());
-    StreamState target = MakeState();
-    const Status st = LoadFrom(path, &target);
-    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
-    EXPECT_EQ(target.tweet_base.size(), 3u);  // untouched by the failed load
-    EXPECT_EQ(target.candidate_base.TotalMentions(), 0u);
-    std::remove(path.c_str());
+    stages::ReExtractMentions(embedder_, trie::CandidateTrie::kDefaultMaxSpan,
+                              state->tweet_base.ids(), *state);
   }
 
   Rng rng_{3};
@@ -122,12 +98,17 @@ class StreamStateTest : public ::testing::Test {
 };
 
 TEST_F(StreamStateTest, SaveWritesNoPhraseEmbeddings) {
-  // Two states that differ only in their mention embeddings must write the
-  // same bytes: the checkpoint holds no phrase embedding at all.
+  // Two states that differ only in their mention pools must write the
+  // same bytes: the checkpoint holds no pool, so no phrase embedding.
   StreamState computed = MakeState();
-  AddPool(&computed);
+  Extract(&computed);
+  ASSERT_GT(computed.candidate_base.TotalMentions(), 0u);
   StreamState constant = MakeState();
-  AddPool(&constant, /*fill=*/0.5f);
+  stream::MentionRecord m;
+  m.message_id = 2;
+  m.end_token = 1;
+  m.local_embedding = Matrix(1, dim(), 0.5f);
+  constant.candidate_base.AddMentions("alpha", {m});
 
   const std::string a = TempPath("state_computed.bin");
   const std::string b = TempPath("state_constant.bin");
@@ -142,9 +123,8 @@ TEST_F(StreamStateTest, SaveWritesNoTokenEmbeddings) {
   // Two states that differ only in their token embeddings and BIO labels
   // must write the same bytes: the checkpoint holds messages only.
   StreamState encoded = MakeState();
-  AddPool(&encoded);
+  Extract(&encoded);
   StreamState blank = MakeState();
-  AddPool(&blank);
   for (int64_t id : blank.tweet_base.ids()) {
     stream::SentenceRecord* rec = blank.tweet_base.FindMutable(id);
     rec->token_embeddings = Matrix(1, 2 * dim(), 0.25f);
@@ -161,8 +141,12 @@ TEST_F(StreamStateTest, SaveWritesNoTokenEmbeddings) {
 }
 
 TEST_F(StreamStateTest, LoadRecomputesPhraseEmbeddingsBitwise) {
+  // Restore re-extracts the pools from the re-encoded window: the same
+  // surfaces, each pool's spans in the same order, bit-identical
+  // embeddings.
   StreamState state = MakeState();
-  AddPool(&state);
+  Extract(&state);
+  ASSERT_GT(state.candidate_base.TotalMentions(), 0u);
   const std::string path = TempPath("state_roundtrip.bin");
   ASSERT_TRUE(SaveTo(state, path).ok());
 
@@ -187,6 +171,8 @@ TEST_F(StreamStateTest, LoadRecomputesPhraseEmbeddingsBitwise) {
       ASSERT_EQ(got.size(), want.size()) << surface;
       for (size_t i = 0; i < want.size(); ++i) {
         EXPECT_EQ(got[i].message_id, want[i].message_id);
+        EXPECT_EQ(got[i].begin_token, want[i].begin_token);
+        EXPECT_EQ(got[i].end_token, want[i].end_token);
         EXPECT_TRUE(SameBytes(got[i].local_embedding, want[i].local_embedding))
             << surface << " mention " << i << " chunk " << chunk;
       }
@@ -218,84 +204,31 @@ TEST_F(StreamStateTest, LoadRecomputesPhraseEmbeddingsBitwise) {
   std::remove(path.c_str());
 }
 
-TEST_F(StreamStateTest, LoadRejectsMentionOfAbsentMessage) {
-  // A crafted checkpoint whose pool names a message the TweetBase does not
-  // hold gets a typed error, not a crash when the pool is read later.
-  StreamState state = MakeState();
-  stream::MentionRecord m;
-  m.message_id = 99;
-  m.begin_token = 0;
-  m.end_token = 1;
-  state.candidate_base.AddMention("alpha", m);
-  ExpectLoadRejects(state, "state_absent_message.bin");
-}
-
-TEST_F(StreamStateTest, LoadRejectsMentionPastItsSentence) {
-  for (const auto& [begin, end] :
-       {std::pair<size_t, size_t>{2, 9}, {4, 5}, {2, 2}}) {
-    StreamState state = MakeState();
-    stream::MentionRecord m;
-    m.message_id = 2;
-    m.begin_token = begin;
-    m.end_token = end;
-    state.candidate_base.AddMention("gamma", m);
-    ExpectLoadRejects(state, "state_bad_span.bin");
-  }
-}
-
-TEST_F(StreamStateTest, LoadRejectsMentionPastTheReencodedPrefix) {
-  // The encoder keeps the first max_seq_len tokens of a sentence. A
-  // mention that starts inside that prefix is pooled over the part it
-  // keeps; one that starts past it has no token embedding to pool.
+TEST_F(StreamStateTest, ExtractionPoolsOnlyMatchesThatStartInTheEncodedPrefix) {
+  // The encoder keeps the first max_seq_len tokens of a sentence. A match
+  // that starts inside that prefix is pooled over the part it keeps; one
+  // that starts past it has no token embedding to pool and is skipped.
+  // Restore extracts through the same operation.
   const size_t max_len = model_.config().max_seq_len;
   std::string text = "alpha";
-  for (size_t t = 1; t < max_len + 2; ++t) text += " beta";
-  for (const size_t begin : {max_len - 1, max_len}) {
-    StreamState state = MakeState();
-    Put(&state, 4, text);
-    ASSERT_EQ(state.tweet_base.Find(4)->token_embeddings.rows(), max_len);
-    stream::MentionRecord m;
-    m.message_id = 4;
-    m.begin_token = begin;
-    m.end_token = max_len + 2;
-    state.candidate_base.AddMention("beta beta", m);
-    if (begin < max_len) {
-      const std::string path = TempPath("state_prefix.bin");
-      ASSERT_TRUE(SaveTo(state, path).ok());
-      StreamState restored;
-      EXPECT_TRUE(LoadFrom(path, &restored).ok());
-      EXPECT_EQ(restored.candidate_base.Mentions("beta beta")[0]
-                    .local_embedding.size(),
-                dim());
-      std::remove(path.c_str());
-    } else {
-      ExpectLoadRejects(state, "state_past_prefix.bin");
-    }
+  for (size_t t = 1; t < max_len + 3; ++t) text += " beta";
+  StreamState state;
+  Put(&state, 4, text);
+  ASSERT_EQ(state.tweet_base.Find(4)->token_embeddings.rows(), max_len);
+  state.trie.Insert({"alpha"});
+  state.trie.Insert({"beta", "beta"});
+  stages::ReExtractMentions(embedder_, trie::CandidateTrie::kDefaultMaxSpan,
+                            {4}, state);
+  // Greedy pairs start at tokens 1, 3, 5, ...; the last one in the prefix
+  // starts at max_len - 1 or max_len - 2.
+  const auto& pairs = state.candidate_base.Mentions("beta beta");
+  ASSERT_FALSE(pairs.empty());
+  EXPECT_LT(pairs.back().begin_token, max_len);
+  EXPECT_GE(pairs.back().begin_token + 2, max_len);
+  for (const stream::MentionRecord& m : pairs) {
+    EXPECT_EQ(m.local_embedding.size(), dim());
   }
-}
-
-TEST_F(StreamStateTest, LoadRejectsDuplicateSurface) {
-  // Two pools for one surface would leave surfaces() naming it twice.
-  const StreamState state = MakeState();
-  const std::string path = TempPath("state_duplicate_surface.bin");
-  {
-    io::TensorWriter writer(path);
-    ASSERT_TRUE(state.tweet_base.Save(&writer).ok());
-    writer.PutVarint(2);
-    for (int i = 0; i < 2; ++i) {
-      writer.PutString("alpha");
-      writer.PutVarint(0);  // mentions
-    }
-    ASSERT_TRUE(writer.EndRecord(io::kTagCandidateBase).ok());
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  StreamState target;
-  const Status st = LoadFrom(path, &target);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
-  EXPECT_NE(st.message().find("duplicate surface"), std::string::npos)
-      << st.ToString();
-  EXPECT_EQ(target.tweet_base.size(), 0u);
-  std::remove(path.c_str());
+  EXPECT_EQ(state.candidate_base.Mentions("alpha").size(), 1u);
 }
 
 /// Writes one message in the layout-4 canonical form: its tokens are the
@@ -470,12 +403,11 @@ TEST_F(StreamStateTest, LoadRejectsExplicitTokenOffsetsOutsideTheText) {
 }
 
 TEST_F(StreamStateTest, MutatedPayloadsLoadToATypedStatus) {
-  // Deterministic mutational fuzz of the three state records. Each mutated
+  // Deterministic mutational fuzz of the two state records. Each mutated
   // payload is re-framed with a valid checksum, so it reaches the parsers:
   // every one must come back as a Status (OK or a typed error), never a
   // crash. Run under the sanitizer build it also rules out memory errors.
   StreamState state = MakeState();
-  AddPool(&state);
   // The last token's kind (kPunct) is one bit away from out of range.
   state.tweet_base.Put(ExplicitRecord(
       -7, "U.S. open!",
@@ -486,7 +418,7 @@ TEST_F(StreamStateTest, MutatedPayloadsLoadToATypedStatus) {
   const std::string path = TempPath("state_fuzz.bin");
   ASSERT_TRUE(SaveTo(state, path).ok());
   const auto records = test_util::SplitRecords(ReadBytes(path));
-  ASSERT_EQ(records.size(), 3u);
+  ASSERT_EQ(records.size(), 2u);
   {
     StreamState restored;
     ASSERT_TRUE(LoadFrom(path, &restored).ok());

@@ -197,41 +197,58 @@ TEST(TweetBaseTest, MemoryUsageCountsOnlyHeapStrings) {
                 msg.tokens.capacity() * sizeof(text::Token));
 }
 
+MentionRecord MakeMention(int64_t message_id, size_t begin, size_t end,
+                          std::vector<float> emb = {}) {
+  MentionRecord m;
+  m.message_id = message_id;
+  m.begin_token = begin;
+  m.end_token = end;
+  if (!emb.empty()) m.local_embedding = Matrix::RowVector(emb);
+  return m;
+}
+
 TEST(CandidateBaseTest, MentionPoolGrows) {
   CandidateBase cb;
-  MentionRecord m1;
-  m1.message_id = 1;
-  m1.local_embedding = Matrix::RowVector({1, 0});
-  EXPECT_EQ(cb.AddMention("coronavirus", m1), 0u);
-  MentionRecord m2;
-  m2.message_id = 2;
-  m2.local_embedding = Matrix::RowVector({0.9f, 0.1f});
-  EXPECT_EQ(cb.AddMention("coronavirus", m2), 1u);
+  cb.AddMentions("coronavirus", {MakeMention(1, 0, 1, {1, 0})});
+  cb.AddMentions("coronavirus", {MakeMention(2, 0, 1, {0.9f, 0.1f})});
   EXPECT_EQ(cb.Mentions("coronavirus").size(), 2u);
   EXPECT_EQ(cb.Mentions("unknown").size(), 0u);
   EXPECT_EQ(cb.TotalMentions(), 2u);
 }
 
-TEST(CandidateBaseTest, SurfacesInFirstSeenOrder) {
+TEST(CandidateBaseTest, PoolsKeepCanonicalOrder) {
+  // Whatever the arrival order, a pool is sorted by (message id, begin
+  // token), and a merge keeps each mention's embedding with it.
   CandidateBase cb;
-  cb.AddMention("b", {});
-  cb.AddMention("a", {});
-  cb.AddMention("b", {});
-  ASSERT_EQ(cb.surfaces().size(), 2u);
-  EXPECT_EQ(cb.surfaces()[0], "b");
-  EXPECT_EQ(cb.surfaces()[1], "a");
+  cb.AddMentions("italy", {MakeMention(5, 2, 3, {5}), MakeMention(2, 0, 1, {2})});
+  cb.AddMentions("italy", {MakeMention(5, 0, 1, {4}), MakeMention(9, 1, 2, {9}),
+                           MakeMention(3, 4, 5, {3})});
+  const std::vector<std::pair<int64_t, size_t>> want = {
+      {2, 0}, {3, 4}, {5, 0}, {5, 2}, {9, 1}};
+  const auto& pool = cb.Mentions("italy");
+  ASSERT_EQ(pool.size(), want.size());
+  const float embedding[] = {2, 3, 4, 5, 9};
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(pool[i].message_id, want[i].first) << i;
+    EXPECT_EQ(pool[i].begin_token, want[i].second) << i;
+    EXPECT_FLOAT_EQ(pool[i].local_embedding.At(0, 0), embedding[i]) << i;
+  }
+}
+
+TEST(CandidateBaseTest, SurfacesInSortedOrder) {
+  CandidateBase cb;
+  cb.AddMentions("b", {MakeMention(0, 0, 1)});
+  cb.AddMentions("a", {MakeMention(1, 0, 1)});
+  cb.AddMentions("b", {MakeMention(2, 0, 1)});
+  EXPECT_EQ(cb.surfaces(), (std::vector<std::string>{"a", "b"}));
 }
 
 TEST(CandidateBaseTest, MeanEmbeddingUpdatesIncrementally) {
   CandidateBase cb;
   EXPECT_TRUE(cb.MeanEmbedding("x").empty());
-  MentionRecord m1;
-  m1.local_embedding = Matrix::RowVector({2, 0});
-  cb.AddMention("x", m1);
+  cb.AddMentions("x", {MakeMention(0, 0, 1, {2, 0})});
   EXPECT_FLOAT_EQ(cb.MeanEmbedding("x").At(0, 0), 2.0f);
-  MentionRecord m2;
-  m2.local_embedding = Matrix::RowVector({0, 4});
-  cb.AddMention("x", m2);
+  cb.AddMentions("x", {MakeMention(1, 0, 1, {0, 4})});
   Matrix mean = cb.MeanEmbedding("x");
   EXPECT_FLOAT_EQ(mean.At(0, 0), 1.0f);
   EXPECT_FLOAT_EQ(mean.At(0, 1), 2.0f);
@@ -243,10 +260,10 @@ TEST(CandidateBaseTest, MeanEmbeddingMatchesBatchMean) {
   CandidateBase cb;
   std::vector<Matrix> embs;
   for (int i = 0; i < 17; ++i) {
-    MentionRecord m;
+    MentionRecord m = MakeMention(i, 0, 1);
     m.local_embedding = Matrix::Randn(1, 6, 1.0f, &rng);
     embs.push_back(m.local_embedding);
-    cb.AddMention("y", m);
+    cb.AddMentions("y", {m});
   }
   Matrix batch(embs.size(), 6);
   for (size_t i = 0; i < embs.size(); ++i) {
@@ -259,48 +276,29 @@ TEST(CandidateBaseTest, MeanEmbeddingMatchesBatchMean) {
 
 TEST(CandidateBaseTest, MentionsWithoutEmbeddingsSkippedInMean) {
   CandidateBase cb;
-  cb.AddMention("z", {});  // no embedding
+  cb.AddMentions("z", {MakeMention(0, 0, 1)});  // no embedding
   EXPECT_TRUE(cb.MeanEmbedding("z").empty());
-  MentionRecord m;
-  m.local_embedding = Matrix::RowVector({3});
-  cb.AddMention("z", m);
+  cb.AddMentions("z", {MakeMention(1, 0, 1, {3})});
   EXPECT_FLOAT_EQ(cb.MeanEmbedding("z").At(0, 0), 3.0f);  // count excludes empties
-}
-
-MentionRecord MakeMention(int64_t message_id, size_t begin, size_t end,
-                          std::vector<float> emb) {
-  MentionRecord m;
-  m.message_id = message_id;
-  m.begin_token = begin;
-  m.end_token = end;
-  m.local_embedding = Matrix::RowVector(emb);
-  return m;
-}
-
-TEST(CandidateBaseTest, ContainsMentionMatchesExactSpan) {
-  CandidateBase cb;
-  cb.AddMention("italy", MakeMention(7, 2, 3, {1, 0}));
-  EXPECT_TRUE(cb.ContainsMention("italy", 7, 2, 3));
-  EXPECT_FALSE(cb.ContainsMention("italy", 7, 1, 3));  // different span
-  EXPECT_FALSE(cb.ContainsMention("italy", 8, 2, 3));  // different message
-  EXPECT_FALSE(cb.ContainsMention("spain", 7, 2, 3));  // unknown surface
 }
 
 TEST(CandidateBaseTest, RemoveMentionsOfDropsOnlyEvictedIds) {
   CandidateBase cb;
-  cb.AddMention("italy", MakeMention(1, 0, 1, {2, 0}));
-  cb.AddMention("italy", MakeMention(2, 0, 1, {0, 4}));
-  cb.AddMention("italy", MakeMention(3, 0, 1, {0, 0}));
-  cb.AddMention("spain", MakeMention(2, 3, 4, {1, 1}));
+  cb.AddMentions("italy", {MakeMention(1, 0, 1, {2, 0}),
+                           MakeMention(2, 0, 1, {0, 4}),
+                           MakeMention(3, 0, 1, {0, 0})});
+  cb.AddMentions("spain", {MakeMention(2, 3, 4, {1, 1})});
+  cb.AddMentions("wales", {MakeMention(0, 1, 2, {1, 1})});
 
   const std::vector<std::string> holding = cb.SurfacesWithMentionsOf({2});
-  // First-seen order.
   EXPECT_EQ(holding, (std::vector<std::string>{"italy", "spain"}));
   cb.RemoveMentionsOf({2}, holding);
   ASSERT_EQ(cb.Mentions("italy").size(), 2u);
   EXPECT_EQ(cb.Mentions("italy")[0].message_id, 1);
   EXPECT_EQ(cb.Mentions("italy")[1].message_id, 3);
+  // The emptied pool is erased, not kept empty.
   EXPECT_TRUE(cb.Mentions("spain").empty());
+  EXPECT_EQ(cb.surfaces(), (std::vector<std::string>{"italy", "wales"}));
   // The running mean was recomputed from the survivors.
   Matrix mean = cb.MeanEmbedding("italy");
   EXPECT_FLOAT_EQ(mean.At(0, 0), 1.0f);
@@ -312,8 +310,9 @@ TEST(CandidateBaseTest, RemoveMentionsOfLeavesUntouchedSurfacesIntact) {
   // its embeddings byte-for-byte (an earlier version left moved-from
   // records behind when nothing was removed).
   CandidateBase cb;
-  cb.AddMention("italy", MakeMention(1, 0, 1, {3, 5}));
+  cb.AddMentions("italy", {MakeMention(1, 0, 1, {3, 5})});
   EXPECT_TRUE(cb.SurfacesWithMentionsOf({99}).empty());
+  EXPECT_TRUE(cb.SurfacesWithMentionsOf({0}).empty());
   cb.RemoveMentionsOf({99}, {"italy"});
   ASSERT_EQ(cb.Mentions("italy").size(), 1u);
   const Matrix& emb = cb.Mentions("italy")[0].local_embedding;
@@ -323,39 +322,25 @@ TEST(CandidateBaseTest, RemoveMentionsOfLeavesUntouchedSurfacesIntact) {
   EXPECT_FLOAT_EQ(emb.At(0, 1), 5.0f);
 }
 
-TEST(CandidateBaseTest, RemoveSurfaceErasesEverything) {
-  CandidateBase cb;
-  cb.AddMention("b", MakeMention(1, 0, 1, {1}));
-  cb.AddMention("a", MakeMention(1, 2, 3, {2}));
-  cb.RemoveSurface("b");
-  ASSERT_EQ(cb.surfaces().size(), 1u);
-  EXPECT_EQ(cb.surfaces()[0], "a");
-  EXPECT_TRUE(cb.Mentions("b").empty());
-  EXPECT_EQ(cb.TotalMentions(), 1u);
-  cb.RemoveSurface("nope");  // no-op
-  EXPECT_EQ(cb.surfaces().size(), 1u);
-}
-
 TEST(CandidateBaseTest, MemoryUsageCountsOnlyHeapStrings) {
-  // A short surface is stored inline in its string objects; adding a
-  // second pool with a 40-char surface adds its heap buffer twice (the
-  // map key and the first-seen order) beside the fixed-size objects.
+  // A short surface is stored inline in its map key; a 40-char surface
+  // adds its heap buffer once beside the fixed-size objects.
   CandidateBase cb;
-  cb.AddMention("italy", MakeMention(0, 0, 1, {1, 2}));
+  cb.AddMentions("italy", {MakeMention(0, 0, 1, {1, 2})});
   const size_t short_bytes = cb.MemoryUsageBytes();
   const std::string long_surface(40, 'x');
   CandidateBase twin;
-  twin.AddMention(long_surface, MakeMention(0, 0, 1, {1, 2}));
+  twin.AddMentions(long_surface, {MakeMention(0, 0, 1, {1, 2})});
   const size_t heap = std::string(long_surface).capacity();
   ASSERT_GT(heap, std::string().capacity());
-  EXPECT_EQ(twin.MemoryUsageBytes(), short_bytes + 2 * heap);
+  EXPECT_EQ(twin.MemoryUsageBytes(), short_bytes + heap);
 }
 
 TEST(CandidateBaseTest, MemoryUsageTracksPoolSize) {
   CandidateBase cb;
   const size_t empty_bytes = cb.MemoryUsageBytes();
   for (int i = 0; i < 8; ++i) {
-    cb.AddMention("coronavirus", MakeMention(i, 0, 1, {1, 2, 3, 4}));
+    cb.AddMentions("coronavirus", {MakeMention(i, 0, 1, {1, 2, 3, 4})});
   }
   const size_t full_bytes = cb.MemoryUsageBytes();
   EXPECT_GT(full_bytes, empty_bytes);

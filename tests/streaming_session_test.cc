@@ -384,8 +384,8 @@ TEST_F(StreamingSessionTest, SteadyStateProcessingNeverGrowsTheArena) {
 }
 
 TEST_F(StreamingSessionTest, RestoreRecomputesEveryPhraseEmbedding) {
-  // The checkpoint carries no phrase embeddings; the restored pools must
-  // still hold every mention's embedding, bit for bit.
+  // The checkpoint carries no mention pools; the restored pools must
+  // still hold every mention, in order, with its embedding bit for bit.
   const std::string path =
       std::string(::testing::TempDir()) + "/session_embeddings.bin";
   auto messages = Dataset("D2");
@@ -406,6 +406,9 @@ TEST_F(StreamingSessionTest, RestoreRecomputesEveryPhraseEmbedding) {
     const auto& b = got.Mentions(surface);
     ASSERT_EQ(a.size(), b.size()) << surface;
     for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(b[i].message_id, a[i].message_id) << surface;
+      EXPECT_EQ(b[i].begin_token, a[i].begin_token) << surface;
+      EXPECT_EQ(b[i].end_token, a[i].end_token) << surface;
       ASSERT_EQ(a[i].local_embedding.size(), b[i].local_embedding.size());
       EXPECT_EQ(std::memcmp(a[i].local_embedding.data(),
                             b[i].local_embedding.data(),
@@ -418,9 +421,9 @@ TEST_F(StreamingSessionTest, RestoreRecomputesEveryPhraseEmbedding) {
 }
 
 TEST_F(StreamingSessionTest, CheckpointHoldsOnlyWhatTheWindowCannotGiveBack) {
-  // The trie, the seed support, the local type votes and the cluster
-  // partitions are all derived from the live window, so a checkpoint has
-  // no record for them.
+  // The trie, the seed support, the local type votes, the mention pools
+  // and the cluster partitions are all derived from the live window, so a
+  // checkpoint has no record for them.
   const std::string path =
       std::string(::testing::TempDir()) + "/session_records.bin";
   auto messages = Dataset("D2");
@@ -436,7 +439,6 @@ TEST_F(StreamingSessionTest, CheckpointHoldsOnlyWhatTheWindowCannotGiveBack) {
   }
   EXPECT_EQ(tags, (std::vector<uint32_t>{io::kTagSession, io::kTagCheckpoint,
                                          io::kTagTweetBase,
-                                         io::kTagCandidateBase,
                                          io::kTagPipelineState}));
   std::remove(path.c_str());
 }
@@ -513,11 +515,11 @@ TEST_F(StreamingSessionTest, RestoreRejectsCheckpointWithoutLayoutVersion) {
 TEST_F(StreamingSessionTest, RestoreRejectsLayoutThreeSessionRecord) {
   // A layout-3 session record opens with a u64 batch count, not the
   // layout. Its low half is refused as a version mismatch, and a count
-  // that happens to equal the current version (7) still fails as layout
+  // that happens to equal the current version (8) still fails as layout
   // drift.
   const std::string path =
       std::string(::testing::TempDir()) + "/session_layout3.bin";
-  for (const uint64_t batches : {1u, 7u}) {
+  for (const uint64_t batches : {1u, 8u}) {
     {
       io::TensorWriter writer(path);
       writer.PutU64(batches);
