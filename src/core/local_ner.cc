@@ -52,6 +52,7 @@ std::vector<LocalNerOutput> IngestEncodedBatch(
     }
     LocalNerOutput out;
     out.message_id = message.id;
+    out.batch_index = i;
     if (message.tokens.empty()) {
       outputs.push_back(std::move(out));
       continue;
@@ -60,7 +61,6 @@ std::vector<LocalNerOutput> IngestEncodedBatch(
 
     stream::SentenceRecord record;
     record.message = message;
-    record.token_embeddings = std::move(result.embeddings);
     record.local_bio = std::move(result.bio_labels);
     state->tweet_base.Put(std::move(record));
     out.local_spans = state->SeedLocalSpans(

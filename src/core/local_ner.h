@@ -15,6 +15,8 @@ namespace nerglob::core {
 /// Result of local NER for one message.
 struct LocalNerOutput {
   int64_t message_id = 0;
+  /// Position of the message in the ingested batch.
+  size_t batch_index = 0;
   /// Local BIO decode: the spans a conventional NER system would emit.
   std::vector<text::EntitySpan> local_spans;
   /// Surface forms (matching form, space-joined) newly added to the trie.
@@ -23,10 +25,10 @@ struct LocalNerOutput {
 
 /// Local NER (Sec. IV) is the fine-tuned encoder run over each message in
 /// isolation (lm::MicroBert::EncodeMany) followed by this serial ingest:
-/// it stores each sentence record (entity-aware token embeddings + BIO
-/// labels) in the state's TweetBase and seeds the CandidateTrie and the
-/// seed support with the detected surface forms, the seed entity
-/// candidates (StreamState::SeedLocalSpans). The encoder is a weak
+/// it stores each sentence record (the message and its BIO labels) in the
+/// state's TweetBase and seeds the CandidateTrie and the seed support with
+/// the detected surface forms, the seed entity candidates
+/// (StreamState::SeedLocalSpans). The encoder is a weak
 /// labeller here: its spans seed the CTrie and its embeddings feed the
 /// Phrase Embedder, but its labels are not the system output.
 ///
@@ -34,8 +36,9 @@ struct LocalNerOutput {
 /// new-surface discovery order and all downstream state are independent
 /// of how — and where — the encoding ran). `(*encoded)[i]` must be the
 /// encoder output for `batch[i].tokens` (default-constructed for empty
-/// messages); its embeddings are consumed (moved into the stored
-/// SentenceRecords). Message ids must be unique within the live window: a
+/// messages); its BIO labels are consumed (moved into the stored
+/// SentenceRecords) and its embeddings are left for the batch's mention
+/// extraction. Message ids must be unique within the live window: a
 /// message whose id is already live, or repeats an earlier message of the
 /// batch, is dropped — it gets no output, no record and no seed support —
 /// and counted in `pipeline.duplicate_messages_dropped_total`.

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "cluster/agglomerative.h"
+#include "common/check.h"
 #include "common/metrics.h"
 #include "common/scratch_arena.h"
 #include "common/string_util.h"
@@ -130,15 +131,20 @@ std::vector<stream::CandidateEntry> ClusterSurface(
 
 }  // namespace
 
-void ReExtractMentions(const PhraseEmbedder& embedder, size_t max_mention_span,
-                       const std::vector<int64_t>& ids, StreamState& state) {
+void ReExtractMentions(const lm::MicroBert& model,
+                       const PhraseEmbedder& embedder, size_t max_mention_span,
+                       const std::vector<int64_t>& ids,
+                       const std::vector<const Matrix*>& encoded,
+                       StreamState& state) {
+  NERGLOB_CHECK(encoded.empty() || encoded.size() == ids.size());
   if (ids.empty()) return;
   static const trace::TraceStage kStage("mention_extraction");
   trace::TraceSpan span(kStage);
+  const size_t max_seq_len = model.config().max_seq_len;
 
-  // Phase 1 (parallel): per-sentence trie scans and phrase embeddings are
-  // independent reads of the TweetBase, so they fan out over the thread
-  // pool. Found mentions land in a per-id slot.
+  // Phase 1 (parallel): per-sentence trie scans are independent reads of
+  // the TweetBase, so they fan out over the thread pool. Found mentions
+  // land in a per-id slot.
   struct Found {
     std::string surface;
     stream::MentionRecord mention;
@@ -147,35 +153,88 @@ void ReExtractMentions(const PhraseEmbedder& embedder, size_t max_mention_span,
   ParallelFor(0, ids.size(), /*grain=*/4, [&](size_t idx) {
     const int64_t id = ids[idx];
     const stream::SentenceRecord* record = state.tweet_base.Find(id);
-    if (record == nullptr || record->message.tokens.empty() ||
-        state.trie.size() == 0) {
-      return;
-    }
+    if (record == nullptr || state.trie.size() == 0) return;
+    // The encoder keeps the first max_seq_len tokens: a match that starts
+    // past them has no token embedding to pool and is skipped.
+    const size_t encoded_len =
+        std::min(record->message.tokens.size(), max_seq_len);
     for (const trie::TokenSpan& span :
          state.trie.FindLongestMatches(MatchTokens(*record), max_mention_span)) {
-      // Mentions truncated away by the encoder have no embeddings; skip.
-      if (span.begin >= record->token_embeddings.rows()) continue;
-      const size_t emb_end = std::min(span.end, record->token_embeddings.rows());
+      if (span.begin >= encoded_len) continue;
       Found f;
       f.mention.message_id = id;
       f.mention.begin_token = span.begin;
       f.mention.end_token = span.end;
       f.surface = SpanSurfaceString(record->message, span.begin, span.end);
-      // Retained state: the embedding outlives this batch in the
-      // CandidateBase, so it owns heap storage; EmbedInto keeps every
-      // intermediate in the worker's scratch arena.
-      embedder.EmbedInto(record->token_embeddings, span.begin, emb_end,
-                         &f.mention.local_embedding);
       found[idx].push_back(std::move(f));
     }
   });
 
-  // Phase 2 (serial): replace the sentences' mentions. AddMentions merges
-  // each surface's matches in canonical order, so the pools are the same
-  // for any thread count and any history that led to this trie.
+  // Phase 2 (serial): drop the sentences' mentions from every pool, keeping
+  // the embedding of each span that is still a match. A phrase embedding is
+  // a pure function of (tokens, begin, end), so these are the bytes a
+  // re-embed would give. A sentence's matches do not overlap, so (message
+  // id, begin token) names at most one old mention.
   const std::unordered_set<int64_t> id_set(ids.begin(), ids.end());
-  state.candidate_base.RemoveMentionsOf(
+  std::vector<stream::MentionRecord> old = state.candidate_base.RemoveMentionsOf(
       id_set, state.candidate_base.SurfacesWithMentionsOf(id_set));
+  std::sort(old.begin(), old.end(), stream::CanonicalLess);
+  std::vector<size_t> to_embed;  // ids slots with a span left to embed
+  for (size_t idx = 0; idx < ids.size(); ++idx) {
+    bool fresh = false;
+    for (Found& f : found[idx]) {
+      const auto it = std::lower_bound(old.begin(), old.end(), f.mention,
+                                       stream::CanonicalLess);
+      if (it != old.end() && !stream::CanonicalLess(f.mention, *it) &&
+          it->end_token == f.mention.end_token) {
+        f.mention.local_embedding = std::move(it->local_embedding);
+      } else {
+        fresh = true;
+      }
+    }
+    if (fresh) to_embed.push_back(idx);
+  }
+
+  // Phase 3: token embeddings for the sentences with a span left to embed:
+  // the caller's encoder output where it has one, else one EncodeMany call
+  // over the rest. EncodeMany is bitwise per message (and exact under
+  // dedup and the encode cache), so a re-encoded sentence gets the bytes
+  // its own batch's encode gave.
+  std::vector<const Matrix*> token_embeddings(ids.size(), nullptr);
+  std::vector<size_t> reencode_slots;
+  std::vector<const std::vector<text::Token>*> sentences;
+  for (size_t idx : to_embed) {
+    if (!encoded.empty() && encoded[idx] != nullptr) {
+      token_embeddings[idx] = encoded[idx];
+    } else {
+      reencode_slots.push_back(idx);
+      sentences.push_back(&state.tweet_base.Find(ids[idx])->message.tokens);
+    }
+  }
+  std::vector<lm::EncodeResult> reencoded;
+  if (!sentences.empty()) reencoded = model.EncodeMany(sentences);
+  for (size_t k = 0; k < reencode_slots.size(); ++k) {
+    token_embeddings[reencode_slots[k]] = &reencoded[k].embeddings;
+  }
+
+  // Phase 4 (parallel): phrase-embed only those spans. Retained state: the
+  // embedding outlives this batch in the CandidateBase, so it owns heap
+  // storage; EmbedInto keeps every intermediate in the worker's scratch
+  // arena.
+  ParallelFor(0, to_embed.size(), /*grain=*/4, [&](size_t k) {
+    const size_t idx = to_embed[k];
+    const Matrix& tokens = *token_embeddings[idx];
+    for (Found& f : found[idx]) {
+      if (!f.mention.local_embedding.empty()) continue;
+      embedder.EmbedInto(tokens, f.mention.begin_token,
+                         std::min(f.mention.end_token, tokens.rows()),
+                         &f.mention.local_embedding);
+    }
+  });
+
+  // Phase 5 (serial): merge the matches into their pools. AddMentions
+  // merges each surface's matches in canonical order, so the pools are the
+  // same for any thread count and any history that led to this trie.
   std::unordered_map<std::string, std::vector<stream::MentionRecord>> merged;
   size_t mention_count = 0;
   for (std::vector<Found>& per_id : found) {
@@ -188,10 +247,13 @@ void ReExtractMentions(const PhraseEmbedder& embedder, size_t max_mention_span,
 
   CountTrieScans(ids.size());
   if (metrics::Enabled()) {
+    auto& registry = metrics::MetricsRegistry::Global();
     static metrics::Counter* const mentions =
-        metrics::MetricsRegistry::Global().GetCounter(
-            "pipeline.mentions_extracted_total");
+        registry.GetCounter("pipeline.mentions_extracted_total");
+    static metrics::Counter* const reencodes =
+        registry.GetCounter("pipeline.sentences_reencoded_total");
     mentions->Increment(mention_count);
+    reencodes->Increment(reencode_slots.size());
   }
 }
 
@@ -263,6 +325,7 @@ void IngestLocal(const ModelBundle& bundle, StreamState& state,
        IngestEncodedBatch(*ctx.batch, &ctx.encoded, &state)) {
     if (state.tweet_base.Find(out.message_id) != nullptr) {
       ctx.new_ids.push_back(out.message_id);
+      ctx.new_embeddings.push_back(&ctx.encoded[out.batch_index].embeddings);
     }
     for (const std::string& surface : out.new_surfaces) {
       ctx.delta.Insert(SplitChar(surface, ' '));
@@ -274,6 +337,7 @@ void ExtractMentions(const ModelBundle& bundle, StreamState& state,
                      StageContext& ctx) {
   const size_t max_span = ctx.config->max_mention_span;
   std::vector<int64_t> ids = ctx.new_ids;
+  std::vector<const Matrix*> encoded = ctx.new_embeddings;
   if (ctx.delta.size() > 0) {
     // A form new to the trie changes an old sentence's longest matches
     // only where it occurs, and the greedy scan against the delta trie
@@ -295,7 +359,10 @@ void ExtractMentions(const ModelBundle& bundle, StreamState& state,
     }
     CountTrieScans(ctx.old_ids.size());
   }
-  ReExtractMentions(bundle.embedder(), max_span, ids, state);
+  // Old sentences have no encoder output at hand (null entries).
+  encoded.resize(ids.size(), nullptr);
+  ReExtractMentions(bundle.model(), bundle.embedder(), max_span, ids, encoded,
+                    state);
 }
 
 void Evict(const ModelBundle& bundle, StreamState& state, StageContext& ctx) {
@@ -386,8 +453,8 @@ void Evict(const ModelBundle& bundle, StreamState& state, StageContext& ctx) {
 
   // 6. Re-extract the affected live sentences against the shrunk trie. Their
   // pruned-surface mentions go, which empties and erases those pools.
-  ReExtractMentions(bundle.embedder(), config.max_mention_span, rescan_ids,
-                    state);
+  ReExtractMentions(bundle.model(), bundle.embedder(), config.max_mention_span,
+                    rescan_ids, /*encoded=*/{}, state);
 
   if (metrics::Enabled()) {
     auto& registry = metrics::MetricsRegistry::Global();

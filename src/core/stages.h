@@ -12,6 +12,7 @@
 #include "core/stream_state.h"
 #include "lm/micro_bert.h"
 #include "stream/message.h"
+#include "tensor/matrix.h"
 #include "text/bio.h"
 #include "trie/candidate_trie.h"
 
@@ -64,6 +65,9 @@ struct StageContext {
   std::vector<int64_t> old_ids;
   /// Ids of this batch's sentences now present in the TweetBase.
   std::vector<int64_t> new_ids;
+  /// Aligned with new_ids: each sentence's token embeddings in `encoded`,
+  /// the only copy; records hold none.
+  std::vector<const Matrix*> new_embeddings;
   /// Surface forms first seen in this batch. ExtractMentions scans the old
   /// sentences against these only to select the ones to re-extract.
   trie::CandidateTrie delta;
@@ -79,15 +83,17 @@ void LocalEncode(const ModelBundle& bundle, StreamState& state,
 /// Stage 2 — serial ingest of the encode results, in stream order
 /// (IngestEncodedBatch): snapshots ctx.old_ids, stores SentenceRecords in
 /// the TweetBase, seeds the CTrie and the seed support with
-/// locally-detected surface forms, and builds the delta trie. First
+/// locally-detected surface forms, and builds the delta trie. Points
+/// ctx.new_embeddings at the new sentences' encoder output. First
 /// state-mutating stage.
 void IngestLocal(const ModelBundle& bundle, StreamState& state,
                  StageContext& ctx);
 
 /// Stage 3 — mention extraction (Sec. III step 3): re-extracts
-/// (ReExtractMentions) the new sentences and the old sentences in which a
-/// ctx.delta form occurs, the only old sentences whose longest matches the
-/// new forms change.
+/// (ReExtractMentions) the new sentences, with their encoder output from
+/// ctx.new_embeddings, and the old sentences in which a ctx.delta form
+/// occurs, the only old sentences whose longest matches the new forms
+/// change.
 void ExtractMentions(const ModelBundle& bundle, StreamState& state,
                      StageContext& ctx);
 
@@ -103,14 +109,26 @@ void Evict(const ModelBundle& bundle, StreamState& state, StageContext& ctx);
 /// invariant: every live sentence's mentions are exactly the greedy longest
 /// matches of its tokens against state.trie, and every pool is in
 /// canonical order. Drops each sentence in `ids` (distinct) from every
-/// pool, scans it against the full trie, phrase-embeds each match once and
-/// merges the matches into their pools; pools this empties are erased.
-/// ExtractMentions, Evict and StreamState::Load (over the whole restored
-/// window) all write the pools through here. Traced as
-/// `mention_extraction`. O(ids * (tokens * max_mention_span + matches *
-/// embed) + mentions of the pools touched + surfaces log pool).
-void ReExtractMentions(const PhraseEmbedder& embedder, size_t max_mention_span,
-                       const std::vector<int64_t>& ids, StreamState& state);
+/// pool, scans it against the full trie and merges the matches into their
+/// pools; pools this empties are erased. A match that was already a
+/// mention of its sentence (same message id, begin and end token) keeps
+/// its pooled phrase embedding, which is a pure function of that key; only
+/// the other matches are phrase-embedded. `encoded` is empty or aligned
+/// with `ids`: a non-null entry is that sentence's token embeddings from
+/// `model` (the batch's or the restore pass's). A sentence with a match to
+/// embed and no such entry is re-encoded, all of them in one
+/// lm::MicroBert::EncodeMany call, counted in
+/// `pipeline.sentences_reencoded_total`; the bytes are those of its own
+/// batch's encode. ExtractMentions, Evict and StreamState::Load (over the
+/// whole restored window) all write the pools through here. Traced as
+/// `mention_extraction`. O(ids * tokens * max_mention_span + re-encodes +
+/// new matches * embed + mentions of the pools touched + surfaces log
+/// pool).
+void ReExtractMentions(const lm::MicroBert& model,
+                       const PhraseEmbedder& embedder, size_t max_mention_span,
+                       const std::vector<int64_t>& ids,
+                       const std::vector<const Matrix*>& encoded,
+                       StreamState& state);
 
 /// Candidate clustering + classification (Sec. V-C/D): clusters each
 /// surface's mention pool and classifies every cluster, returning one

@@ -96,30 +96,35 @@ Status StreamState::Load(io::TensorReader* reader, const lm::MicroBert& model,
   // Re-encode the live window. EncodeMany is batch-composition invariant
   // (and exact under dedup and the encode cache), so each record gets the
   // bytes LocalEncode produced; chunking only bounds the transient logits.
-  // Results are moved into the records, never copied.
+  // The token embeddings live only until the re-extraction below.
   const std::vector<int64_t>& ids = restored.tweet_base.ids();
+  std::vector<Matrix> token_embeddings(ids.size());
   {
     static const trace::TraceStage kStage("restore_encode");
     trace::TraceSpan span(kStage);
     const size_t chunk = std::max<size_t>(config.process_batch_size, 1);
     for (size_t begin = 0; begin < ids.size(); begin += chunk) {
-      std::vector<stream::SentenceRecord*> records;
+      const size_t end = std::min(ids.size(), begin + chunk);
       std::vector<const std::vector<text::Token>*> sentences;
-      for (size_t i = begin; i < std::min(ids.size(), begin + chunk); ++i) {
-        records.push_back(restored.tweet_base.FindMutable(ids[i]));
-        sentences.push_back(&records.back()->message.tokens);
+      for (size_t i = begin; i < end; ++i) {
+        sentences.push_back(&restored.tweet_base.Find(ids[i])->message.tokens);
       }
       std::vector<lm::EncodeResult> encoded = model.EncodeMany(sentences);
-      for (size_t i = 0; i < records.size(); ++i) {
-        records[i]->token_embeddings = std::move(encoded[i].embeddings);
-        records[i]->local_bio = std::move(encoded[i].bio_labels);
+      for (size_t i = begin; i < end; ++i) {
+        token_embeddings[i] = std::move(encoded[i - begin].embeddings);
+        restored.tweet_base.FindMutable(ids[i])->local_bio =
+            std::move(encoded[i - begin].bio_labels);
       }
     }
   }
   for (int64_t id : ids) {
     restored.SeedLocalSpans(*restored.tweet_base.Find(id), nullptr);
   }
-  stages::ReExtractMentions(embedder, config.max_mention_span, ids, restored);
+  std::vector<const Matrix*> encoded(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) encoded[i] = &token_embeddings[i];
+  stages::ReExtractMentions(model, embedder, config.max_mention_span, ids,
+                            encoded, restored);
+  token_embeddings = {};
 
   *this = std::move(restored);
   return Status::OK();

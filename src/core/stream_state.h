@@ -70,12 +70,12 @@ struct PipelineMemoryUsage {
 /// Serializable: Save writes only what the live window cannot give back
 /// (the messages, the finalized buffer and the evicted count; integers as
 /// varints). A message's tokens are the tokenizer's output for its text,
-/// its token embeddings and local BIO labels a pure function of the
-/// encoder and those tokens, the CTrie and the seed support a function of
-/// every live message's local BIO (SeedLocalSpans), and the mention pools
-/// a function of the tokens, the trie, the token embeddings and the
-/// PhraseEmbedder (stages::ReExtractMentions keeps them so), so Save omits
-/// all of them and Load recomputes them bit-identically; a restored
+/// its local BIO labels a pure function of the encoder and those tokens,
+/// the CTrie and the seed support a function of every live message's local
+/// BIO (SeedLocalSpans), and the mention pools a function of the tokens,
+/// the trie, the encoder and the PhraseEmbedder
+/// (stages::ReExtractMentions keeps them so), so Save omits all of them
+/// and Load recomputes them bit-identically; a restored
 /// session's pools and Predictions() at every PipelineStage equal the
 /// uninterrupted run's.
 struct StreamState {
@@ -117,8 +117,9 @@ struct StreamState {
   /// config.process_batch_size messages per call, under the
   /// `restore_encode` trace stage), seeds the trie and the seed support
   /// from every live record in stream order (SeedLocalSpans), and
-  /// re-extracts every live sentence's mentions with `embedder`
-  /// (stages::ReExtractMentions, config.max_mention_span). Two-phase:
+  /// re-extracts every live sentence's mentions with `embedder` from those
+  /// encodings (stages::ReExtractMentions, config.max_mention_span), which
+  /// are then dropped. Two-phase:
   /// `*this` is replaced only once every record validates, so a corrupt
   /// checkpoint leaves the state untouched.
   Status Load(io::TensorReader* reader, const lm::MicroBert& model,

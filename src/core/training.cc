@@ -274,16 +274,17 @@ std::vector<MentionExample> CollectMentionExamples(
   IngestEncodedBatch(labeled, &encoded, &state);
 
   std::vector<MentionExample> examples;
-  for (const stream::Message& message : labeled) {
-    const stream::SentenceRecord* record = state.tweet_base.Find(message.id);
-    if (record == nullptr) continue;
+  for (size_t i = 0; i < labeled.size(); ++i) {
+    const stream::Message& message = labeled[i];
+    if (state.tweet_base.Find(message.id) == nullptr) continue;
+    const Matrix& token_embeddings = encoded[i].embeddings;
     std::vector<std::string> match_tokens;
     for (const auto& tok : message.tokens) match_tokens.push_back(tok.match);
 
     for (const trie::TokenSpan& span :
          state.trie.FindLongestMatches(match_tokens, max_mention_span)) {
-      if (span.begin >= record->token_embeddings.rows()) continue;
-      const size_t emb_end = std::min(span.end, record->token_embeddings.rows());
+      if (span.begin >= token_embeddings.rows()) continue;
+      const size_t emb_end = std::min(span.end, token_embeddings.rows());
 
       // Label against gold: exact match -> type; disjoint -> non-entity;
       // partial overlap -> skip.
@@ -305,7 +306,7 @@ std::vector<MentionExample> CollectMentionExamples(
       ex.surface = SpanSurfaceString(message, span.begin, span.end);
       ex.label = label;
       ex.token_embeddings =
-          record->token_embeddings.SliceRows(span.begin, emb_end - span.begin);
+          token_embeddings.SliceRows(span.begin, emb_end - span.begin);
       examples.push_back(std::move(ex));
     }
   }

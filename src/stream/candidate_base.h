@@ -23,6 +23,14 @@ struct MentionRecord {
   Matrix local_embedding;  ///< (1, d)
 };
 
+/// The canonical mention order: ascending (message id, begin token). Within
+/// a pool, or among one sentence's non-overlapping matches, the key is
+/// unique.
+inline bool CanonicalLess(const MentionRecord& a, const MentionRecord& b) {
+  return a.message_id != b.message_id ? a.message_id < b.message_id
+                                      : a.begin_token < b.begin_token;
+}
+
 /// One entity candidate = one cluster of mentions of a surface form
 /// (Sec. V-D: "every candidate cluster corresponds to a unique entity
 /// candidate in the CandidateBase"). A pure function of the surface's pool,
@@ -73,11 +81,13 @@ class CandidateBase {
       const std::unordered_set<int64_t>& ids) const;
 
   /// Drops from the pools of `surfaces` (SurfacesWithMentionsOf(ids)) every
-  /// mention whose message id is in `ids`, and erases the pools this
-  /// empties. Survivors keep their order (indices shift). O(mentions of
-  /// `surfaces`) moves.
-  void RemoveMentionsOf(const std::unordered_set<int64_t>& ids,
-                        const std::vector<std::string>& surfaces);
+  /// mention whose message id is in `ids`, erases the pools this empties and
+  /// returns the dropped mentions, moved out, in pool order per surface.
+  /// Survivors keep their order (indices shift). O(mentions of `surfaces`)
+  /// moves.
+  std::vector<MentionRecord> RemoveMentionsOf(
+      const std::unordered_set<int64_t>& ids,
+      const std::vector<std::string>& surfaces);
 
   /// Mean of the surface's non-empty local mention embeddings (Sec. V-D's
   /// pooled global embedding), summed in pool order. Computed on demand so

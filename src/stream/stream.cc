@@ -207,7 +207,6 @@ size_t TweetBase::MemoryUsageBytes() const {
   size_t bytes = sizeof(TweetBase) + order_.capacity() * sizeof(int64_t);
   for (const auto& [id, rec] : records_) {
     bytes += sizeof(int64_t) + sizeof(SentenceRecord);
-    bytes += rec.token_embeddings.size() * sizeof(float);
     bytes += rec.local_bio.capacity() * sizeof(int);
     bytes += HeapBytes(rec.message.text);
     bytes += rec.message.tokens.capacity() * sizeof(text::Token);
@@ -224,11 +223,6 @@ namespace {
 const std::vector<MentionRecord>& EmptyMentions() {
   static const auto& kEmpty = *new std::vector<MentionRecord>();
   return kEmpty;
-}
-
-bool CanonicalLess(const MentionRecord& a, const MentionRecord& b) {
-  return a.message_id != b.message_id ? a.message_id < b.message_id
-                                      : a.begin_token < b.begin_token;
 }
 
 /// [first, last) positions of the mentions in canonical-order `pool` whose
@@ -318,9 +312,11 @@ std::vector<std::string> CandidateBase::SurfacesWithMentionsOf(
   return holding;
 }
 
-void CandidateBase::RemoveMentionsOf(const std::unordered_set<int64_t>& ids,
-                                     const std::vector<std::string>& surfaces) {
-  if (ids.empty()) return;
+std::vector<MentionRecord> CandidateBase::RemoveMentionsOf(
+    const std::unordered_set<int64_t>& ids,
+    const std::vector<std::string>& surfaces) {
+  std::vector<MentionRecord> removed;
+  if (ids.empty()) return removed;
   const std::pair<int64_t, int64_t> bounds = IdBounds(ids);
   for (const std::string& surface : surfaces) {
     auto it = by_surface_.find(surface);
@@ -328,14 +324,19 @@ void CandidateBase::RemoveMentionsOf(const std::unordered_set<int64_t>& ids,
     std::vector<MentionRecord>& pool = it->second;
     const auto [first, last] = IdRange(pool, bounds);
     const auto end = pool.begin() + static_cast<std::ptrdiff_t>(last);
-    pool.erase(std::remove_if(pool.begin() + static_cast<std::ptrdiff_t>(first),
-                              end,
-                              [&](const MentionRecord& m) {
-                                return ids.count(m.message_id) > 0;
-                              }),
-               end);
+    auto kept = pool.begin() + static_cast<std::ptrdiff_t>(first);
+    for (auto m = kept; m != end; ++m) {
+      if (ids.count(m->message_id) > 0) {
+        removed.push_back(std::move(*m));
+      } else {
+        if (kept != m) *kept = std::move(*m);
+        ++kept;
+      }
+    }
+    pool.erase(kept, end);
     if (pool.empty()) by_surface_.erase(it);
   }
+  return removed;
 }
 
 size_t CandidateBase::MemoryUsageBytes() const {

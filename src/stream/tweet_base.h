@@ -7,7 +7,6 @@
 
 #include "common/status.h"
 #include "stream/message.h"
-#include "tensor/matrix.h"
 
 namespace nerglob::io {
 class TensorWriter;
@@ -16,13 +15,15 @@ class TensorReader;
 
 namespace nerglob::stream {
 
-/// Per-sentence record stored after Local NER (Sec. IV): the message, its
-/// entity-aware token embeddings (penultimate-layer outputs) and the local
-/// BIO labels. The last two are pure encoder outputs over the message's
-/// tokens, so checkpoints store only the message and restore re-encodes.
+/// Per-sentence record stored after Local NER (Sec. IV): the message and
+/// its local BIO labels. The paper's TweetBase also keeps the entity-aware
+/// token embeddings; here they live only for the batch that encoded them
+/// (core::stages::ReExtractMentions re-encodes an old sentence when it
+/// gains a span). The BIO labels are a pure encoder output over the
+/// message's tokens, so checkpoints store only the message and restore
+/// re-encodes.
 struct SentenceRecord {
   Message message;
-  Matrix token_embeddings;      ///< (num_tokens, d)
   std::vector<int> local_bio;   ///< Local NER label per token
 };
 
@@ -57,9 +58,10 @@ class TweetBase {
   /// the id order is compacted once per eviction round, not per id.
   std::vector<int64_t> EvictOldest(size_t count);
 
-  /// Approximate heap footprint in bytes: token embeddings dominate; the
-  /// estimate also counts message text/tokens and BIO labels (a string's
-  /// buffer only once it spills to the heap). O(records).
+  /// Approximate heap footprint in bytes: message text and tokens dominate;
+  /// the estimate also counts BIO labels and gold spans (a string's buffer
+  /// only once it spills to the heap). No record holds a float array, so
+  /// the figure does not depend on the encoder width. O(records).
   size_t MemoryUsageBytes() const;
 
   /// Appends the full store as one checksummed record (io::kTagTweetBase),
@@ -68,9 +70,8 @@ class TweetBase {
   Status Save(io::TensorWriter* writer) const;
 
   /// Restores a store saved with Save, re-tokenizing each message stored as
-  /// its text, with empty token embeddings and BIO labels for
-  /// StreamState::Load to re-encode. A repeated message id fails with
-  /// InvalidArgument. Two-phase: `*this` is
+  /// its text, with empty BIO labels for StreamState::Load to re-encode. A
+  /// repeated message id fails with InvalidArgument. Two-phase: `*this` is
   /// replaced only once the whole record validates, so a corrupt
   /// checkpoint leaves the store untouched.
   Status Load(io::TensorReader* reader);

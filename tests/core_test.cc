@@ -258,12 +258,18 @@ class LocalNerTest : public ::testing::Test {
 };
 
 TEST_F(LocalNerTest, StoresRecordsAndSeedsTrie) {
+  // A record holds the message and its BIO labels; the token embeddings
+  // stay in the batch's encoder output for its mention extraction.
   StreamState state;
-  auto outs = RunLocalNer({MakeMsg(1, "omega speaks now")}, &state);
+  const std::vector<stream::Message> batch = {MakeMsg(1, "omega speaks now")};
+  std::vector<lm::EncodeResult> encoded = model_->EncodeMany({&batch[0].tokens});
+  auto outs = IngestEncodedBatch(batch, &encoded, &state);
   ASSERT_EQ(outs.size(), 1u);
+  EXPECT_EQ(outs[0].batch_index, 0u);
+  EXPECT_EQ(encoded[0].embeddings.rows(), 3u);
   const stream::SentenceRecord* rec = state.tweet_base.Find(1);
   ASSERT_NE(rec, nullptr);
-  EXPECT_EQ(rec->token_embeddings.rows(), 3u);
+  EXPECT_EQ(rec->message.tokens.size(), 3u);
   EXPECT_EQ(rec->local_bio.size(), 3u);
   ASSERT_FALSE(outs[0].local_spans.empty());
   EXPECT_TRUE(state.trie.Contains({"omega"}));
@@ -277,6 +283,30 @@ TEST_F(LocalNerTest, DuplicateSurfaceNotReRegistered) {
       {MakeMsg(1, "omega speaks now"), MakeMsg(2, "we saw omega")}, &state);
   EXPECT_EQ(state.trie.size(), 1u);
   EXPECT_EQ(outs[0].new_surfaces.size() + outs[1].new_surfaces.size(), 1u);
+}
+
+TEST_F(LocalNerTest, RecordBytesDoNotDependOnTheEncoderWidth) {
+  // TweetBase::MemoryUsageBytes counts no float array: no record holds
+  // encoder output, so a window ingested through encoders of two widths
+  // weighs the same.
+  const std::vector<stream::Message> batch = {
+      MakeMsg(1, "omega speaks now"), MakeMsg(2, "we saw omega today"),
+      MakeMsg(3, "nothing to see")};
+  auto window_bytes = [&](size_t d_model) {
+    lm::MicroBertConfig cfg = model_->config();
+    cfg.d_model = d_model;
+    const lm::MicroBert model(cfg, 5);
+    std::vector<const std::vector<text::Token>*> sentences;
+    for (const stream::Message& m : batch) sentences.push_back(&m.tokens);
+    std::vector<lm::EncodeResult> encoded = model.EncodeMany(sentences);
+    StreamState state;
+    IngestEncodedBatch(batch, &encoded, &state);
+    EXPECT_EQ(state.tweet_base.size(), batch.size());
+    return state.tweet_base.MemoryUsageBytes();
+  };
+  const size_t narrow = window_bytes(16);
+  EXPECT_GT(narrow, 0u);
+  EXPECT_EQ(window_bytes(64), narrow);
 }
 
 TEST(TrainingTest, CollectMentionExamplesLabels) {

@@ -98,6 +98,39 @@ class PipelineTest : public ::testing::Test {
     }
   }
 
+  static stream::Message TextMessage(int64_t id, const std::string& text) {
+    stream::Message m;
+    m.id = id;
+    m.text = text;
+    m.tokens = text::Tokenizer().Tokenize(text);
+    return m;
+  }
+
+  /// The encoder output for `m` with its BIO labels set to one local span,
+  /// so a test chooses what the message seeds.
+  static lm::EncodeResult EncodedWithLocalSpan(const stream::Message& m,
+                                               text::EntitySpan local) {
+    lm::EncodeResult result = system_->bundle.model().Encode(m.tokens);
+    result.bio_labels = text::EncodeBio(m.tokens.size(), {local});
+    return result;
+  }
+
+  /// Extraction counters; metrics stay enabled once read.
+  struct ExtractionCounts {
+    uint64_t mentions = 0, embeds = 0, reencodes = 0;
+    ExtractionCounts operator-(const ExtractionCounts& o) const {
+      return {mentions - o.mentions, embeds - o.embeds,
+              reencodes - o.reencodes};
+    }
+  };
+  static ExtractionCounts ReadExtractionCounts() {
+    metrics::SetEnabled(true);
+    auto& registry = metrics::MetricsRegistry::Global();
+    return {registry.GetCounter("pipeline.mentions_extracted_total")->value(),
+            registry.GetCounter("pipeline.phrase_embeds_total")->value(),
+            registry.GetCounter("pipeline.sentences_reencoded_total")->value()};
+  }
+
   static harness::TrainedSystem* system_;
 };
 
@@ -374,14 +407,18 @@ TEST_F(PipelineTest, InstrumentedCountsMatchPipelineOutputs) {
       registry.GetCounter("pipeline.classifications_total")->value();
   const uint64_t stage_calls =
       registry.GetCounter("stage.local_ner.calls_total")->value();
+  const uint64_t reencodes =
+      registry.GetCounter("pipeline.sentences_reencoded_total")->value();
   metrics::SetEnabled(false);
 
   EXPECT_EQ(sentences, messages.size());
   EXPECT_EQ(stage_calls, 1u);  // one batch => one local_ner span
   EXPECT_EQ(new_surfaces, pipeline.trie().size());
   EXPECT_EQ(mentions, pipeline.candidate_base().TotalMentions());
-  // Every extracted mention was embedded exactly once on its way in.
+  // Every extracted mention was embedded exactly once on its way in, from
+  // the batch's own encoder output.
   EXPECT_EQ(embeds, mentions);
+  EXPECT_EQ(reencodes, 0u);
   size_t spans = 0;
   for (const auto& s : pipeline.Predictions(core::PipelineStage::kLocalOnly)) {
     spans += s.size();
@@ -547,26 +584,21 @@ TEST_F(PipelineTest, ALongerFormReplacesTheShorterMatchInOldSentences) {
   // Message 1 seeds "andy"; a later batch seeds "andy beshear", which is
   // then message 1's longest match too. Its "andy" mention must give way,
   // as in a rebuild that scans the window against both forms at once.
-  auto message = [](int64_t id, const std::string& text) {
-    stream::Message m;
-    m.id = id;
-    m.text = text;
-    m.tokens = text::Tokenizer().Tokenize(text);
-    return m;
-  };
-  auto encoded = [](const stream::Message& m, text::EntitySpan local) {
-    lm::EncodeResult result = system_->bundle.model().Encode(m.tokens);
-    result.bio_labels = text::EncodeBio(m.tokens.size(), {local});
-    return result;
-  };
-  const stream::Message first = message(1, "andy beshear spoke");
-  const stream::Message second = message(2, "governor andy beshear");
+  auto encoded = &PipelineTest::EncodedWithLocalSpan;
+  const stream::Message first = TextMessage(1, "andy beshear spoke");
+  const stream::Message second = TextMessage(2, "governor andy beshear");
   const text::EntitySpan andy{0, 1, text::EntityType::kPerson};
   const text::EntitySpan andy_beshear{1, 3, text::EntityType::kPerson};
 
   auto pipeline = MakePipeline();
   pipeline.ProcessBatchPreEncoded({first}, {encoded(first, andy)});
+  // Message 1 gains a span, so it alone is re-encoded; one embed each for
+  // its new span and message 2's.
+  const ExtractionCounts before = ReadExtractionCounts();
   pipeline.ProcessBatchPreEncoded({second}, {encoded(second, andy_beshear)});
+  const ExtractionCounts cost = ReadExtractionCounts() - before;
+  EXPECT_EQ(cost.reencodes, 1u);
+  EXPECT_EQ(cost.embeds, 2u);
   EXPECT_TRUE(pipeline.candidate_base().Mentions("andy").empty());
   EXPECT_EQ(pipeline.candidate_base().Mentions("andy beshear").size(), 2u);
 
@@ -575,6 +607,35 @@ TEST_F(PipelineTest, ALongerFormReplacesTheShorterMatchInOldSentences) {
       {first, second},
       {encoded(first, andy), encoded(second, andy_beshear)});
   ExpectSameWindow(pipeline, rebuilt, "andy beshear");
+}
+
+TEST_F(PipelineTest, AnUnchangedOldSentenceCostsNoReencodeOrEmbed) {
+  // Message 2 seeds "beshear", which occurs in message 1, so the delta scan
+  // re-selects message 1; its longest match is still "andy beshear". The
+  // rescan keeps that mention's pooled embedding: message 1 is not
+  // re-encoded and only message 2's match is embedded.
+  const stream::Message first = TextMessage(1, "andy beshear spoke");
+  const stream::Message second = TextMessage(2, "governor beshear");
+  auto pipeline = MakePipeline();
+  pipeline.ProcessBatchPreEncoded(
+      {first}, {EncodedWithLocalSpan(first, {0, 2, text::EntityType::kPerson})});
+  const ExtractionCounts before = ReadExtractionCounts();
+  pipeline.ProcessBatchPreEncoded(
+      {second},
+      {EncodedWithLocalSpan(second, {1, 2, text::EntityType::kPerson})});
+  const ExtractionCounts cost = ReadExtractionCounts() - before;
+  EXPECT_EQ(cost.mentions, 2u);  // message 1 was re-extracted
+  EXPECT_EQ(cost.reencodes, 0u);
+  EXPECT_EQ(cost.embeds, 1u);
+  EXPECT_EQ(pipeline.candidate_base().Mentions("andy beshear").size(), 1u);
+  EXPECT_EQ(pipeline.candidate_base().Mentions("beshear").size(), 1u);
+
+  auto rebuilt = MakePipeline();
+  rebuilt.ProcessBatchPreEncoded(
+      {first, second},
+      {EncodedWithLocalSpan(first, {0, 2, text::EntityType::kPerson}),
+       EncodedWithLocalSpan(second, {1, 2, text::EntityType::kPerson})});
+  ExpectSameWindow(pipeline, rebuilt, "beshear");
 }
 
 TEST_F(PipelineTest, MemoryUsageReflectsEviction) {
@@ -593,9 +654,11 @@ TEST_F(PipelineTest, MemoryUsageReflectsEviction) {
 }
 
 TEST_F(PipelineTest, WindowedRunEmbedsEveryExtractedMentionOnce) {
-  // Eviction rescans re-extract spans of live sentences. Each extraction
-  // is embedded afresh into the pool, its only copy, so the embed counter
-  // equals the extraction counter with a window too.
+  // Delta and eviction rescans re-extract live sentences. A match that was
+  // already the sentence's mention keeps its pooled embedding, so every
+  // live mention was embedded once, when it entered its pool, and the
+  // rescans' unchanged matches cost no embed; only the old sentences that
+  // gained a match were re-encoded.
   auto messages = Dataset("D2");
   auto pipeline = MakePipeline(/*window_messages=*/messages.size() / 4);
   metrics::SetEnabled(true);
@@ -606,11 +669,15 @@ TEST_F(PipelineTest, WindowedRunEmbedsEveryExtractedMentionOnce) {
       registry.GetCounter("pipeline.mentions_extracted_total")->value();
   const uint64_t embeds =
       registry.GetCounter("pipeline.phrase_embeds_total")->value();
+  const uint64_t reencodes =
+      registry.GetCounter("pipeline.sentences_reencoded_total")->value();
   const uint64_t evicted = registry.GetCounter("stream.evicted_messages")->value();
   metrics::SetEnabled(false);
   EXPECT_GT(evicted, 0u);
   EXPECT_GT(mentions, pipeline.candidate_base().TotalMentions());
-  EXPECT_EQ(embeds, mentions);
+  EXPECT_GE(embeds, pipeline.candidate_base().TotalMentions());
+  EXPECT_LT(embeds, mentions);
+  EXPECT_GT(reencodes, 0u);
 }
 
 TEST_F(PipelineTest, RestoreRejectsEmptyBundleFingerprint) {

@@ -1,9 +1,9 @@
 // StreamState checkpoints hold only what cannot be recomputed: a
-// message's tokens are the tokenizer's output for its text, token
-// embeddings and BIO labels a pure function of the encoder and those
-// tokens, the trie and the seed support of the live BIO labels, and the
-// mention pools of the tokens, the trie, the token embeddings and the
-// PhraseEmbedder, so Save omits them and Load recomputes them.
+// message's tokens are the tokenizer's output for its text, its BIO labels
+// a pure function of the encoder and those tokens, the trie and the seed
+// support of the live BIO labels, and the mention pools of the tokens, the
+// trie, the encoder and the PhraseEmbedder, so Save omits them and Load
+// recomputes them.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -44,8 +44,9 @@ bool SameBytes(const Matrix& a, const Matrix& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-// Records carry real encoder output from the tiny test model; the encoder
-// needs no training for that, only fixed parameters.
+// Records carry real BIO labels from the tiny test model, and extraction
+// re-encodes with it; the encoder needs no training for that, only fixed
+// parameters.
 class StreamStateTest : public ::testing::Test {
  protected:
   StreamStateTest()
@@ -67,9 +68,7 @@ class StreamStateTest : public ::testing::Test {
     rec.message.id = id;
     rec.message.text = text;
     rec.message.tokens = text::Tokenizer().Tokenize(text);
-    lm::EncodeResult encoded = model_.Encode(rec.message.tokens);
-    rec.token_embeddings = std::move(encoded.embeddings);
-    rec.local_bio = std::move(encoded.bio_labels);
+    rec.local_bio = model_.Encode(rec.message.tokens).bio_labels;
     state->tweet_base.Put(std::move(rec));
   }
 
@@ -83,13 +82,15 @@ class StreamStateTest : public ::testing::Test {
   }
 
   /// Seeds the trie from every record's local spans and extracts the
-  /// pools, as ingest and restore do.
+  /// pools, as ingest and restore do; with no encoder output at hand,
+  /// extraction re-encodes each sentence that has a match.
   void Extract(StreamState* state) const {
     for (int64_t id : state->tweet_base.ids()) {
       state->SeedLocalSpans(*state->tweet_base.Find(id), nullptr);
     }
-    stages::ReExtractMentions(embedder_, trie::CandidateTrie::kDefaultMaxSpan,
-                              state->tweet_base.ids(), *state);
+    stages::ReExtractMentions(model_, embedder_,
+                              trie::CandidateTrie::kDefaultMaxSpan,
+                              state->tweet_base.ids(), /*encoded=*/{}, *state);
   }
 
   Rng rng_{3};
@@ -120,14 +121,14 @@ TEST_F(StreamStateTest, SaveWritesNoPhraseEmbeddings) {
 }
 
 TEST_F(StreamStateTest, SaveWritesNoTokenEmbeddings) {
-  // Two states that differ only in their token embeddings and BIO labels
-  // must write the same bytes: the checkpoint holds messages only.
+  // A record holds no token embeddings, and two states that differ only in
+  // their BIO labels must write the same bytes: the checkpoint holds
+  // messages only.
   StreamState encoded = MakeState();
   Extract(&encoded);
   StreamState blank = MakeState();
   for (int64_t id : blank.tweet_base.ids()) {
     stream::SentenceRecord* rec = blank.tweet_base.FindMutable(id);
-    rec->token_embeddings = Matrix(1, 2 * dim(), 0.25f);
     rec->local_bio.assign(rec->local_bio.size() + 1, 1);
   }
 
@@ -159,9 +160,8 @@ TEST_F(StreamStateTest, LoadRecomputesPhraseEmbeddingsBitwise) {
     for (int64_t id : state.tweet_base.ids()) {
       const stream::SentenceRecord* want = state.tweet_base.Find(id);
       const stream::SentenceRecord* got = restored.tweet_base.Find(id);
-      EXPECT_TRUE(SameBytes(got->token_embeddings, want->token_embeddings))
+      EXPECT_EQ(got->local_bio, want->local_bio)
           << "message " << id << " chunk " << chunk;
-      EXPECT_EQ(got->local_bio, want->local_bio) << "message " << id;
     }
     ASSERT_EQ(restored.candidate_base.surfaces(),
               state.candidate_base.surfaces());
@@ -214,11 +214,14 @@ TEST_F(StreamStateTest, ExtractionPoolsOnlyMatchesThatStartInTheEncodedPrefix) {
   for (size_t t = 1; t < max_len + 3; ++t) text += " beta";
   StreamState state;
   Put(&state, 4, text);
-  ASSERT_EQ(state.tweet_base.Find(4)->token_embeddings.rows(), max_len);
+  ASSERT_EQ(model_.Encode(state.tweet_base.Find(4)->message.tokens)
+                .embeddings.rows(),
+            max_len);
   state.trie.Insert({"alpha"});
   state.trie.Insert({"beta", "beta"});
-  stages::ReExtractMentions(embedder_, trie::CandidateTrie::kDefaultMaxSpan,
-                            {4}, state);
+  stages::ReExtractMentions(model_, embedder_,
+                            trie::CandidateTrie::kDefaultMaxSpan, {4},
+                            /*encoded=*/{}, state);
   // Greedy pairs start at tokens 1, 3, 5, ...; the last one in the prefix
   // starts at max_len - 1 or max_len - 2.
   const auto& pairs = state.candidate_base.Mentions("beta beta");
@@ -365,7 +368,7 @@ TEST_F(StreamStateTest, ExplicitTokensRoundTripByteIdentically) {
     }
     EXPECT_EQ(got.gold_spans, want.gold_spans) << "message " << id;
   }
-  EXPECT_EQ(restored.tweet_base.Find(11)->token_embeddings.rows(), 2u);
+  EXPECT_EQ(restored.tweet_base.Find(11)->local_bio.size(), 2u);
 
   const std::string again = TempPath("state_explicit_again.bin");
   ASSERT_TRUE(SaveTo(restored, again).ok());

@@ -292,7 +292,13 @@ TEST(CandidateBaseTest, RemoveMentionsOfDropsOnlyEvictedIds) {
 
   const std::vector<std::string> holding = cb.SurfacesWithMentionsOf({2});
   EXPECT_EQ(holding, (std::vector<std::string>{"italy", "spain"}));
-  cb.RemoveMentionsOf({2}, holding);
+  // The dropped mentions come back whole, in pool order per surface.
+  const std::vector<MentionRecord> removed = cb.RemoveMentionsOf({2}, holding);
+  ASSERT_EQ(removed.size(), 2u);
+  EXPECT_EQ(removed[0].begin_token, 0u);
+  EXPECT_FLOAT_EQ(removed[0].local_embedding.At(0, 1), 4.0f);
+  EXPECT_EQ(removed[1].begin_token, 3u);
+  EXPECT_FLOAT_EQ(removed[1].local_embedding.At(0, 0), 1.0f);
   ASSERT_EQ(cb.Mentions("italy").size(), 2u);
   EXPECT_EQ(cb.Mentions("italy")[0].message_id, 1);
   EXPECT_EQ(cb.Mentions("italy")[1].message_id, 3);
